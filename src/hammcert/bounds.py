@@ -186,6 +186,12 @@ def _check_growth_points(spec, witness, pts, eps) -> Counterexample | None:
                           f"f{point} = {fv[j]:.6g} > tau*u = {witness.tau * u[j]:.6g}")
 
 
+def _widened(raw: float, inflation: float, upward: bool) -> float:
+    """raw moved by (inflation - 1) * |raw|, up for an upper bound and down
+    for a lower one, whatever the sign of raw."""
+    return raw * (inflation if (raw >= 0) == upward else 2.0 - inflation)
+
+
 @dataclass
 class _Sampler:
     """Heuristic fallback behind a BoundSet; caches one estimate per rho."""
@@ -255,7 +261,7 @@ class BoundSet:
         if self._sampler is None:
             raise IncompleteBoundsError("no declared f_upper bound and no sampler attached")
         raw = self._sampler.f_extrema(rho)[0]
-        return BoundEntry(raw * self._sampler.inflation, raw, "heuristic")
+        return BoundEntry(_widened(raw, self._sampler.inflation, upward=True), raw, "heuristic")
 
     def f_lower(self, rho: float) -> BoundEntry:
         if self._f_lower is not None:
@@ -263,7 +269,7 @@ class BoundSet:
         if self._sampler is None:
             raise IncompleteBoundsError("no declared f_lower bound and no sampler attached")
         raw = self._sampler.f_extrema(rho)[1]
-        return BoundEntry(raw * (2.0 - self._sampler.inflation), raw, "heuristic")
+        return BoundEntry(_widened(raw, self._sampler.inflation, upward=False), raw, "heuristic")
 
     def h_upper(self, i: int, rho: float) -> BoundEntry:
         if i not in (1, 2):
@@ -273,4 +279,4 @@ class BoundSet:
         if self._sampler is None:
             raise IncompleteBoundsError(f"no declared h{i} bound and no sampler attached")
         raw = self._sampler.h_value(i, rho)
-        return BoundEntry(raw * self._sampler.inflation, raw, "heuristic")
+        return BoundEntry(_widened(raw, self._sampler.inflation, upward=True), raw, "heuristic")

@@ -79,8 +79,16 @@ def _write_out(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_validate(args) -> int:
+def _load(args):
+    """The problem file, with each hypothesis warning of its load on stderr."""
     spec = load_problem(args.problem, n=args.n)
+    for warn in spec.warnings:
+        print(f"warning: {warn.name}: {warn.detail}", file=sys.stderr)
+    return spec
+
+
+def _cmd_validate(args) -> int:
+    spec = _load(args)
     results = validate_spec(spec, m=args.m)
     width = max(len(r.name) for r in results)
     for res in results:
@@ -96,7 +104,7 @@ def _bounds_for(spec, args) -> BoundSet:
 
 
 def _cmd_certify_existence(args) -> int:
-    spec = load_problem(args.problem, n=args.n)
+    spec = _load(args)
     cert = check_existence(spec, _bounds_for(spec, args), args.r, args.R)
     K = constant_K(spec.kernel, spec.grid)
     Kstar = constant_Kstar(spec.kernel, spec.grid)
@@ -139,13 +147,14 @@ def _cmd_certify_existence(args) -> int:
         "eta2": spec.eta2,
         "n": spec.grid.n,
         "seed": args.seed,
+        "warnings": len(spec.warnings),
     }
     _write_out(args.out, format_record(record))
     return 0 if cert.passed else 1
 
 
 def _cmd_certify_nonexistence(args) -> int:
-    spec = load_problem(args.problem, n=args.n)
+    spec = _load(args)
     if spec.witness is None:
         raise ParameterError(
             f"{args.problem} declares no growth witness (tau, xi1, xi2 in [bounds])"
@@ -167,6 +176,7 @@ def _cmd_certify_nonexistence(args) -> int:
                 "counterexample_kind": ce.kind,
                 "counterexample_detail": ce.detail,
                 "seed": args.seed,
+                "warnings": len(spec.warnings),
             }
             _write_out(args.out, format_record(record))
             return 1
@@ -195,6 +205,7 @@ def _cmd_certify_nonexistence(args) -> int:
         "eta2": spec.eta2,
         "n": spec.grid.n,
         "seed": args.seed,
+        "warnings": len(spec.warnings),
     }
     _write_out(args.out, format_record(record))
     return 0 if cert.passed else 1
@@ -209,7 +220,7 @@ def _annulus_args(args) -> tuple[float | None, float | None]:
 
 
 def _cmd_solve(args) -> int:
-    spec = load_problem(args.problem, n=args.n)
+    spec = _load(args)
     r, R = _annulus_args(args)
     started = time.perf_counter()
     results = multistart_solve(spec, starts=args.starts, seed=args.seed,
@@ -237,8 +248,10 @@ def _cmd_solve(args) -> int:
         "r": r,
         "R": R,
         "tol": args.tol,
+        "elapsed_s": elapsed,
         "n": spec.grid.n,
         "seed": args.seed,
+        "warnings": len(spec.warnings),
     }
     if best is not None:
         record.update({
@@ -272,7 +285,7 @@ def _parse_axis(text: str, name: str) -> tuple[float, float, int]:
 
 
 def _cmd_sweep(args) -> int:
-    spec = load_problem(args.problem, n=args.n)
+    spec = _load(args)
     if not 0 < args.r < args.R:
         raise ParameterError(f"need 0 < r < R, got r={args.r}, R={args.R}")
     witness = None
@@ -306,6 +319,7 @@ def _cmd_sweep(args) -> int:
         "witness": witness is not None,
         "n": spec.grid.n,
         "seed": args.seed,
+        "warnings": len(spec.warnings),
     }
     lines = ["# " + line for line in format_record(record).splitlines()]
     lines.append("lambda,eta1,eta2,classification,value_branch,deriv_branch,idx0,nonexistence_lhs,rigor")
@@ -415,3 +429,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -53,6 +53,9 @@ class ProblemSpec:
     bounds: BoundSet | None = None
     witness: LinearGrowthWitness | None = None
     warnings: tuple = field(default=())
+    # Node samples of gamma_i and gamma_i' per grid.  Not an init field, so
+    # every replace() starts an empty cache and can never see stale samples.
+    _coefficient_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def with_params(self, lam: float, eta1: float, eta2: float) -> "ProblemSpec":
         return replace(self, lam=lam, eta1=eta1, eta2=eta2)
@@ -187,15 +190,23 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     fvals = np.broadcast_to(np.asarray(eval_nonlinearity(spec.f, t, uc, vc)), t.shape)
     h1v = eval_functional(spec.h1, u)
     h2v = eval_functional(spec.h2, u)
-    g1 = np.broadcast_to(np.asarray(eval_coefficient(spec.gamma1, t)), t.shape)
-    g2 = np.broadcast_to(np.asarray(eval_coefficient(spec.gamma2, t)), t.shape)
-    dg1 = np.broadcast_to(np.asarray(eval_coefficient(spec.dgamma1, t)), t.shape)
-    dg2 = np.broadcast_to(np.asarray(eval_coefficient(spec.dgamma2, t)), t.shape)
-    integral = spec.kernel.value_weight_matrix(grid) @ fvals
-    dintegral = spec.kernel.deriv_weight_matrix(grid) @ fvals
+    g1, g2, dg1, dg2 = _coefficient_samples(spec, grid)
+    integral, dintegral = spec.kernel.integrals(grid, fvals)
     values = spec.eta1 * g1 * h1v + spec.eta2 * g2 * h2v + spec.lam * integral
     dvalues = spec.eta1 * dg1 * h1v + spec.eta2 * dg2 * h2v + spec.lam * dintegral
     return GridFunction(grid, values, dvalues)
+
+
+def _coefficient_samples(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, ...]:
+    # Read-only (broadcast) views, shared by every apply_T on this grid.
+    # An evaluation error is not cached, so it surfaces on each call.
+    samples = spec._coefficient_cache.get(grid)
+    if samples is None:
+        t = grid.nodes
+        samples = tuple(np.broadcast_to(np.asarray(eval_coefficient(e, t)), t.shape)
+                        for e in (spec.gamma1, spec.gamma2, spec.dgamma1, spec.dgamma2))
+        spec._coefficient_cache[grid] = samples
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,17 @@ class TestBoundSet:
         assert fu.value >= fl.value
         assert b.seed == 0
 
+    def test_inflation_widens_negative_estimates(self):
+        # f = u - 2 is negative on the whole box at rho = 1, and so is h1
+        spec = tiny_spec(f="u - 2", h1="U(1) - 5")
+        b = BoundSet().with_sampler(spec, m=8, samples=10, seed=0)
+        fu, fl, h1 = b.f_upper(1.0), b.f_lower(1.0), b.h_upper(1, 1.0)
+        assert fu.raw < 0 and fl.raw < 0 and h1.raw < 0
+        assert fu.value > fu.raw and h1.value > h1.raw
+        assert fl.value < fl.raw
+        assert fu.value == pytest.approx(fu.raw + 0.05 * abs(fu.raw))
+        assert fl.value == pytest.approx(fl.raw - 0.05 * abs(fl.raw))
+
     def test_mixed_declared_and_sampled(self, example1):
         b = BoundSet(f_upper=parse("exp(2*rho)", "bound")).with_sampler(example1, m=8, samples=10)
         assert b.f_upper(1.0).rigor == "certified"

@@ -1,8 +1,13 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from hammcert.cli import format_record, main, parse_record
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 ZERO_PROBLEM = """\
 [kernel]
@@ -152,6 +157,18 @@ class TestCertifyNonexistence:
     def test_no_witness_exit_2(self, example1_path):
         assert main(["certify-nonexistence", "--problem", example1_path]) == 2
 
+    def test_load_warning_reported(self, example2_path, tmp_path, capsys):
+        shifted = _variant(tmp_path, example2_path, "f = u*(2 - t*sin(u*v))",
+                           "f = u*(2 - t*sin(u*v)) - 1/100")
+        out = tmp_path / "cert.rec"
+        rc = main(["certify-nonexistence", "--problem", shifted,
+                   "--skip-falsification", "--out", str(out)])
+        assert rc == 0  # the verdict still comes from the inequality alone
+        err = capsys.readouterr().err
+        assert "warning: f >= 0: min -0.01" in err
+        record = parse_record(out.read_text())
+        assert record["warnings"] == 1
+
 
 class TestSolve:
     def test_zero_problem_converges_to_zero(self, zero_problem, tmp_path):
@@ -175,6 +192,8 @@ class TestSolve:
         record = parse_record(out.read_text())
         assert record["in_annulus"] is True
         assert record["residual"] <= 1e-10
+        assert record["warnings"] == 0
+        assert isinstance(record["elapsed_s"], float) and record["elapsed_s"] > 0
 
     def test_annulus_without_solution_exits_1(self, example2_path):
         # only the trivial fixed point exists; requesting norm >= 0.05 must fail
@@ -234,6 +253,24 @@ class TestSweepCommand:
         assert main(["sweep", "--problem", example2_path, "--lambda", "0:1",
                      "--eta1", "0:1:2", "--eta2", "0:1:2",
                      "--r", "0.05", "--R", "1"]) == 2
+
+
+class TestModuleEntry:
+    def _run(self, *argv):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+        return subprocess.run([sys.executable, "-m", "hammcert.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_validate_runs(self, example1_path):
+        proc = self._run("validate", "--problem", example1_path)
+        assert proc.returncode == 0
+        assert "11/11 checks passed" in proc.stdout.splitlines()
+
+    def test_missing_problem_is_usage_error(self):
+        proc = self._run("validate")
+        assert proc.returncode == 2
+        assert "--problem" in proc.stderr
 
 
 class TestUsage:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hammcert.errors import EvaluationError, ShapeError
 from hammcert.grid import Grid, integrate_tail
@@ -95,6 +97,25 @@ class TestRows:
             apply_kernel_row(focal, g, np.ones(8), 0)
         with pytest.raises(ShapeError):
             apply_dkernel_row(focal, g, np.ones(9), 9)
+
+
+class TestIntegrals:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 3, 8, 257, 1024]), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    def test_focal_matches_dense_weights(self, n, seed, scale):
+        focal = FocalKernel()
+        g = Grid(n)
+        F = scale * np.random.default_rng(seed).random(n + 1)
+        values, derivs = focal.integrals(g, F)
+        tol = 1e-13 * max(1.0, float(np.abs(F).sum()))
+        assert np.max(np.abs(values - focal.value_weight_matrix(g) @ F)) <= tol
+        assert np.max(np.abs(derivs - focal.deriv_weight_matrix(g) @ F)) <= tol
+
+    def test_focal_builds_no_dense_weights(self):
+        focal = FocalKernel()
+        focal.integrals(Grid(64), np.ones(65))
+        assert focal._cache.get(64, {}).keys().isdisjoint({"value_weights", "deriv_weights"})
 
 
 class TestHypothesisChecks:

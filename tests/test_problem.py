@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hammcert.errors import ParameterError, ProblemFileError
+from hammcert.errors import EvaluationError, ParameterError, ProblemFileError
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, cone_defect,
                            consistency_defect, consistency_tol, in_cone,
                            random_cone_function)
-from hammcert.kernel import FocalKernel
+from hammcert.expr import eval_coefficient, eval_functional, eval_nonlinearity
+from hammcert.kernel import FocalKernel, kernel_from_exprs
 from hammcert.problem import (apply_T, load_problem, loads_problem, make_spec,
                               validate_spec)
 
@@ -165,6 +167,63 @@ class TestApplyT:
         u = GridFunction(g, np.full(g.n + 1, -CONE_TOL / 2), np.zeros(g.n + 1))
         w = apply_T(example1, u)  # f must not see a negative argument
         assert in_cone(w)
+
+
+def _dense_T(spec, u):
+    """apply_T through the kernel's dense trapezoid weight matrices."""
+    g = u.grid
+    t = g.nodes
+    F = np.broadcast_to(eval_nonlinearity(spec.f, t, np.maximum(u.values, 0.0),
+                                          np.maximum(u.dvalues, 0.0)), t.shape)
+    h1v, h2v = eval_functional(spec.h1, u), eval_functional(spec.h2, u)
+    g1, g2, dg1, dg2 = (np.broadcast_to(eval_coefficient(e, t), t.shape)
+                        for e in (spec.gamma1, spec.gamma2, spec.dgamma1, spec.dgamma2))
+    values = spec.eta1 * g1 * h1v + spec.eta2 * g2 * h2v \
+        + spec.lam * (spec.kernel.value_weight_matrix(g) @ F)
+    dvalues = spec.eta1 * dg1 * h1v + spec.eta2 * dg2 * h2v \
+        + spec.lam * (spec.kernel.deriv_weight_matrix(g) @ F)
+    return values, dvalues
+
+
+class TestApplyTReference:
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_focal_matches_dense_reference(self, name, seed, request):
+        spec = request.getfixturevalue(name)
+        rng = np.random.default_rng(seed)
+        u = random_cone_function(spec.grid, rng, norm=float(rng.uniform(0.05, 1.0)))
+        w = apply_T(spec, u)
+        values, dvalues = _dense_T(spec, u)
+        assert np.max(np.abs(w.values - values)) <= 1e-14
+        assert np.max(np.abs(w.dvalues - dvalues)) <= 1e-14
+
+    def test_custom_kernel_is_bit_identical_to_dense(self, example1_path):
+        # min(s,t) with its t-derivative, a step in s at t that is exact on nodes
+        spec = load_problem(example1_path, n=64)
+        custom = replace(spec, kernel=kernel_from_exprs("min(s,t)", "min(1, max(0, (s - t)*1e9))"))
+        u = random_cone_function(spec.grid, np.random.default_rng(4), norm=0.5)
+        w = apply_T(custom, u)
+        values, dvalues = _dense_T(custom, u)
+        assert np.array_equal(w.values, values)
+        assert np.array_equal(w.dvalues, dvalues)
+
+    def test_coefficient_samples_follow_the_grid(self, example1):
+        coarse = GridFunction.ramp(Grid(32), 0.5)
+        fine = GridFunction.ramp(example1.grid, 0.5)
+        for u in (coarse, fine, coarse):
+            w = apply_T(example1, u)
+            values, dvalues = _dense_T(example1, u)
+            assert np.max(np.abs(w.values - values)) <= 1e-14
+            assert np.max(np.abs(w.dvalues - dvalues)) <= 1e-14
+
+    def test_gamma_error_surfaces_on_every_call(self):
+        # 0*sqrt(t - 1/1000) is nan at t = 0 only; load-time probes miss it
+        spec = make_spec(FocalKernel(), "t + 0*sqrt(t - 1/1000)", "t", "1", "1",
+                         "U(1)", "DU(0)", "u", 0.1, 0.5, 0.0, n=32, validate=False)
+        u = GridFunction.ramp(spec.grid, 0.5)
+        for _ in range(2):
+            with pytest.raises(EvaluationError):
+                apply_T(spec, u)
 
 
 class TestMakeSpec:
