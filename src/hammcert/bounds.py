@@ -186,10 +186,10 @@ def _check_growth_points(spec, witness, pts, eps) -> Counterexample | None:
                           f"f{point} = {fv[j]:.6g} > tau*u = {witness.tau * u[j]:.6g}")
 
 
-def _widened(raw: float, inflation: float, upward: bool) -> float:
-    """raw moved by (inflation - 1) * |raw|, up for an upper bound and down
-    for a lower one, whatever the sign of raw."""
-    return raw * (inflation if (raw >= 0) == upward else 2.0 - inflation)
+def _widened(raw: float, upward: bool) -> float:
+    """raw moved by (DEFAULT_INFLATION - 1) * |raw|, up for an upper bound
+    and down for a lower one, whatever the sign of raw."""
+    return raw * (DEFAULT_INFLATION if (raw >= 0) == upward else 2.0 - DEFAULT_INFLATION)
 
 
 @dataclass
@@ -200,7 +200,6 @@ class _Sampler:
     m: int = 64
     samples: int = 200
     seed: int = 0
-    inflation: float = DEFAULT_INFLATION
     _f_cache: dict = field(default_factory=dict, repr=False)
     _h_cache: dict = field(default_factory=dict, repr=False)
 
@@ -227,8 +226,6 @@ class BoundSet:
     ||u|| = rho, which is what the definition of H_i prescribes.
     """
 
-    sampled_set = "sphere"
-
     def __init__(self, f_upper: Expr | None = None, f_lower: Expr | None = None,
                  h1: Expr | None = None, h2: Expr | None = None, sampler: _Sampler | None = None):
         self._f_upper = f_upper
@@ -236,9 +233,8 @@ class BoundSet:
         self._h = {1: h1, 2: h2}
         self._sampler = sampler
 
-    def with_sampler(self, spec, m: int = 64, samples: int = 200, seed: int = 0,
-                     inflation: float = DEFAULT_INFLATION) -> "BoundSet":
-        sampler = _Sampler(spec, m=m, samples=samples, seed=seed, inflation=inflation)
+    def with_sampler(self, spec, m: int = 64, samples: int = 200, seed: int = 0) -> "BoundSet":
+        sampler = _Sampler(spec, m=m, samples=samples, seed=seed)
         return BoundSet(self._f_upper, self._f_lower, self._h[1], self._h[2], sampler)
 
     @property
@@ -261,7 +257,7 @@ class BoundSet:
         if self._sampler is None:
             raise IncompleteBoundsError("no declared f_upper bound and no sampler attached")
         raw = self._sampler.f_extrema(rho)[0]
-        return BoundEntry(_widened(raw, self._sampler.inflation, upward=True), raw, "heuristic")
+        return BoundEntry(_widened(raw, upward=True), raw, "heuristic")
 
     def f_lower(self, rho: float) -> BoundEntry:
         if self._f_lower is not None:
@@ -269,7 +265,7 @@ class BoundSet:
         if self._sampler is None:
             raise IncompleteBoundsError("no declared f_lower bound and no sampler attached")
         raw = self._sampler.f_extrema(rho)[1]
-        return BoundEntry(_widened(raw, self._sampler.inflation, upward=False), raw, "heuristic")
+        return BoundEntry(_widened(raw, upward=False), raw, "heuristic")
 
     def h_upper(self, i: int, rho: float) -> BoundEntry:
         if i not in (1, 2):
@@ -279,4 +275,4 @@ class BoundSet:
         if self._sampler is None:
             raise IncompleteBoundsError(f"no declared h{i} bound and no sampler attached")
         raw = self._sampler.h_value(i, rho)
-        return BoundEntry(_widened(raw, self._sampler.inflation, upward=True), raw, "heuristic")
+        return BoundEntry(_widened(raw, upward=True), raw, "heuristic")

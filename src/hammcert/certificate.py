@@ -14,12 +14,16 @@ Comparisons are exact floating comparisons and strictness matters: the
 annulus inequalities are non-strict (the worked feasible point sits
 exactly on the lower equality and must pass), the non-existence one is
 strict (equality fails).  Margins are reported so near-boundary verdicts
-are visible.
+are visible.  The left-hand sides are written once, elementwise in
+(lambda, eta1, eta2), so a sweep evaluates a whole lattice with the same
+floating-point operations as a single certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bounds import BoundEntry, BoundSet, LinearGrowthWitness
 from .errors import ParameterError
@@ -48,8 +52,7 @@ class ExistenceCertificate:
 
     @property
     def rigor(self) -> str:
-        entries = (self.f_upper_R, self.f_lower_r, self.h1_R, self.h2_R)
-        return "certified" if all(e.rigor == "certified" for e in entries) else "heuristic"
+        return entries_rigor((self.f_upper_R, self.f_lower_r, self.h1_R, self.h2_R))
 
 
 @dataclass(frozen=True)
@@ -66,38 +69,60 @@ class NonexistenceCertificate:
         return 1.0 - self.lhs
 
 
-def check_existence(spec: ProblemSpec, bounds: BoundSet, r: float, R: float) -> ExistenceCertificate:
-    """Evaluate the annulus certificate at radii 0 < r < R."""
+def existence_terms(spec: ProblemSpec, bounds: BoundSet, r: float, R: float, lam, eta1, eta2):
+    """The annulus certificate at radii 0 < r < R, elementwise in the parameters.
+
+    lam, eta1 and eta2 are floats or equal-shape arrays.  Returns the four
+    bound entries, then the value branch, derivative branch, idx0 value,
+    upper and lower margins and the pass test, each of the parameters'
+    shape.  Scalar and array evaluations do the same float operations in
+    the same order, so they agree bit for bit.
+    """
     if not 0 < r < R:
         raise ParameterError(f"need 0 < r < R, got r={r}, R={R}")
     K = constant_K(spec.kernel, spec.grid)
     Kstar = constant_Kstar(spec.kernel, spec.grid)
-    f_up = bounds.f_upper(R)
-    f_low = bounds.f_lower(r)
-    h1 = bounds.h_upper(1, R)
-    h2 = bounds.h_upper(2, R)
-    lhs_value = (spec.lam * f_up.value * K
-                 + spec.eta1 * spec.gamma1_at_1 * h1.value
-                 + spec.eta2 * spec.gamma2_at_1 * h2.value)
-    lhs_deriv = (spec.lam * f_up.value * Kstar
-                 + spec.eta1 * spec.dgamma1_sup * h1.value
-                 + spec.eta2 * spec.dgamma2_sup * h2.value)
-    lhs_idx0 = spec.lam * f_low.value * min(K, Kstar)
-    ok = max(lhs_value, lhs_deriv) <= R and lhs_idx0 >= r
+    entries = (bounds.f_upper(R), bounds.f_lower(r), bounds.h_upper(1, R), bounds.h_upper(2, R))
+    f_up, f_low, h1, h2 = (e.value for e in entries)
+    value = lam * f_up * K + eta1 * spec.gamma1_at_1 * h1 + eta2 * spec.gamma2_at_1 * h2
+    deriv = lam * f_up * Kstar + eta1 * spec.dgamma1_sup * h1 + eta2 * spec.dgamma2_sup * h2
+    idx0 = lam * f_low * min(K, Kstar)
+    top = np.where(deriv > value, deriv, value)  # picks what max(value, deriv) picks
+    return entries, value, deriv, idx0, R - top, idx0 - r, (top <= R) & (idx0 >= r)
+
+
+def entries_rigor(entries) -> str:
+    """'certified' when every bound entry is, else 'heuristic'."""
+    return "certified" if all(e.rigor == "certified" for e in entries) else "heuristic"
+
+
+def growth_lhs(spec: ProblemSpec, witness: LinearGrowthWitness, lam, eta1, eta2):
+    """Left-hand side of the non-existence certificate, elementwise in the parameters."""
+    K = constant_K(spec.kernel, spec.grid)
+    return (lam * witness.tau * K
+            + eta1 * witness.xi1 * spec.gamma1_at_1
+            + eta2 * witness.xi2 * spec.gamma2_at_1)
+
+
+def check_existence(spec: ProblemSpec, bounds: BoundSet, r: float, R: float) -> ExistenceCertificate:
+    """Evaluate the annulus certificate at radii 0 < r < R."""
+    entries, value, deriv, idx0, upper, lower, ok = existence_terms(
+        spec, bounds, r, R, spec.lam, spec.eta1, spec.eta2)
     if not ok:
         verdict = "fail"
-    elif all(e.rigor == "certified" for e in (f_up, f_low, h1, h2)):
+    elif entries_rigor(entries) == "certified":
         verdict = "certified"
     else:
         verdict = "heuristic-pass"
+    f_up, f_low, h1, h2 = entries
     return ExistenceCertificate(
         r=r,
         R=R,
-        lhs_value_branch=lhs_value,
-        lhs_deriv_branch=lhs_deriv,
-        lhs_idx0=lhs_idx0,
-        upper_margin=R - max(lhs_value, lhs_deriv),
-        lower_margin=lhs_idx0 - r,
+        lhs_value_branch=value,
+        lhs_deriv_branch=deriv,
+        lhs_idx0=idx0,
+        upper_margin=float(upper),  # np.where made it a 0-d array
+        lower_margin=lower,
         verdict=verdict,
         f_upper_R=f_up,
         f_lower_r=f_low,
@@ -108,8 +133,5 @@ def check_existence(spec: ProblemSpec, bounds: BoundSet, r: float, R: float) -> 
 
 def check_nonexistence(spec: ProblemSpec, witness: LinearGrowthWitness) -> NonexistenceCertificate:
     """Evaluate the linear-growth certificate; caller vets the witness first."""
-    K = constant_K(spec.kernel, spec.grid)
-    lhs = (spec.lam * witness.tau * K
-           + spec.eta1 * witness.xi1 * spec.gamma1_at_1
-           + spec.eta2 * witness.xi2 * spec.gamma2_at_1)
-    return NonexistenceCertificate(lhs=lhs, witness=witness)
+    return NonexistenceCertificate(lhs=growth_lhs(spec, witness, spec.lam, spec.eta1, spec.eta2),
+                                   witness=witness)

@@ -15,7 +15,7 @@ import time
 from .bounds import BoundSet
 from .certificate import check_existence, check_nonexistence
 from .bounds import falsify_linear_growth
-from .errors import HammcertError, ParameterError
+from .errors import HammcertError, ParameterError, ProblemFileError
 from .kernel import constant_K, constant_Kstar
 from .problem import load_problem, validate_spec
 from .solver import multistart_solve
@@ -79,21 +79,30 @@ def _write_out(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
+def _print_warnings(warns) -> None:
+    for warn in warns:
+        print(f"warning: {warn.name}: {warn.detail}", file=sys.stderr)
+
+
 def _load(args):
     """The problem file, with each hypothesis warning of its load on stderr."""
     spec = load_problem(args.problem, n=args.n)
-    for warn in spec.warnings:
-        print(f"warning: {warn.name}: {warn.detail}", file=sys.stderr)
+    _print_warnings(spec.warnings)
     return spec
 
 
 def _cmd_validate(args) -> int:
-    spec = _load(args)
-    results = validate_spec(spec, m=args.m)
+    # One validation pass at --m feeds both the stderr warnings and the table.
+    spec = load_problem(args.problem, n=args.n, validate=False)
+    try:
+        results = validate_spec(spec, m=args.m)
+    except Exception as exc:  # reported like a failed check at load
+        raise ProblemFileError(f"{args.problem}: {exc}") from exc
+    warns = [r for r in results if not r.ok]
+    _print_warnings(warns)
     width = max(len(r.name) for r in results)
     for res in results:
         print(f"{res.name:<{width}}  {res.status.upper():4}  {res.detail}")
-    warns = [r for r in results if not r.ok]
     print(f"{len(results) - len(warns)}/{len(results)} checks passed")
     return 1 if warns else 0
 
@@ -304,8 +313,7 @@ def _cmd_sweep(args) -> int:
     axes = {name: axis_values(*_parse_axis(getattr(args, dest), name))
             for name, dest in (("lambda", "lam"), ("eta1", "eta1"), ("eta2", "eta2"))}
     cells = run_sweep(spec, axes["lambda"], axes["eta1"], axes["eta2"],
-                      _bounds_for(spec, args), args.r, args.R,
-                      witness=witness, workers=args.workers)
+                      _bounds_for(spec, args), args.r, args.R, witness=witness)
     record = {
         "command": "sweep",
         "problem": args.problem,
@@ -405,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=4096, help="witness falsification budget")
     p.add_argument("--skip-falsification", action="store_true",
                    help="trust the declared witness without sampling")
-    p.add_argument("--workers", type=int, default=1, help="parallel cell evaluation")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -178,23 +178,24 @@ def constant_Kstar(kernel: Kernel, grid: Grid) -> float:
     return float(np.max(kernel._grid_data(grid, "Kstar_rows")))
 
 
-def _check_row(kernel: Kernel, grid: Grid, F, j: int, key: str) -> float:
+def _check_row(kernel: Kernel, grid: Grid, F, j: int, which: int) -> float:
+    # Row j of Kernel.integrals, so the focal kernel answers in O(n) too.
     F = np.asarray(F, dtype=float)
     if F.shape != (grid.n + 1,):
         raise ShapeError(f"expected {grid.n + 1} samples, got {F.shape}")
     if not 0 <= j <= grid.n:
         raise ShapeError(f"node index {j} out of range for {grid!r}")
-    return float(kernel._grid_data(grid, key)[j] @ F)
+    return float(kernel.integrals(grid, F)[which][j])
 
 
 def apply_kernel_row(kernel: Kernel, grid: Grid, F, j: int) -> float:
     """int_0^1 k(t_j, s) F(s) ds for node samples F."""
-    return _check_row(kernel, grid, F, j, "value_weights")
+    return _check_row(kernel, grid, F, j, 0)
 
 
 def apply_dkernel_row(kernel: Kernel, grid: Grid, F, j: int) -> float:
     """int_0^1 dk(t_j, s) F(s) ds for node samples F."""
-    return _check_row(kernel, grid, F, j, "deriv_weights")
+    return _check_row(kernel, grid, F, j, 1)
 
 
 def check_kernel_hypotheses(kernel: Kernel, m: int = 64, tol: float = 1e-9) -> list[CheckResult]:

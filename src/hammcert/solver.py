@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm,
-                   cone_defect, consistency_defect, in_cone,
-                   random_cone_function)
+from .grid import (CONE_TOL, GridFunction, c1_distance, c1_norm, cone_defect,
+                   consistency_defect, in_cone, random_cone_function)
 from .problem import ProblemSpec, apply_T
 
 TOL_FIXPOINT = 1e-10
@@ -90,8 +89,9 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction, tol: float = TOL_FIXPOINT,
                        in_cone(u), _annulus(norm, r, R))
 
 
-def _start_functions(spec: ProblemSpec, grid: Grid, starts: int,
+def _start_functions(spec: ProblemSpec, starts: int,
                      rng: np.random.Generator) -> list[GridFunction]:
+    grid = spec.grid
     out = [GridFunction.zero(grid)]
     if starts <= 1:
         return out
@@ -105,7 +105,7 @@ def _start_functions(spec: ProblemSpec, grid: Grid, starts: int,
 
 
 def multistart_solve(spec: ProblemSpec, starts: int = 8, seed: int = 0,
-                     n: int | None = None, tol: float = TOL_FIXPOINT,
+                     tol: float = TOL_FIXPOINT,
                      max_iter: int = MAX_ITERATIONS, r: float | None = None,
                      R: float | None = None) -> list[SolveResult]:
     """Picard from the zero start, log-spaced ramps, and random cone starts.
@@ -116,10 +116,9 @@ def multistart_solve(spec: ProblemSpec, starts: int = 8, seed: int = 0,
     """
     if starts < 1:
         raise ParameterError(f"need at least one start, got {starts}")
-    grid = Grid(n) if n is not None else spec.grid
     rng = np.random.default_rng(seed)
     results = [picard_solve(spec, u0, tol=tol, max_iter=max_iter, r=r, R=R)
-               for u0 in _start_functions(spec, grid, starts, rng)]
+               for u0 in _start_functions(spec, starts, rng)]
     results.sort(key=lambda res: (res.norm, res.status, res.residual))
     kept: list[SolveResult] = []
     for res in results:

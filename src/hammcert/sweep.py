@@ -1,22 +1,21 @@
 """Classify a box of (lambda, eta1, eta2) parameter points by certificate.
 
 Each lattice point gets the existence check at fixed (r, R) and, when a
-growth witness is supplied, the non-existence check.  Cells are points,
-not boxes: nothing is claimed between lattice points.  Both certificates
-passing at once ('conflict') is impossible when the declared inputs are
-sound, so that class exists purely as a consistency alarm.
+growth witness is supplied, the non-existence check, both evaluated over
+the whole lattice in one array pass.  Cells are points, not boxes:
+nothing is claimed between lattice points.  Both certificates passing at
+once ('conflict') is impossible when the declared inputs are sound, so
+that class exists purely as a consistency alarm.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .bounds import BoundSet, LinearGrowthWitness
-from .certificate import check_existence, check_nonexistence
+from .certificate import entries_rigor, existence_terms, growth_lhs
 from .errors import ParameterError
 from .problem import ProblemSpec
 
@@ -47,57 +46,32 @@ def axis_values(start: float, stop: float, steps: int) -> np.ndarray:
     return np.linspace(float(start), float(stop), steps)
 
 
-def _classify(exists: bool, nonexists: bool | None) -> str:
-    if exists and nonexists:
-        return "conflict"
-    if exists:
-        return "existence"
-    if nonexists:
-        return "nonexistence"
-    return "both-fail"
-
-
 def run_sweep(spec: ProblemSpec, lam_values, eta1_values, eta2_values,
               bounds: BoundSet, r: float, R: float,
-              witness: LinearGrowthWitness | None = None,
-              workers: int = 1) -> list[SweepCell]:
+              witness: LinearGrowthWitness | None = None) -> list[SweepCell]:
     """Evaluate the certificates at every lattice point, in lexicographic order.
 
-    Output is identical for any worker count: cells are pure functions of
-    their parameters and are gathered in input order.
+    With (r, R) fixed the bound entries are fixed too, so both certificates
+    are affine in the parameters and the lattice is evaluated in one array
+    pass, bit for bit what the scalar certificates give at each point.
     """
-    # Warm the per-rho bound entries once so parallel cells share them.
-    bounds.f_upper(R)
-    bounds.f_lower(r)
-    bounds.h_upper(1, R)
-    bounds.h_upper(2, R)
-
-    points = [(float(a), float(b), float(c))
-              for a, b, c in product(lam_values, eta1_values, eta2_values)]
-
-    def cell(point: tuple[float, float, float]) -> SweepCell:
-        lam, eta1, eta2 = point
-        local = spec.with_params(lam, eta1, eta2)
-        ec = check_existence(local, bounds, r, R)
-        nc = check_nonexistence(local, witness) if witness is not None else None
-        return SweepCell(
-            lam=lam,
-            eta1=eta1,
-            eta2=eta2,
-            classification=_classify(ec.passed, None if nc is None else nc.passed),
-            value_branch=ec.lhs_value_branch,
-            deriv_branch=ec.lhs_deriv_branch,
-            idx0_value=ec.lhs_idx0,
-            upper_margin=ec.upper_margin,
-            lower_margin=ec.lower_margin,
-            nonexistence_lhs=None if nc is None else nc.lhs,
-            rigor=ec.rigor,
-        )
-
-    if workers <= 1:
-        return [cell(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(cell, points, chunksize=max(1, len(points) // (4 * workers))))
+    axes = [np.asarray(v, dtype=float) for v in (lam_values, eta1_values, eta2_values)]
+    lam, eta1, eta2 = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    entries, value, deriv, idx0, upper, lower, exists = existence_terms(
+        spec, bounds, r, R, lam, eta1, eta2)
+    if witness is None:
+        nonexists = np.zeros(lam.shape, dtype=bool)
+        nonexistence_lhs = [None] * lam.size
+    else:
+        lhs = growth_lhs(spec, witness, lam, eta1, eta2)
+        nonexists = lhs < 1.0  # strict, as in NonexistenceCertificate.passed
+        nonexistence_lhs = lhs.tolist()
+    classes = np.select([exists & nonexists, exists, nonexists],
+                        ["conflict", "existence", "nonexistence"], "both-fail")
+    rigor = entries_rigor(entries)
+    return [SweepCell(*row, rigor=rigor) for row in zip(
+        lam.tolist(), eta1.tolist(), eta2.tolist(), classes.tolist(), value.tolist(),
+        deriv.tolist(), idx0.tolist(), upper.tolist(), lower.tolist(), nonexistence_lhs)]
 
 
 def conflict_cells(cells: list[SweepCell]) -> list[SweepCell]:

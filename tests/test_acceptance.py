@@ -151,20 +151,17 @@ def test_criterion_8_sweep_reproduction(example2):
     ax = axis_values(0.0, 1.0, 20)
     t0 = time.perf_counter()
     cells = run_sweep(example2, ax, ax, ax, example2.bounds, r=1 / 20, R=1.0,
-                      witness=example2.witness, workers=1)
+                      witness=example2.witness)
     elapsed = time.perf_counter() - t0
     assert len(cells) == 8000
     assert not conflict_cells(cells)
     mismatches = [c for c in cells
                   if (c.classification == "nonexistence") != ((3 / 2) * c.lam + c.eta1 + c.eta2 < 1)]
     assert not mismatches, f"{len(mismatches)} cells disagree with the closed-form inequality"
-    threaded = run_sweep(example2, ax, ax, ax, example2.bounds, r=1 / 20, R=1.0,
-                         witness=example2.witness, workers=4)
-    assert threaded == cells
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
     certified = sum(1 for c in cells if c.classification == "nonexistence")
     _report(8, f"20^3 sweep: {certified} nonexistence cells match (3/2)l+e1+e2<1 "
-               f"exactly, no conflicts, identical under 4 workers, {elapsed:.1f}s")
+               f"exactly, no conflicts, {elapsed:.1f}s")
 
 
 def test_criterion_9_parser_suite(example1):

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import hammcert.cli
+import hammcert.problem
 from hammcert.cli import format_record, main, parse_record
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -218,6 +220,39 @@ class TestValidate:
         assert rc == 1
         assert "WARN" in capsys.readouterr().out
 
+    def test_validates_once(self, example1_path, monkeypatch):
+        calls = []
+        original = hammcert.problem.validate_spec
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("m"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hammcert.problem, "validate_spec", counting)
+        monkeypatch.setattr(hammcert.cli, "validate_spec", counting)
+        assert main(["validate", "--problem", example1_path, "--m", "8"]) == 0
+        assert calls == [8]
+
+    def test_warnings_match_table(self, zero_problem, tmp_path, capsys):
+        # f dips below zero between the 8^3 lattice points only, so a pass
+        # at m = 64 would warn about f where the --m 8 table does not
+        bad = _variant(tmp_path, zero_problem, "gamma2 = t", "gamma2 = -t")
+        bad = _variant(tmp_path, bad, "dgamma2 = 1", "dgamma2 = -1")
+        bad = _variant(tmp_path, bad, "f = u", "f = (u - 1/14)^2 - 1/10000")
+        assert main(["validate", "--problem", bad, "--m", "8"]) == 1
+        captured = capsys.readouterr()
+        warned = [line.removeprefix("warning: ").split(": ", 1)
+                  for line in captured.err.splitlines()]
+        rows = [line.split("  WARN  ", 1) for line in captured.out.splitlines()
+                if "  WARN  " in line]
+        assert [[name.rstrip(), detail] for name, detail in rows] == warned
+        assert [name for name, _ in warned] == ["gamma2 >= 0", "gamma2' >= 0"]
+
+    def test_evaluation_error_names_file(self, zero_problem, tmp_path, capsys):
+        bad = _variant(tmp_path, zero_problem, "f = u", "f = 1/u")
+        assert main(["validate", "--problem", bad, "--m", "8"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     def test_derivative_mismatch_exits_2(self, zero_problem, tmp_path, capsys):
         bad = _variant(tmp_path, zero_problem, "dgamma2 = 1", "dgamma2 = 2")
         rc = main(["validate", "--problem", bad])
@@ -248,6 +283,11 @@ class TestSweepCommand:
                    "--r", "0.05", "--R", "1"])
         assert rc == 0
         assert "lambda,eta1,eta2" in capsys.readouterr().out
+
+    def test_workers_option_is_gone(self, example2_path):
+        assert main(["sweep", "--problem", example2_path,
+                     "--lambda", "0:1:2", "--eta1", "0:1:2", "--eta2", "0:1:2",
+                     "--r", "0.05", "--R", "1", "--workers", "2"]) == 2
 
     def test_bad_axis_exit_2(self, example2_path):
         assert main(["sweep", "--problem", example2_path, "--lambda", "0:1",

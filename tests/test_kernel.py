@@ -116,6 +116,13 @@ class TestIntegrals:
         focal = FocalKernel()
         focal.integrals(Grid(64), np.ones(65))
         assert focal._cache.get(64, {}).keys().isdisjoint({"value_weights", "deriv_weights"})
+        g = Grid(2048)
+        F = np.random.default_rng(0).random(2049)
+        row = apply_kernel_row(focal, g, F, 700)
+        drow = apply_dkernel_row(focal, g, F, 700)
+        assert focal._cache.get(2048, {}).keys().isdisjoint({"value_weights", "deriv_weights"})
+        assert row == pytest.approx(focal.value_weight_matrix(g)[700] @ F, rel=1e-13)
+        assert drow == pytest.approx(focal.deriv_weight_matrix(g)[700] @ F, rel=1e-13)
 
 
 class TestHypothesisChecks:

@@ -119,8 +119,8 @@ class TestMultistart:
         with pytest.raises(ParameterError):
             multistart_solve(example1, starts=0)
 
-    def test_grid_override(self, example1):
-        results = multistart_solve(example1, starts=1, seed=0, n=64)
+    def test_grid_override(self, example1_path):
+        results = multistart_solve(load_problem(example1_path, n=64), starts=1, seed=0)
         assert results[0].u.grid == Grid(64)
 
 

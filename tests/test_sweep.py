@@ -1,10 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from hammcert.bounds import BoundSet
+from hammcert.certificate import check_existence, check_nonexistence
 from hammcert.errors import ParameterError
 from hammcert.expr import parse
-from hammcert.sweep import axis_values, conflict_cells, run_sweep
+from hammcert.sweep import SweepCell, axis_values, conflict_cells, run_sweep
 
 
 class TestAxisValues:
@@ -78,14 +81,40 @@ class TestClassification:
         assert points == sorted(points)
 
 
-class TestDeterminism:
-    def test_identical_across_worker_counts(self, example2):
-        ax = axis_values(0.0, 1.0, 7)
-        serial = run_sweep(example2, ax, ax, ax, example2.bounds,
-                           r=1 / 20, R=1.0, witness=example2.witness, workers=1)
-        threaded = run_sweep(example2, ax, ax, ax, example2.bounds,
-                             r=1 / 20, R=1.0, witness=example2.witness, workers=4)
-        assert serial == threaded
+class TestScalarReference:
+    """Every cell is exactly what the scalar certificates give at its point."""
+
+    @staticmethod
+    def _assert_cells_match(spec, ax, bounds, witness):
+        r, R = 1 / 20, 1.0
+        cells = run_sweep(spec, ax, ax, ax, bounds, r=r, R=R, witness=witness)
+        points = [(float(a), float(b), float(c)) for a, b, c in product(ax, ax, ax)]
+        assert len(cells) == len(points)
+        for cell, (lam, eta1, eta2) in zip(cells, points):
+            local = spec.with_params(lam, eta1, eta2)
+            ec = check_existence(local, bounds, r, R)
+            nc = None if witness is None else check_nonexistence(local, witness)
+            exists, nonexists = ec.passed, nc is not None and nc.passed
+            classification = {(True, True): "conflict", (True, False): "existence",
+                              (False, True): "nonexistence",
+                              (False, False): "both-fail"}[(exists, nonexists)]
+            expected = SweepCell(
+                lam=lam, eta1=eta1, eta2=eta2, classification=classification,
+                value_branch=ec.lhs_value_branch, deriv_branch=ec.lhs_deriv_branch,
+                idx0_value=ec.lhs_idx0, upper_margin=ec.upper_margin,
+                lower_margin=ec.lower_margin,
+                nonexistence_lhs=None if nc is None else nc.lhs, rigor=ec.rigor)
+            assert cell == expected
+            assert repr(cell) == repr(expected)  # same types and signed zeros too
+        return cells
+
+    def test_cells_equal_scalar_certificates(self, example1, example2):
+        cells = self._assert_cells_match(example2, axis_values(0.0, 1.0, 20),
+                                         example2.bounds, example2.witness)
+        assert {c.classification for c in cells} == {"nonexistence", "both-fail"}
+        sampled = BoundSet().with_sampler(example1, m=16, samples=20, seed=0)
+        cells = self._assert_cells_match(example1, axis_values(0.0, 1.0, 8), sampled, None)
+        assert {c.rigor for c in cells} == {"heuristic"}
 
 
 class TestConflictAlarm:
