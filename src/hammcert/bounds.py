@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IncompleteBoundsError, ParameterError
+from .errors import DomainError, EvaluationError, IncompleteBoundsError, ParameterError
 from .expr import Expr, eval_bound, eval_functional, eval_nonlinearity
 from .grid import GridFunction, c1_norm, random_cone_function
 
@@ -99,20 +99,20 @@ def _refined_extremum(spec, axes, vals, rho, m, sign) -> float:
     return max(best, refined) if sign > 0 else min(best, refined)
 
 
-def sphere_family(spec, rho: float, samples: int, rng: np.random.Generator) -> list[GridFunction]:
-    """Cone functions with C1 norm exactly rho, drawn from the sphere.
+def sphere_family(spec, rho: float, samples: int, rng: np.random.Generator) -> GridFunction:
+    """A stack of cone functions with C1 norm exactly rho, drawn from the sphere.
 
-    The family is the ramp rho*t, the constant rho (derivative zero, still
-    attains ||u|| = rho), and rescaled random non-decreasing functions.
+    The rows are the ramp rho*t, the constant rho (derivative zero, still
+    attains ||u|| = rho), and ``samples`` rescaled random non-decreasing
+    functions.
     """
     grid = spec.grid
     n1 = grid.n + 1
-    family = [
+    return GridFunction.stack([
         GridFunction.ramp(grid, rho),
         GridFunction(grid, np.full(n1, rho), np.zeros(n1)),
-    ]
-    family.extend(random_cone_function(grid, rng, norm=rho) for _ in range(samples))
-    return family
+        random_cone_function(grid, rng, norm=rho, count=samples),
+    ])
 
 
 def estimate_H(spec, i: int, rho: float, samples: int = 200, seed: int = 0) -> float:
@@ -123,7 +123,8 @@ def estimate_H(spec, i: int, rho: float, samples: int = 200, seed: int = 0) -> f
         raise ParameterError(f"rho must be positive, got {rho}")
     h = spec.h1 if i == 1 else spec.h2
     rng = np.random.default_rng([seed, i])
-    return max(eval_functional(h, u) for u in sphere_family(spec, rho, samples, rng))
+    values = eval_functional(h, sphere_family(spec, rho, samples, rng))
+    return float(values[np.argmax(values)])  # the first maximum, as max() picks
 
 
 def falsify_linear_growth(spec, witness: LinearGrowthWitness, budget: int = 4096,
@@ -152,23 +153,36 @@ def falsify_linear_growth(spec, witness: LinearGrowthWitness, budget: int = 4096
             checked += len(pts)
             if ce is not None:
                 return FalsificationResult(False, ce, checked)
-        for _ in range(4):
-            u_fn = random_cone_function(spec.grid, rng, norm=rho)
-            sup = float(np.max(u_fn.values))
-            for i, xi in ((1, witness.xi1), (2, witness.xi2)):
-                h = spec.h1 if i == 1 else spec.h2
-                hv = eval_functional(h, u_fn)
-                if hv > xi * sup + eps:
-                    ce = Counterexample(
-                        kind=f"h{i}",
-                        point=None,
-                        value=hv,
-                        bound=xi * sup,
-                        detail=f"cone function with C1 norm {c1_norm(u_fn):.6g}, sup {sup:.6g}",
-                    )
-                    return FalsificationResult(False, ce, checked)
+        ce = _check_functionals(spec, witness, random_cone_function(
+            spec.grid, rng, norm=rho, count=4), eps)
+        if ce is not None:
+            return FalsificationResult(False, ce, checked)
         k += 1
     return FalsificationResult(True, None, checked)
+
+
+def _check_functionals(spec, witness, u: GridFunction, eps) -> Counterexample | None:
+    """The first row of the stack, and in it the first h_i, with
+    h_i[u] > xi_i * sup u + eps."""
+    checks = ((1, spec.h1, witness.xi1), (2, spec.h2, witness.xi2))
+    try:
+        values = [eval_functional(h, u) for _, h, _ in checks]
+    except (DomainError, EvaluationError):
+        values = None  # evaluate row by row below, so the first failure in order surfaces
+    for row in range(u.values.shape[0]):
+        u_fn = u[row]
+        sup = float(np.max(u_fn.values))
+        for k, (i, h, xi) in enumerate(checks):
+            hv = float(values[k][row]) if values is not None else eval_functional(h, u_fn)
+            if hv > xi * sup + eps:
+                return Counterexample(
+                    kind=f"h{i}",
+                    point=None,
+                    value=hv,
+                    bound=xi * sup,
+                    detail=f"cone function with C1 norm {c1_norm(u_fn):.6g}, sup {sup:.6g}",
+                )
+    return None
 
 
 def _check_growth_points(spec, witness, pts, eps) -> Counterexample | None:

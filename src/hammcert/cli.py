@@ -9,6 +9,7 @@ tables with the record as '# ' comment lines.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -288,9 +289,12 @@ def _parse_axis(text: str, name: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ParameterError(f"--{name} expects start:stop:steps, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ParameterError(f"--{name} expects start:stop:steps, got {text!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ParameterError(f"--{name} endpoints must be finite, got {text!r}")
+    return start, stop, steps
 
 
 def _cmd_sweep(args) -> int:
@@ -357,12 +361,24 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", required=True, help="path to the problem file")
     p.add_argument("--n", type=int, default=256, help="grid subintervals (default 256)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized sampling (default 0)")
-    p.add_argument("--m", type=int, default=64, help="lattice size for sampled checks/bounds")
-    p.add_argument("--samples", type=int, default=200, help="cone samples for functional bounds")
+    p.add_argument("--m", type=_int_at_least(2), default=64,
+                   help="lattice size for sampled checks/bounds (at least 2)")
+    p.add_argument("--samples", type=_int_at_least(0), default=200,
+                   help="cone samples for functional bounds")
     p.add_argument("--out", default=None, help="write the machine-readable record/table here")
 
 

@@ -35,7 +35,15 @@ class ExprError(HammcertError):
 
 
 class EvaluationError(HammcertError):
-    """An expression or kernel produced a non-finite or undefined value."""
+    """An expression or kernel produced a non-finite or undefined value.
+
+    When a stack of functions was evaluated, ``rows`` holds the indices of
+    the rows that failed; otherwise it is None.
+    """
+
+    def __init__(self, message: str, rows: tuple | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class ProblemFileError(HammcertError):

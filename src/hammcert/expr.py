@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ExprError
-from .grid import GridFunction, eval_at, eval_deriv_at, integrate
+from .grid import GridFunction, integrate, interp_rows
 
 ROLE_VARS = {
     "nonlinearity": frozenset({"t", "u", "v"}),
@@ -333,6 +333,10 @@ def to_source(e: Expr) -> str:
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# Functionals are evaluated on a stack of k functions in one tree walk.
+# Outside INT every value broadcasts to shape (k, 1), one per row; inside
+# INT, s is the row of nodes (1, n+1) and values broadcast to (k, n+1).
 
 def _eval(e: Expr, env: dict, u: GridFunction | None):
     if isinstance(e, Num):
@@ -359,42 +363,57 @@ def _eval(e: Expr, env: dict, u: GridFunction | None):
         fns = FUNCTIONS if len(e.args) == 1 else FUNCTIONS2
         return fns[e.func](*(_eval(a, env, u) for a in e.args))
     if isinstance(e, PointValue):
-        a = _eval(e.arg, env, u)
-        return eval_deriv_at(u, a) if e.deriv else eval_at(u, a)
+        samples = u.dvalues if e.deriv else u.values
+        if isinstance(e.arg, Var):  # U(s) inside INT: the node samples, exactly
+            return samples
+        a = np.asarray(_eval(e.arg, env, u), dtype=float)
+        return interp_rows(samples, u.grid, a.reshape(1, -1) if a.ndim < 2 else a)
     if isinstance(e, Integral):
         grid = u.grid
-        body = _eval(e.body, {**env, "s": grid.nodes}, u)
-        samples = np.broadcast_to(np.asarray(body, dtype=float), grid.nodes.shape)
-        return integrate(samples, grid)
+        body = np.asarray(_eval(e.body, {**env, "s": grid.nodes[None, :]}, u), dtype=float)
+        body = body.reshape(1, -1) if body.ndim < 2 else body
+        if body.shape[1] != grid.n + 1:
+            body = np.broadcast_to(body, (body.shape[0], grid.n + 1))
+        return integrate(np.ascontiguousarray(body), grid)[:, None]
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def _describe_point(env: dict, shape, idx) -> str:
-    parts = []
-    for name, val in env.items():
-        arr = np.asarray(val)
-        v = np.broadcast_to(arr, shape)[idx] if arr.size > 1 else arr.reshape(-1)[0]
-        parts.append(f"{name}={float(v):.6g}")
-    return ", ".join(parts) if parts else "(no variables)"
+def _non_finite_error(e: Expr, env: dict, out: np.ndarray, rows: int | None) -> EvaluationError:
+    """The error for a non-finite result: the first such point, named by its
+    variables.  For a stack of ``rows`` functions (the leading axis) it also
+    names the row and lists every failing row in ``rows``."""
+    shape = np.broadcast_shapes(out.shape, *(v.shape for v in env.values()),
+                                *(() if rows is None else ((rows, 1),)))
+    bad = ~np.isfinite(np.broadcast_to(out, shape))
+    idx = np.unravel_index(int(np.argmax(bad)), shape)
+    parts = [f"{name}={float(np.broadcast_to(v, shape)[idx]):.6g}" for name, v in env.items()]
+    message = f"expression '{to_source(e)}' is non-finite at {', '.join(parts) or '(no variables)'}"
+    failed = None
+    if rows is not None:
+        failed = tuple(np.flatnonzero(bad.reshape(rows, -1).any(axis=1)).tolist())
+        if rows > 1:
+            message += f" in row {idx[0]} of a stack of {rows}"
+    return EvaluationError(message, rows=failed)
 
 
-def _run(e: Expr, env: dict, u: GridFunction | None = None):
+def _run(e: Expr, env: dict, u: GridFunction | None = None, rows: int | None = None):
     env = {k: np.asarray(v, dtype=float) for k, v in env.items()}
     with np.errstate(all="ignore"):
         out = _eval(e, env, u)
     out = np.asarray(out, dtype=float)
-    finite = np.isfinite(out)
-    if not finite.all():
-        idx = np.unravel_index(int(np.argmin(finite)), out.shape) if out.ndim else ()
-        raise EvaluationError(
-            f"expression '{to_source(e)}' is non-finite at {_describe_point(env, out.shape, idx)}"
-        )
+    if not np.isfinite(out).all():
+        raise _non_finite_error(e, env, out, rows)
     return float(out) if out.ndim == 0 else out
 
 
-def eval_nonlinearity(e: Expr, t, u, v):
-    """f(t,u,v); arguments may be scalars or broadcastable numpy arrays."""
-    return _run(e, {"t": t, "u": u, "v": v})
+def eval_nonlinearity(e: Expr, t, u, v, rows: int | None = None):
+    """f(t,u,v); arguments may be scalars or broadcastable numpy arrays.
+
+    ``rows`` is the number of functions when the leading axis of u and v
+    indexes a stack; a non-finite value then reports its row and the
+    EvaluationError lists every failing row.
+    """
+    return _run(e, {"t": t, "u": u, "v": v}, rows=rows)
 
 
 def eval_coefficient(e: Expr, t):
@@ -417,6 +436,13 @@ def eval_constant(e: Expr) -> float:
     return _run(e, {})
 
 
-def eval_functional(e: Expr, u: GridFunction) -> float:
-    """h[u] for a functional-role AST: point atoms interpolate, INT integrates."""
-    return _run(e, {}, u)
+def eval_functional(e: Expr, u: GridFunction):
+    """h[u] for a functional-role AST: point atoms interpolate, INT integrates.
+
+    A stack gives one value per row from a single walk of the tree; a
+    single function is evaluated as a stack of one and gives a float.
+    """
+    stack = u if u.is_stack else GridFunction(u.grid, u.values[None], u.dvalues[None])
+    k = stack.values.shape[0]
+    out = np.broadcast_to(_run(e, {}, stack, rows=k if u.is_stack else None), (k, 1))[:, 0]
+    return np.array(out) if u.is_stack else float(out[0])

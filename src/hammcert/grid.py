@@ -54,16 +54,25 @@ class Grid:
 
 
 class GridFunction:
-    """Samples of u and u' on a grid.  Immutable after construction."""
+    """Samples of u and u' on a grid.  Immutable after construction.
+
+    A stack of k functions on one grid is a GridFunction with (k, n+1)
+    samples, row i being function i.  Every operation here acts row by
+    row on a stack, with the arithmetic it uses on a single function, so
+    a single function behaves as a stack of one.
+    """
 
     __slots__ = ("grid", "values", "dvalues")
 
     def __init__(self, grid: Grid, values, dvalues):
-        values = np.array(values, dtype=float)
-        dvalues = np.array(dvalues, dtype=float)
-        if values.shape != (grid.n + 1,) or dvalues.shape != (grid.n + 1,):
+        # C order keeps every row contiguous, which row sums rely on to
+        # round as the sum of a single function does.
+        values = np.array(values, dtype=float, order="C")
+        dvalues = np.array(dvalues, dtype=float, order="C")
+        if (values.ndim not in (1, 2) or values.shape[-1] != grid.n + 1
+                or dvalues.shape != values.shape):
             raise ShapeError(
-                f"expected {grid.n + 1} samples for {grid!r}, "
+                f"expected {grid.n + 1} samples (or rows of them) for {grid!r}, "
                 f"got {values.shape} and {dvalues.shape}"
             )
         values.flags.writeable = False
@@ -82,115 +91,200 @@ class GridFunction:
         """u(t) = slope * t, the canonical cone direction."""
         return cls(grid, slope * grid.nodes, np.full(grid.n + 1, slope))
 
-    def scaled(self, alpha: float) -> "GridFunction":
+    @classmethod
+    def stack(cls, functions) -> "GridFunction":
+        """The stack whose row i is functions[i]; all must share one grid."""
+        functions = list(functions)
+        grids = {u.grid for u in functions}
+        if len(grids) != 1:
+            raise ShapeError(f"a stack needs functions on one grid, got {sorted(grids, key=repr)}")
+        return cls(grids.pop(), np.concatenate([np.atleast_2d(u.values) for u in functions]),
+                   np.concatenate([np.atleast_2d(u.dvalues) for u in functions]))
+
+    @property
+    def is_stack(self) -> bool:
+        return self.values.ndim == 2
+
+    def __getitem__(self, index) -> "GridFunction":
+        """Row ``index`` of a stack, or the sub-stack an index array selects."""
+        if not self.is_stack:
+            raise TypeError("a single GridFunction has no rows")
+        return GridFunction(self.grid, self.values[index], self.dvalues[index])
+
+    def scaled(self, alpha) -> "GridFunction":
+        """alpha * u; for a stack alpha may hold one factor per row."""
+        alpha = np.asarray(alpha, dtype=float)[..., None]
         return GridFunction(self.grid, alpha * self.values, alpha * self.dvalues)
 
     def __repr__(self) -> str:
+        if self.is_stack:
+            return f"GridFunction(n={self.grid.n}, rows={self.values.shape[0]})"
         return f"GridFunction(n={self.grid.n}, norm={c1_norm(self):.6g})"
 
 
-def c1_norm(u: GridFunction) -> float:
-    """Grid approximation of max(||u||_inf, ||u'||_inf)."""
-    return float(max(np.max(np.abs(u.values)), np.max(np.abs(u.dvalues))))
+def _first_max(*values):
+    """Python's max(values) elementwise: a later value wins only when it is
+    strictly larger, which fixes the result for NaN and for 0.0 vs -0.0.
+    A 0-d result comes back as a float."""
+    out = values[0]
+    for v in values[1:]:
+        out = np.where(v > out, v, out)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def c1_distance(u: GridFunction, w: GridFunction) -> float:
-    """c1_norm of u - w; both functions must live on the same grid."""
+def c1_norm(u: GridFunction):
+    """Grid approximation of max(||u||_inf, ||u'||_inf); one per row of a stack."""
+    return _first_max(np.max(np.abs(u.values), axis=-1), np.max(np.abs(u.dvalues), axis=-1))
+
+
+def c1_distance(u: GridFunction, w: GridFunction):
+    """c1_norm of u - w; both functions (or stacks) must live on the same grid."""
     if u.grid != w.grid:
         raise ShapeError(f"grid mismatch: {u.grid!r} vs {w.grid!r}")
-    dv = np.max(np.abs(u.values - w.values))
-    dd = np.max(np.abs(u.dvalues - w.dvalues))
-    return float(max(dv, dd))
+    if u.values.shape != w.values.shape:
+        raise ShapeError(f"shape mismatch: {u.values.shape} vs {w.values.shape}")
+    dv = np.max(np.abs(u.values - w.values), axis=-1)
+    dd = np.max(np.abs(u.dvalues - w.dvalues), axis=-1)
+    return _first_max(dv, dd)
 
 
-def _interp(samples: np.ndarray, grid: Grid, a):
+def interp_rows(samples: np.ndarray, grid: Grid, a) -> np.ndarray:
+    """Row i of the (k, n+1) node samples, linearly interpolated at a[i].
+
+    ``a`` has shape (1, m), the same m points for every row, or (k, m).
+    The arithmetic is np.interp's: slope*(a - t_j) + y_j, the value from
+    the right node when that is NaN, and the node sample itself at every
+    node, 1 included.  Run it under np.errstate(all="ignore").
+    """
     a = np.asarray(a, dtype=float)
-    if np.any(a < 0.0) or np.any(a > 1.0):
-        raise DomainError(f"evaluation point {a} outside [0,1]")
-    out = np.interp(a, grid.nodes, samples)
+    if (a < 0.0).any() or (a > 1.0).any():
+        raise DomainError(f"evaluation point {a[(a < 0.0) | (a > 1.0)][0]} outside [0,1]")
+    nodes = grid.nodes
+    # a >= 0 (or NaN) puts j in [0, n]; a = 1 uses the last interval.
+    j = np.minimum(nodes.searchsorted(a, side="right") - 1, grid.n - 1)
+    if j.shape[0] == 1:  # take() keeps the gathered rows C-contiguous
+        y0, y1 = samples.take(j[0], axis=1), samples.take(j[0] + 1, axis=1)
+    else:
+        y0, y1 = np.take_along_axis(samples, j, axis=1), np.take_along_axis(samples, j + 1, axis=1)
+    x0, x1 = nodes[j], nodes[j + 1]
+    slope = (y1 - y0) / (x1 - x0)
+    out = slope * (a - x0) + y0
+    nan = np.isnan(out)
+    if nan.any():
+        right = slope * (a - x1) + y1
+        out = np.where(nan, np.where(np.isnan(right) & (y0 == y1), y0, right), out)
+    return np.where(a == x0, y0, np.where(a == x1, y1, out))
+
+
+def _eval_rows(samples: np.ndarray, grid: Grid, a):
+    a = np.asarray(a, dtype=float)
+    with np.errstate(all="ignore"):
+        out = interp_rows(samples.reshape(-1, grid.n + 1), grid, a.reshape(1, -1))
+    out = out.reshape(samples.shape[:-1] + a.shape)
     return float(out) if out.ndim == 0 else out
 
 
 def eval_at(u: GridFunction, a):
-    """u(a) by linear interpolation; exact at nodes.  Accepts arrays."""
-    return _interp(u.values, u.grid, a)
+    """u(a) by linear interpolation; exact at nodes.  Accepts arrays; a
+    stack gives one row of values per function."""
+    return _eval_rows(u.values, u.grid, a)
 
 
 def eval_deriv_at(u: GridFunction, a):
     """u'(a) by linear interpolation of the derivative samples."""
-    return _interp(u.dvalues, u.grid, a)
+    return _eval_rows(u.dvalues, u.grid, a)
 
 
-def integrate_tail(samples, grid: Grid, j: int) -> float:
-    """Composite trapezoid value of the integral over [t_j, 1]."""
+def _check_samples(samples, grid: Grid) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != (grid.n + 1,):
-        raise ShapeError(f"expected {grid.n + 1} samples, got {samples.shape}")
+    if samples.ndim not in (1, 2) or samples.shape[-1] != grid.n + 1:
+        raise ShapeError(f"expected {grid.n + 1} samples (or rows of them), got {samples.shape}")
+    return samples
+
+
+def integrate_tail(samples, grid: Grid, j: int):
+    """Composite trapezoid value of the integral over [t_j, 1]; one per row
+    of a (k, n+1) stack, whose rows must be C-contiguous to round as a
+    single function's sum does."""
+    samples = _check_samples(samples, grid)
     if not 0 <= j <= grid.n:
         raise ShapeError(f"node index {j} out of range for {grid!r}")
     if j == grid.n:
-        return 0.0
-    seg = samples[j:]
-    return float(grid.h * (np.sum(seg) - 0.5 * (seg[0] + seg[-1])))
+        return 0.0 if samples.ndim == 1 else np.zeros(samples.shape[0])
+    seg = samples[..., j:]
+    out = grid.h * (np.sum(seg, axis=-1) - 0.5 * (seg[..., 0] + seg[..., -1]))
+    return float(out) if out.ndim == 0 else out
 
 
-def integrate(samples, grid: Grid) -> float:
+def integrate(samples, grid: Grid):
     """Composite trapezoid value of the integral over [0,1]."""
     return integrate_tail(samples, grid, 0)
 
 
 def cumulative_integral(samples, grid: Grid) -> np.ndarray:
-    """Trapezoid antiderivative at every node: F_j = int_0^{t_j} samples."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (grid.n + 1,):
-        raise ShapeError(f"expected {grid.n + 1} samples, got {samples.shape}")
-    steps = 0.5 * grid.h * (samples[1:] + samples[:-1])
-    out = np.empty(grid.n + 1)
-    out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
+    """Trapezoid antiderivative at every node: F_j = int_0^{t_j} samples,
+    along the last axis."""
+    samples = _check_samples(samples, grid)
+    steps = 0.5 * grid.h * (samples[..., 1:] + samples[..., :-1])
+    out = np.empty(samples.shape)
+    out[..., 0] = 0.0
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
     return out
 
 
-def cone_defect(u: GridFunction) -> float:
+def cone_defect(u: GridFunction):
     """How far u pokes below the cone: max(0, -min u, -min u')."""
-    return float(max(0.0, -np.min(u.values), -np.min(u.dvalues)))
+    return _first_max(0.0, -np.min(u.values, axis=-1), -np.min(u.dvalues, axis=-1))
 
 
-def in_cone(u: GridFunction, tol: float = CONE_TOL) -> bool:
+def in_cone(u: GridFunction, tol: float = CONE_TOL):
     return cone_defect(u) <= tol
 
 
-def consistency_defect(u: GridFunction) -> float:
+def consistency_defect(u: GridFunction):
     """Max over nodes of |u(t_j) - u(0) - int_0^{t_j} u'| (trapezoid)."""
-    rebuilt = u.values[0] + cumulative_integral(u.dvalues, u.grid)
-    return float(np.max(np.abs(u.values - rebuilt)))
+    rebuilt = u.values[..., :1] + cumulative_integral(u.dvalues, u.grid)
+    return _first_max(np.max(np.abs(u.values - rebuilt), axis=-1))
 
 
-def monotone_defect(u: GridFunction) -> float:
+def monotone_defect(u: GridFunction):
     """Largest decrease between consecutive node values (0 if non-decreasing)."""
-    return float(max(0.0, np.max(u.values[:-1] - u.values[1:])))
+    return _first_max(0.0, np.max(u.values[..., :-1] - u.values[..., 1:], axis=-1))
 
 
-def random_cone_function(grid: Grid, rng: np.random.Generator, norm: float | None = None) -> GridFunction:
-    """Random non-negative, non-decreasing candidate.
+def random_cone_function(grid: Grid, rng: np.random.Generator, norm=None,
+                         count: int | None = None) -> GridFunction:
+    """Random non-negative, non-decreasing candidate, or a stack of ``count``.
 
     Draws a piecewise-linear non-negative derivative from random knots,
     integrates it for the values, and optionally rescales so the C1 norm
     equals ``norm`` exactly up to rounding (the sphere used when sampling
-    functional suprema).
+    functional suprema).  A stack draws its rows one after the other, in
+    the order ``count`` single calls would, then integrates and rescales
+    them in one pass; ``norm`` may give one target per row.
     """
-    k = int(rng.integers(2, 7))
-    knot_t = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, size=k)), [1.0]))
-    knot_d = rng.gamma(1.5, 1.0, size=k + 2)
-    dvalues = np.interp(grid.nodes, knot_t, knot_d)
-    u0 = rng.gamma(1.0, 0.5)
-    values = u0 + cumulative_integral(dvalues, grid)
-    u = GridFunction(grid, values, dvalues)
+    rows = 1 if count is None else int(count)
+    if rows < 0:
+        raise ParameterError(f"need a non-negative number of functions, got {count}")
     if norm is not None:
-        if norm <= 0:
-            raise ParameterError(f"target norm must be positive, got {norm}")
+        norm = np.broadcast_to(np.asarray(norm, dtype=float), (rows,))
+        if np.any(norm <= 0):
+            raise ParameterError(f"target norm must be positive, got {norm[norm <= 0][0]}")
+    dvalues = np.empty((rows, grid.n + 1))
+    u0 = np.empty(rows)
+    for i in range(rows):
+        k = int(rng.integers(2, 7))
+        knot_t = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, size=k)), [1.0]))
+        knot_d = rng.gamma(1.5, 1.0, size=k + 2)
+        dvalues[i] = np.interp(grid.nodes, knot_t, knot_d)
+        u0[i] = rng.gamma(1.0, 0.5)
+    u = GridFunction(grid, u0[:, None] + cumulative_integral(dvalues, grid), dvalues)
+    if norm is not None and rows:
         current = c1_norm(u)
-        if current == 0.0:  # gamma draws make this practically impossible
-            return GridFunction.ramp(grid, norm)
+        flat = current == 0.0
+        if flat.any():  # practically impossible with gamma knots: use the ramp
+            u = GridFunction(grid, np.where(flat[:, None], grid.nodes, u.values),
+                             np.where(flat[:, None], 1.0, u.dvalues))
+            current = np.where(flat, 1.0, current)
         u = u.scaled(norm / current)
-    return u
+    return u if count is not None else u[0]

@@ -89,8 +89,16 @@ class Kernel:
         return self._grid_data(grid, "deriv_weights")
 
     def integrals(self, grid: Grid, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every node row at once: (int k(t_j,s) F(s) ds, int dk(t_j,s) F(s) ds)."""
-        return self.value_weight_matrix(grid) @ F, self.deriv_weight_matrix(grid) @ F
+        """Every node row at once: (int k(t_j,s) F(s) ds, int dk(t_j,s) F(s) ds).
+
+        F is one function's node samples or a (k, n+1) stack of them; each
+        stack row gets its own matrix-vector product, since one
+        matrix-matrix product would round differently.
+        """
+        W, D = self.value_weight_matrix(grid), self.deriv_weight_matrix(grid)
+        rows = F.reshape(-1, F.shape[-1])
+        return (np.array([W @ f for f in rows]).reshape(F.shape),
+                np.array([D @ f for f in rows]).reshape(F.shape))
 
 
 def _tail_weight_matrix(grid: Grid) -> np.ndarray:
@@ -131,14 +139,15 @@ class FocalKernel(Kernel):
 
         Row j of the value integral is sum_{i<=j} s_i w_i F_i plus
         t_j * sum_{i>j} w_i F_i; row j of the derivative integral is the
-        trapezoid integral of F over [t_j, 1].
+        trapezoid integral of F over [t_j, 1].  The sums run along the
+        last axis, so a stack F is done row by row in one pass.
         """
         t = grid.nodes
         wF = self._trap_weights(grid) * F
-        below = np.cumsum(wF)
-        values = np.cumsum(t * wF) + t * (below[-1] - below)
+        below = np.cumsum(wF, axis=-1)
+        values = np.cumsum(t * wF, axis=-1) + t * (below[..., -1:] - below)
         C = cumulative_integral(F, grid)
-        return values, C[-1] - C
+        return values, C[..., -1:] - C
 
     def _make_K(self, grid: Grid) -> float:
         return 0.5

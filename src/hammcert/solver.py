@@ -45,6 +45,64 @@ def _annulus(norm: float, r: float | None, R: float | None) -> bool | None:
     return r <= norm <= R
 
 
+def _result(status: str, u: GridFunction, iterations: int, residual: float,
+            r: float | None, R: float | None) -> SolveResult:
+    norm = c1_norm(u)
+    return SolveResult(status, u, iterations, float(residual), norm, in_cone(u),
+                       _annulus(norm, r, R))
+
+
+def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float, max_iter: int,
+              r: float | None, R: float | None) -> list[SolveResult]:
+    """Picard from every row of the stack at once, one result per row.
+
+    Each row leaves the active stack when it converges or diverges, so it
+    runs exactly the iterations it would run alone.  An EvaluationError
+    names the rows it hit: those diverge with their last residual, and the
+    application is repeated for the rest.
+    """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tolerance must be finite and positive, got {tol}")
+    defect = cone_defect(starts)
+    if np.any(defect > CONE_TOL):
+        raise ParameterError(
+            f"start function leaves the cone by {defect[np.argmax(defect > CONE_TOL)]:.3g}"
+        )
+    results: list[SolveResult | None] = [None] * starts.values.shape[0]
+    active = np.arange(starts.values.shape[0])
+    u = starts
+    residual = np.full(active.size, np.inf)
+    for it in range(max_iter):
+        while active.size:
+            try:
+                w = apply_T(spec, u)
+                break
+            except EvaluationError as exc:
+                if it == 0:
+                    raise
+                failed = (np.isin(np.arange(active.size), exc.rows) if exc.rows
+                          else np.ones(active.size, dtype=bool))
+                for i in np.flatnonzero(failed):
+                    results[active[i]] = _result("diverged", u[i], it, residual[i], r, R)
+                active, u, residual = active[~failed], u[~failed], residual[~failed]
+        if not active.size:
+            break
+        residual = c1_distance(u, w)
+        converged = residual <= tol
+        diverged = ~converged & (c1_norm(w) > DIVERGENCE_CAP)
+        for i in np.flatnonzero(converged):
+            results[active[i]] = _result("converged", u[i], it + 1, residual[i], r, R)
+        for i in np.flatnonzero(diverged):
+            results[active[i]] = _result("diverged", w[i], it + 1, residual[i], r, R)
+        going = ~(converged | diverged)
+        active, u, residual = active[going], w[going], residual[going]
+    if active.size:
+        residual = c1_distance(u, apply_T(spec, u))
+        for i in range(active.size):
+            results[active[i]] = _result("max-iterations", u[i], max_iter, residual[i], r, R)
+    return results
+
+
 def picard_solve(spec: ProblemSpec, u0: GridFunction, tol: float = TOL_FIXPOINT,
                  max_iter: int = MAX_ITERATIONS, r: float | None = None,
                  R: float | None = None) -> SolveResult:
@@ -56,37 +114,7 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction, tol: float = TOL_FIXPOINT,
     runaway iterate) counts as divergence; an error on the very first
     application is a problem with the start and propagates.
     """
-    if tol <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
-    if not in_cone(u0):
-        raise ParameterError(
-            f"start function leaves the cone by {cone_defect(u0):.3g}"
-        )
-    u = u0
-    residual = np.inf
-    for it in range(max_iter):
-        try:
-            w = apply_T(spec, u)
-        except EvaluationError:
-            if it == 0:
-                raise
-            norm = c1_norm(u)
-            return SolveResult("diverged", u, it, residual, norm,
-                               in_cone(u), _annulus(norm, r, R))
-        residual = c1_distance(u, w)
-        if residual <= tol:
-            norm = c1_norm(u)
-            return SolveResult("converged", u, it + 1, residual, norm,
-                               in_cone(u), _annulus(norm, r, R))
-        if c1_norm(w) > DIVERGENCE_CAP:
-            norm = c1_norm(w)
-            return SolveResult("diverged", w, it + 1, residual, norm,
-                               in_cone(w), _annulus(norm, r, R))
-        u = w
-    residual = c1_distance(u, apply_T(spec, u))
-    norm = c1_norm(u)
-    return SolveResult("max-iterations", u, max_iter, residual, norm,
-                       in_cone(u), _annulus(norm, r, R))
+    return _lockstep(spec, GridFunction.stack([u0]), tol, max_iter, r, R)[0]
 
 
 def _start_functions(spec: ProblemSpec, starts: int,
@@ -110,15 +138,16 @@ def multistart_solve(spec: ProblemSpec, starts: int = 8, seed: int = 0,
                      R: float | None = None) -> list[SolveResult]:
     """Picard from the zero start, log-spaced ramps, and random cone starts.
 
-    Converged results within c1 distance 10*tol of an already kept one are
-    dropped as numerical twins.  Output is sorted by norm, so the
-    aggregation order does not depend on scheduling.
+    All starts iterate in lockstep as one stack, each with the result it
+    would reach alone.  Converged results within c1 distance 10*tol of an
+    already kept one are dropped as numerical twins.  Output is sorted by
+    norm, so the aggregation order does not depend on scheduling.
     """
     if starts < 1:
         raise ParameterError(f"need at least one start, got {starts}")
     rng = np.random.default_rng(seed)
-    results = [picard_solve(spec, u0, tol=tol, max_iter=max_iter, r=r, R=R)
-               for u0 in _start_functions(spec, starts, rng)]
+    results = _lockstep(spec, GridFunction.stack(_start_functions(spec, starts, rng)),
+                        tol, max_iter, r, R)
     results.sort(key=lambda res: (res.norm, res.status, res.residual))
     kept: list[SolveResult] = []
     for res in results:

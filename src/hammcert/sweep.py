@@ -39,6 +39,8 @@ def axis_values(start: float, stop: float, steps: int) -> np.ndarray:
     """Inclusive lattice along one axis; steps is the number of points."""
     if steps < 1:
         raise ParameterError(f"need at least one step per axis, got {steps}")
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ParameterError(f"axis endpoints must be finite, got {start} and {stop}")
     if start < 0 or stop < 0:
         raise ParameterError("parameter box must be non-negative")
     if steps == 1:

@@ -87,6 +87,10 @@ class TestEstimateH:
         with pytest.raises(ParameterError):
             estimate_H(example1, 3, 1.0)
 
+    def test_negative_samples(self, example1):
+        with pytest.raises(ParameterError):
+            estimate_H(example1, 1, 1.0, samples=-3)
+
 
 class TestFalsifyLinearGrowth:
     def test_example2_witness_consistent(self, example2):

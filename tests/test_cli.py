@@ -253,6 +253,13 @@ class TestValidate:
         assert main(["validate", "--problem", bad, "--m", "8"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    def test_non_finite_f_names_the_point(self, example1_path, tmp_path, capsys):
+        # f is non-finite on the u = 0 face of the (t, u, v) lattice
+        bad = _variant(tmp_path, example1_path, "f = exp(t*(u + v))", "f = 1/u")
+        assert main(["validate", "--problem", bad]) == 2
+        err = capsys.readouterr().err
+        assert "expression '1.0/u' is non-finite at t=0, u=0, v=0" in err
+
     def test_derivative_mismatch_exits_2(self, zero_problem, tmp_path, capsys):
         bad = _variant(tmp_path, zero_problem, "dgamma2 = 1", "dgamma2 = 2")
         rc = main(["validate", "--problem", bad])
@@ -293,6 +300,35 @@ class TestSweepCommand:
         assert main(["sweep", "--problem", example2_path, "--lambda", "0:1",
                      "--eta1", "0:1:2", "--eta2", "0:1:2",
                      "--r", "0.05", "--R", "1"]) == 2
+
+
+    @pytest.mark.parametrize("axis", ["0:inf:3", "nan:1:3"])
+    def test_non_finite_axis_exit_2(self, example2_path, axis, capsys):
+        assert main(["sweep", "--problem", example2_path, "--lambda", axis,
+                     "--eta1", "0:1:2", "--eta2", "0:1:2",
+                     "--r", "0.05", "--R", "1"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
+    def test_solve_tolerance_finite_and_positive(self, example1_path, tol, capsys):
+        assert main(["solve", "--problem", example1_path, "--n", "16", "--tol", tol]) == 2
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", ["1", "0", "-4"])
+    def test_lattice_size_at_least_two(self, example1_path, m, capsys):
+        assert main(["validate", "--problem", example1_path, "--m", m]) == 2
+        assert "argument --m: must be at least 2" in capsys.readouterr().err
+
+    def test_samples_not_negative(self, example1_path, capsys):
+        assert main(["certify-existence", "--problem", example1_path, "--r", "0.05",
+                     "--R", "1", "--samples", "-3"]) == 2
+        assert "argument --samples: must be at least 0" in capsys.readouterr().err
+
+    def test_non_integer_lattice_size(self, example1_path, capsys):
+        assert main(["validate", "--problem", example1_path, "--m", "x"]) == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
 
 
 class TestModuleEntry:

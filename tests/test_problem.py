@@ -123,6 +123,11 @@ class TestValidateSpec:
         names = [r.name for r in results]
         assert "f >= 0" in names and "declared gamma' match" in names
 
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_lattice_needs_two_points(self, example1, m):
+        with pytest.raises(ParameterError, match="at least 2"):
+            validate_spec(example1, m=m)
+
 
 class TestApplyT:
     def test_zero_map_on_zero_problem(self):

@@ -67,8 +67,11 @@ class TestPicard:
             picard_solve(example1, bad)
 
     def test_bad_tolerance(self, example1):
-        with pytest.raises(ParameterError):
-            picard_solve(example1, GridFunction.zero(example1.grid), tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                picard_solve(example1, GridFunction.zero(example1.grid), tol=tol)
+            with pytest.raises(ParameterError):
+                multistart_solve(example1, starts=2, tol=tol)
 
     def test_max_iterations_status(self, example1):
         res = picard_solve(example1, GridFunction.zero(example1.grid), max_iter=3)

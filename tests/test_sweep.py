@@ -23,6 +23,9 @@ class TestAxisValues:
             axis_values(0.0, 1.0, 0)
         with pytest.raises(ParameterError):
             axis_values(-0.1, 1.0, 3)
+        for start, stop in ((0.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ParameterError, match="finite"):
+                axis_values(start, stop, 3)
 
 
 class TestClassification:
