@@ -11,7 +11,7 @@ declared in the problem file, which is how the worked examples supply them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,58 +206,35 @@ def _widened(raw: float, upward: bool) -> float:
     return raw * (DEFAULT_INFLATION if (raw >= 0) == upward else 2.0 - DEFAULT_INFLATION)
 
 
-@dataclass
-class _Sampler:
-    """Heuristic fallback behind a BoundSet; caches one estimate per rho."""
-
-    spec: object
-    m: int = 64
-    samples: int = 200
-    seed: int = 0
-    _f_cache: dict = field(default_factory=dict, repr=False)
-    _h_cache: dict = field(default_factory=dict, repr=False)
-
-    def f_extrema(self, rho: float) -> tuple[float, float]:
-        if rho not in self._f_cache:
-            self._f_cache[rho] = estimate_f_extrema(self.spec, rho, self.m)
-        return self._f_cache[rho]
-
-    def h_value(self, i: int, rho: float) -> float:
-        key = (i, rho)
-        if key not in self._h_cache:
-            self._h_cache[key] = estimate_H(self.spec, i, rho, self.samples, self.seed)
-        return self._h_cache[key]
-
-
 class BoundSet:
     """f_upper, f_lower and H_i as functions of rho, each tagged with rigor.
 
     Declared closed-form expressions (in the variable rho) yield certified
-    entries.  Slots without a declaration fall back to the attached
-    sampler and come back heuristic, with the safety factor applied to the
-    raw estimate; without a sampler a missing slot raises
+    entries.  After ``with_sampler`` a slot without a declaration is
+    sampled once per rho and comes back heuristic, with the safety factor
+    applied to the raw estimate; without a sampler a missing slot raises
     IncompleteBoundsError.  The heuristic sampler draws from the sphere
     ||u|| = rho, which is what the definition of H_i prescribes.
     """
 
     def __init__(self, f_upper: Expr | None = None, f_lower: Expr | None = None,
-                 h1: Expr | None = None, h2: Expr | None = None, sampler: _Sampler | None = None):
-        self._f_upper = f_upper
-        self._f_lower = f_lower
-        self._h = {1: h1, 2: h2}
-        self._sampler = sampler
+                 h1: Expr | None = None, h2: Expr | None = None):
+        self._exprs = {"f_upper": f_upper, "f_lower": f_lower, "h1": h1, "h2": h2}
+        self._sampling = None  # (spec, m, samples, seed) once with_sampler attached one
+        self._sampled: dict = {}  # (slot, rho) -> heuristic BoundEntry
 
     def with_sampler(self, spec, m: int = 64, samples: int = 200, seed: int = 0) -> "BoundSet":
-        sampler = _Sampler(spec, m=m, samples=samples, seed=seed)
-        return BoundSet(self._f_upper, self._f_lower, self._h[1], self._h[2], sampler)
+        out = BoundSet(**self._exprs)
+        out._sampling = (spec, m, samples, seed)
+        return out
 
     @property
     def declared_complete(self) -> bool:
-        return all(e is not None for e in (self._f_upper, self._f_lower, self._h[1], self._h[2]))
+        return all(e is not None for e in self._exprs.values())
 
     @property
     def seed(self) -> int | None:
-        return self._sampler.seed if self._sampler is not None else None
+        return self._sampling[3] if self._sampling is not None else None
 
     def _declared(self, expr: Expr, rho: float, label: str) -> BoundEntry:
         val = eval_bound(expr, rho)
@@ -265,28 +242,29 @@ class BoundSet:
             raise ParameterError(f"declared bound {label}({rho}) = {val} is negative")
         return BoundEntry(val, val, "certified")
 
+    def _resolve(self, slot: str, rho: float, upward: bool) -> BoundEntry:
+        expr = self._exprs[slot]
+        if expr is not None:
+            return self._declared(expr, rho, slot)
+        if self._sampling is None:
+            raise IncompleteBoundsError(f"no declared {slot} bound and no sampler attached")
+        key = (slot, rho)
+        if key not in self._sampled:
+            spec, m, samples, seed = self._sampling
+            if slot in ("h1", "h2"):
+                raw = estimate_H(spec, int(slot[1]), rho, samples, seed)
+            else:
+                raw = estimate_f_extrema(spec, rho, m)[0 if upward else 1]
+            self._sampled[key] = BoundEntry(_widened(raw, upward), raw, "heuristic")
+        return self._sampled[key]
+
     def f_upper(self, rho: float) -> BoundEntry:
-        if self._f_upper is not None:
-            return self._declared(self._f_upper, rho, "f_upper")
-        if self._sampler is None:
-            raise IncompleteBoundsError("no declared f_upper bound and no sampler attached")
-        raw = self._sampler.f_extrema(rho)[0]
-        return BoundEntry(_widened(raw, upward=True), raw, "heuristic")
+        return self._resolve("f_upper", rho, upward=True)
 
     def f_lower(self, rho: float) -> BoundEntry:
-        if self._f_lower is not None:
-            return self._declared(self._f_lower, rho, "f_lower")
-        if self._sampler is None:
-            raise IncompleteBoundsError("no declared f_lower bound and no sampler attached")
-        raw = self._sampler.f_extrema(rho)[1]
-        return BoundEntry(_widened(raw, upward=False), raw, "heuristic")
+        return self._resolve("f_lower", rho, upward=False)
 
     def h_upper(self, i: int, rho: float) -> BoundEntry:
         if i not in (1, 2):
             raise ParameterError(f"functional index must be 1 or 2, got {i}")
-        if self._h[i] is not None:
-            return self._declared(self._h[i], rho, f"h{i}")
-        if self._sampler is None:
-            raise IncompleteBoundsError(f"no declared h{i} bound and no sampler attached")
-        raw = self._sampler.h_value(i, rho)
-        return BoundEntry(_widened(raw, upward=True), raw, "heuristic")
+        return self._resolve(f"h{i}", rho, upward=True)

@@ -9,13 +9,11 @@ tables with the record as '# ' comment lines.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
-from .bounds import BoundSet
+from .bounds import BoundSet, falsify_linear_growth
 from .certificate import check_existence, check_nonexistence
-from .bounds import falsify_linear_growth
 from .errors import HammcertError, ParameterError, ProblemFileError
 from .kernel import constant_K, constant_Kstar
 from .problem import load_problem, validate_spec
@@ -77,6 +75,22 @@ def _write_out(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _record(args, spec, fields: dict) -> dict:
+    """Every command's record: command and problem, the command's own
+    fields, then the grid size, seed and load-warning count."""
+    return {"command": args.command, "problem": args.problem, **fields,
+            "n": spec.grid.n, "seed": args.seed, "warnings": len(spec.warnings)}
+
+
+def _table(record: dict, header: str, rows) -> str:
+    """A CSV data table under its record as '# ' lines; floats by repr, None empty."""
+    lines = ["# " + line for line in format_record(record).splitlines()] + [header]
+    for row in rows:
+        lines.append(",".join("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -129,9 +143,7 @@ def _cmd_certify_existence(args) -> int:
                          ("H1(R)", cert.h1_R), ("H2(R)", cert.h2_R)):
         print(f"  {label} = {entry.value!r} [{entry.rigor}; raw {entry.raw!r}]")
     print(f"  verdict: {'PASS' if cert.passed else 'FAIL'} ({cert.verdict})")
-    record = {
-        "command": "certify-existence",
-        "problem": args.problem,
+    record = _record(args, spec, {
         "verdict": cert.verdict,
         "passed": cert.passed,
         "rigor": cert.rigor,
@@ -155,43 +167,42 @@ def _cmd_certify_existence(args) -> int:
         "lambda": spec.lam,
         "eta1": spec.eta1,
         "eta2": spec.eta2,
-        "n": spec.grid.n,
-        "seed": args.seed,
-        "warnings": len(spec.warnings),
-    }
+    })
     _write_out(args.out, format_record(record))
     return 0 if cert.passed else 1
 
 
-def _cmd_certify_nonexistence(args) -> int:
-    spec = _load(args)
+def _falsify_witness(spec, args):
+    """The falsifier's result on the file's growth witness, or None when
+    --skip-falsification trusts it; a file without a witness is an error."""
     if spec.witness is None:
         raise ParameterError(
             f"{args.problem} declares no growth witness (tau, xi1, xi2 in [bounds])"
         )
     if args.skip_falsification:
-        falsification = "skipped"
-        detail = "user forced skip"
+        return None
+    return falsify_linear_growth(spec, spec.witness, budget=args.budget, seed=args.seed)
+
+
+def _cmd_certify_nonexistence(args) -> int:
+    spec = _load(args)
+    result = _falsify_witness(spec, args)
+    if result is None:
+        falsification, detail = "skipped", "user forced skip"
+    elif result.consistent:
+        falsification, detail = "consistent", f"{result.points_checked} samples found no violation"
     else:
-        result = falsify_linear_growth(spec, spec.witness, budget=args.budget, seed=args.seed)
-        if not result.consistent:
-            ce = result.counterexample
-            print(f"witness falsified after {result.points_checked} samples: {ce.detail}")
-            record = {
-                "command": "certify-nonexistence",
-                "problem": args.problem,
-                "verdict": "witness-falsified",
-                "passed": False,
-                "falsification": "counterexample",
-                "counterexample_kind": ce.kind,
-                "counterexample_detail": ce.detail,
-                "seed": args.seed,
-                "warnings": len(spec.warnings),
-            }
-            _write_out(args.out, format_record(record))
-            return 1
-        falsification = "consistent"
-        detail = f"{result.points_checked} samples found no violation"
+        ce = result.counterexample
+        print(f"witness falsified after {result.points_checked} samples: {ce.detail}")
+        record = _record(args, spec, {
+            "verdict": "witness-falsified",
+            "passed": False,
+            "falsification": "counterexample",
+            "counterexample_kind": ce.kind,
+            "counterexample_detail": ce.detail,
+        })
+        _write_out(args.out, format_record(record))
+        return 1
     cert = check_nonexistence(spec, spec.witness)
     print(f"non-existence certificate for {args.problem}")
     print(f"  parameters: lambda={spec.lam!r}, eta1={spec.eta1!r}, eta2={spec.eta2!r}")
@@ -199,9 +210,7 @@ def _cmd_certify_nonexistence(args) -> int:
     print(f"  falsification: {falsification} ({detail})")
     print(f"  lhs = {cert.lhs!r} (needs < 1, strict); margin = {cert.margin!r}")
     print(f"  verdict: {'PASS' if cert.passed else 'FAIL'}")
-    record = {
-        "command": "certify-nonexistence",
-        "problem": args.problem,
+    record = _record(args, spec, {
         "verdict": "pass" if cert.passed else "fail",
         "passed": cert.passed,
         "lhs": cert.lhs,
@@ -213,10 +222,7 @@ def _cmd_certify_nonexistence(args) -> int:
         "lambda": spec.lam,
         "eta1": spec.eta1,
         "eta2": spec.eta2,
-        "n": spec.grid.n,
-        "seed": args.seed,
-        "warnings": len(spec.warnings),
-    }
+    })
     _write_out(args.out, format_record(record))
     return 0 if cert.passed else 1
 
@@ -248,9 +254,7 @@ def _cmd_solve(args) -> int:
     else:
         candidates = [x for x in results if x.converged]
     best = max(candidates, key=lambda x: x.norm) if candidates else None
-    record = {
-        "command": "solve",
-        "problem": args.problem,
+    record = _record(args, spec, {
         "starts": args.starts,
         "results": len(results),
         "converged": sum(1 for x in results if x.converged),
@@ -259,10 +263,7 @@ def _cmd_solve(args) -> int:
         "R": R,
         "tol": args.tol,
         "elapsed_s": elapsed,
-        "n": spec.grid.n,
-        "seed": args.seed,
-        "warnings": len(spec.warnings),
-    }
+    })
     if best is not None:
         record.update({
             "norm": best.norm,
@@ -275,52 +276,35 @@ def _cmd_solve(args) -> int:
     else:
         print("no converged solution matched the request")
     if args.out:
-        lines = ["# " + line for line in format_record(record).splitlines()]
-        lines.append("t,u,du")
-        if best is not None:
-            for t, u_val, du in zip(best.u.grid.nodes, best.u.values, best.u.dvalues):
-                lines.append(f"{float(t)!r},{float(u_val)!r},{float(du)!r}")
-        _write_out(args.out, "\n".join(lines) + "\n")
+        rows = [] if best is None else zip(best.u.grid.nodes, best.u.values, best.u.dvalues)
+        _write_out(args.out, _table(record, "t,u,du", rows))
     return 0 if best is not None else 1
 
 
-def _parse_axis(text: str, name: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ParameterError(f"--{name} expects start:stop:steps, got {text!r}")
+def _parse_axis(text: str, name: str):
+    """The lattice of one --lambda/--eta1/--eta2 axis given as start:stop:steps."""
     try:
-        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, steps = text.split(":")
+        return axis_values(float(start), float(stop), int(steps))
+    except ParameterError as exc:
+        raise ParameterError(f"--{name}: {exc}") from exc
     except ValueError as exc:
         raise ParameterError(f"--{name} expects start:stop:steps, got {text!r}") from exc
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ParameterError(f"--{name} endpoints must be finite, got {text!r}")
-    return start, stop, steps
 
 
 def _cmd_sweep(args) -> int:
     spec = _load(args)
-    if not 0 < args.r < args.R:
-        raise ParameterError(f"need 0 < r < R, got r={args.r}, R={args.R}")
+    _annulus_args(args)
     witness = None
     if args.witness:
-        if spec.witness is None:
-            raise ParameterError(
-                f"{args.problem} declares no growth witness (tau, xi1, xi2 in [bounds])"
-            )
+        result = _falsify_witness(spec, args)
+        if result is not None and not result.consistent:
+            raise ParameterError(f"declared witness falsified: {result.counterexample.detail}")
         witness = spec.witness
-        if not args.skip_falsification:
-            result = falsify_linear_growth(spec, witness, budget=args.budget, seed=args.seed)
-            if not result.consistent:
-                raise ParameterError(
-                    f"declared witness falsified: {result.counterexample.detail}"
-                )
-    axes = {name: axis_values(*_parse_axis(getattr(args, dest), name))
-            for name, dest in (("lambda", "lam"), ("eta1", "eta1"), ("eta2", "eta2"))}
-    cells = run_sweep(spec, axes["lambda"], axes["eta1"], axes["eta2"],
-                      _bounds_for(spec, args), args.r, args.R, witness=witness)
-    record = {
-        "command": "sweep",
-        "problem": args.problem,
+    axes = [_parse_axis(getattr(args, dest), name)
+            for name, dest in (("lambda", "lam"), ("eta1", "eta1"), ("eta2", "eta2"))]
+    cells = run_sweep(spec, *axes, _bounds_for(spec, args), args.r, args.R, witness=witness)
+    record = _record(args, spec, {
         "r": args.r,
         "R": args.R,
         "cells": len(cells),
@@ -329,17 +313,11 @@ def _cmd_sweep(args) -> int:
         "both_fail": sum(1 for c in cells if c.classification == "both-fail"),
         "conflict": sum(1 for c in cells if c.classification == "conflict"),
         "witness": witness is not None,
-        "n": spec.grid.n,
-        "seed": args.seed,
-        "warnings": len(spec.warnings),
-    }
-    lines = ["# " + line for line in format_record(record).splitlines()]
-    lines.append("lambda,eta1,eta2,classification,value_branch,deriv_branch,idx0,nonexistence_lhs,rigor")
-    for c in cells:
-        nonex = "" if c.nonexistence_lhs is None else repr(c.nonexistence_lhs)
-        lines.append(f"{c.lam!r},{c.eta1!r},{c.eta2!r},{c.classification},"
-                     f"{c.value_branch!r},{c.deriv_branch!r},{c.idx0_value!r},{nonex},{c.rigor}")
-    text = "\n".join(lines) + "\n"
+    })
+    text = _table(record, "lambda,eta1,eta2,classification,value_branch,deriv_branch,idx0,"
+                          "nonexistence_lhs,rigor",
+                  ((c.lam, c.eta1, c.eta2, c.classification, c.value_branch, c.deriv_branch,
+                    c.idx0_value, c.nonexistence_lhs, c.rigor) for c in cells))
     if args.out:
         _write_out(args.out, text)
         print(f"{len(cells)} cells written to {args.out}: "
@@ -369,6 +347,13 @@ def _int_at_least(low: int):
         return value
     parse.__name__ = "int"  # argparse names the type in its messages
     return parse
+
+
+def _add_falsification(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget", type=_int_at_least(1), default=4096,
+                   help="witness falsification sample budget")
+    p.add_argument("--skip-falsification", action="store_true",
+                   help="trust the declared witness without sampling")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -402,9 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify-nonexistence", help="evaluate the linear-growth certificate")
     _add_common(p)
-    p.add_argument("--budget", type=int, default=4096, help="falsification sample budget")
-    p.add_argument("--skip-falsification", action="store_true",
-                   help="trust the declared witness without sampling (recorded in output)")
+    _add_falsification(p)
     p.set_defaults(func=_cmd_certify_nonexistence)
 
     p = sub.add_parser("solve", help="locate fixed points by multistart Picard iteration")
@@ -413,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, default=None, help="outer radius of the target annulus")
     p.add_argument("--starts", type=int, default=8, help="number of starts (default 8)")
     p.add_argument("--tol", type=float, default=1e-10, help="fixed point tolerance in C1 norm")
-    p.add_argument("--max-iter", type=int, default=10000, help="iteration cap per start")
+    p.add_argument("--max-iter", type=_int_at_least(1), default=10000,
+                   help="iteration cap per start")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sweep", help="classify a parameter box by certificate")
@@ -426,9 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, required=True, help="outer radius for existence")
     p.add_argument("--witness", action="store_true",
                    help="also run the non-existence certificate with the file's witness")
-    p.add_argument("--budget", type=int, default=4096, help="witness falsification budget")
-    p.add_argument("--skip-falsification", action="store_true",
-                   help="trust the declared witness without sampling")
+    _add_falsification(p)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -45,16 +45,19 @@ class ProblemSpec:
     eta1: float
     eta2: float
     grid: Grid
-    gamma1_at_1: float = 0.0
-    gamma2_at_1: float = 0.0
-    dgamma1_sup: float = 0.0
-    dgamma2_sup: float = 0.0
     bounds: BoundSet | None = None
     witness: LinearGrowthWitness | None = None
     warnings: tuple = field(default=())
     # Node samples of gamma_i and gamma_i' per grid.  Not an init field, so
     # every replace() starts an empty cache and can never see stale samples.
     _coefficient_cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    # The certificates' gamma_i(1) (last node) and ||gamma_i'|| (max over the
+    # nodes), read from those samples when asked for, so copies never go stale.
+    gamma1_at_1 = property(lambda self: float(_coefficient_samples(self, self.grid)[0][-1]))
+    gamma2_at_1 = property(lambda self: float(_coefficient_samples(self, self.grid)[1][-1]))
+    dgamma1_sup = property(lambda self: float(np.max(np.abs(_coefficient_samples(self, self.grid)[2]))))
+    dgamma2_sup = property(lambda self: float(np.max(np.abs(_coefficient_samples(self, self.grid)[3]))))
 
     def with_params(self, lam: float, eta1: float, eta2: float) -> "ProblemSpec":
         return replace(self, lam=lam, eta1=eta1, eta2=eta2)
@@ -69,7 +72,6 @@ def make_spec(kernel: Kernel, gamma1: str, gamma2: str, dgamma1: str, dgamma2: s
     for name, val in (("lambda", lam), ("eta1", eta1), ("eta2", eta2)):
         if val < 0:
             raise ParameterError(f"parameter {name} must be non-negative, got {val}")
-    grid = Grid(n)
     spec = ProblemSpec(
         kernel=kernel,
         gamma1=parse(gamma1, "coefficient"),
@@ -82,18 +84,11 @@ def make_spec(kernel: Kernel, gamma1: str, gamma2: str, dgamma1: str, dgamma2: s
         lam=float(lam),
         eta1=float(eta1),
         eta2=float(eta2),
-        grid=grid,
+        grid=Grid(n),
         bounds=bounds,
         witness=witness,
     )
     _check_declared_derivatives(spec)
-    spec = replace(
-        spec,
-        gamma1_at_1=float(eval_coefficient(spec.gamma1, 1.0)),
-        gamma2_at_1=float(eval_coefficient(spec.gamma2, 1.0)),
-        dgamma1_sup=float(np.max(np.abs(eval_coefficient(spec.dgamma1, grid.nodes)))),
-        dgamma2_sup=float(np.max(np.abs(eval_coefficient(spec.dgamma2, grid.nodes)))),
-    )
     if validate:
         warn = tuple(r for r in validate_spec(spec) if not r.ok)
         spec = replace(spec, warnings=warn)
@@ -126,9 +121,8 @@ def validate_spec(spec: ProblemSpec, m: int = 64, tol: float = 1e-9) -> list[Che
         raise ParameterError(f"lattice size must be at least 2, got {m}")
     results = list(check_kernel_hypotheses(spec.kernel, m=m, tol=tol))
     t = spec.grid.nodes
-    for label, e in (("gamma1 >= 0", spec.gamma1), ("gamma2 >= 0", spec.gamma2),
-                     ("gamma1' >= 0", spec.dgamma1), ("gamma2' >= 0", spec.dgamma2)):
-        vals = np.broadcast_to(np.asarray(eval_coefficient(e, t)), t.shape)
+    for label, vals in zip(("gamma1 >= 0", "gamma2 >= 0", "gamma1' >= 0", "gamma2' >= 0"),
+                           _coefficient_samples(spec, spec.grid)):
         worst = float(vals.min())
         if worst < -tol:
             j = int(vals.argmin())
@@ -202,7 +196,8 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
 
 
 def _coefficient_samples(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, ...]:
-    # Read-only (broadcast) views, shared by every apply_T on this grid.
+    # Read-only (broadcast) views, shared by apply_T, validate_spec and the
+    # gamma constants on this grid.
     # An evaluation error is not cached, so it surfaces on each call.
     samples = spec._coefficient_cache.get(grid)
     if samples is None:

@@ -63,6 +63,8 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float, max_iter: int
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterError(f"tolerance must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ParameterError(f"iteration cap must be at least 1, got {max_iter}")
     defect = cone_defect(starts)
     if np.any(defect > CONE_TOL):
         raise ParameterError(

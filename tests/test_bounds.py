@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hammcert.bounds
 from hammcert.bounds import (BoundSet, LinearGrowthWitness, estimate_H,
                              estimate_f_extrema, falsify_linear_growth,
                              sphere_family)
@@ -176,6 +177,22 @@ class TestBoundSet:
         assert fl.value < fl.raw
         assert fu.value == pytest.approx(fu.raw + 0.05 * abs(fu.raw))
         assert fl.value == pytest.approx(fl.raw - 0.05 * abs(fl.raw))
+
+    def test_sampled_once_per_slot_and_rho(self, example1, monkeypatch):
+        calls = []
+
+        def counting(spec, rho, m=64):
+            calls.append(rho)
+            return estimate_f_extrema(spec, rho, m)
+
+        monkeypatch.setattr(hammcert.bounds, "estimate_f_extrema", counting)
+        base = BoundSet(h1=parse("rho", "bound"), h2=parse("rho", "bound"))
+        b = base.with_sampler(example1, m=8, samples=10, seed=0)
+        assert b.f_upper(1.0) is b.f_upper(1.0)
+        assert b.f_lower(0.5) is b.f_lower(0.5)
+        assert calls == [1.0, 0.5]
+        with pytest.raises(IncompleteBoundsError):
+            base.f_upper(1.0)  # with_sampler leaves the original unsampled
 
     def test_mixed_declared_and_sampled(self, example1):
         b = BoundSet(f_upper=parse("exp(2*rho)", "bound")).with_sampler(example1, m=8, samples=10)

@@ -326,9 +326,50 @@ class TestNumericOptions:
                      "--R", "1", "--samples", "-3"]) == 2
         assert "argument --samples: must be at least 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_iteration_cap_at_least_one(self, example2_path, cap, capsys):
+        assert main(["solve", "--problem", example2_path, "--n", "16", "--max-iter", cap]) == 2
+        assert "argument --max-iter: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["certify-nonexistence", "sweep"])
+    def test_budget_at_least_one(self, example2_path, command, budget, capsys):
+        argv = [command, "--problem", example2_path, "--budget", budget, "--skip-falsification"]
+        if command == "sweep":
+            argv += ["--lambda", "0:1:2", "--eta1", "0:1:2", "--eta2", "0:1:2",
+                     "--r", "0.05", "--R", "1", "--witness"]
+        assert main(argv) == 2
+        assert "argument --budget: must be at least 1" in capsys.readouterr().err
+
     def test_non_integer_lattice_size(self, example1_path, capsys):
         assert main(["validate", "--problem", example1_path, "--m", "x"]) == 2
         assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+class TestRecordEnvelope:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["certify-existence", "--r", "0.05", "--R", "1"], id="existence"),
+        pytest.param(["certify-nonexistence"], id="witness-falsified"),
+        pytest.param(["certify-nonexistence", "--skip-falsification"], id="nonexistence"),
+        pytest.param(["solve", "--r", "0.05", "--R", "1", "--starts", "2"], id="solve"),
+        pytest.param(["solve", "--r", "5", "--R", "6", "--starts", "2"], id="solve-not-found"),
+        pytest.param(["sweep", "--lambda", "0:1:2", "--eta1", "0:1:2", "--eta2", "0:1:2",
+                      "--r", "0.05", "--R", "1", "--witness", "--skip-falsification"], id="sweep"),
+    ])
+    def test_every_record_carries_the_envelope(self, example1_path, tmp_path, argv):
+        # example1 with a witness the falsifier refutes, and one load warning
+        problem = _variant(tmp_path, example1_path, "[bounds]",
+                           "[bounds]\ntau = 3\nxi1 = 1\nxi2 = 1")
+        problem = _variant(tmp_path, problem, "gamma2 = t", "gamma2 = t - 1/100", "warned.prob")
+        out = tmp_path / "record.out"
+        main([argv[0], "--problem", problem, *argv[1:], "--n", "32", "--seed", "3",
+              "--out", str(out)])
+        record = parse_record(out.read_text())
+        assert list(record)[:2] == ["command", "problem"]
+        assert (record["command"], record["problem"]) == (argv[0], problem)
+        assert (record["n"], record["seed"], record["warnings"]) == (32, 3, 1)
+        if argv == ["certify-nonexistence"]:
+            assert record["verdict"] == "witness-falsified"
 
 
 class TestModuleEntry:

@@ -8,10 +8,11 @@ from hammcert.errors import EvaluationError, ParameterError, ProblemFileError
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, cone_defect,
                            consistency_defect, consistency_tol, in_cone,
                            random_cone_function)
-from hammcert.expr import eval_coefficient, eval_functional, eval_nonlinearity
+from hammcert.certificate import check_existence
+from hammcert.expr import eval_coefficient, eval_functional, eval_nonlinearity, parse
 from hammcert.kernel import FocalKernel, kernel_from_exprs
-from hammcert.problem import (apply_T, load_problem, loads_problem, make_spec,
-                              validate_spec)
+from hammcert.problem import (ProblemSpec, apply_T, load_problem, loads_problem,
+                              make_spec, validate_spec)
 
 ZERO_PROBLEM = """
 [kernel]
@@ -229,6 +230,47 @@ class TestApplyTReference:
         for _ in range(2):
             with pytest.raises(EvaluationError):
                 apply_T(spec, u)
+
+
+class TestCoefficientConstants:
+    """gamma_i(1) and ||gamma_i'|| come from the spec's own coefficients."""
+
+    def test_replaced_coefficients_certify_like_a_fresh_load(self, example1, example1_path):
+        copy = replace(example1, gamma1=parse("30", "coefficient"),
+                       dgamma1=parse("0", "coefficient"))
+        text = open(example1_path, encoding="utf-8").read()
+        fresh = loads_problem(text.replace("gamma1 = 1\n", "gamma1 = 30\n"))
+        cert = check_existence(copy, copy.bounds, 0.05, 1.0)
+        assert cert == check_existence(fresh, fresh.bounds, 0.05, 1.0)
+        assert cert.verdict == "fail"
+        assert cert.lhs_value_branch == 5.990664926158654
+
+    def test_regridded_copy_reads_the_new_grid(self):
+        text = (ZERO_PROBLEM.replace("gamma2 = t", "gamma2 = t - cos(7*t)/7")
+                .replace("dgamma2 = 1", "dgamma2 = 1 + sin(7*t)"))
+        fine = loads_problem(text, n=256)
+        coarse = loads_problem(text, n=4)
+        assert fine.dgamma2_sup == pytest.approx(1.99993, abs=1e-5)
+        assert replace(fine, grid=Grid(4)).dgamma2_sup == coarse.dgamma2_sup
+        assert coarse.dgamma2_sup == pytest.approx(1.98399, abs=1e-5)
+
+    def test_direct_construction(self):
+        spec = ProblemSpec(
+            kernel=FocalKernel(), gamma1=parse("1", "coefficient"),
+            gamma2=parse("t", "coefficient"), dgamma1=parse("0", "coefficient"),
+            dgamma2=parse("1", "coefficient"), h1=parse("U(1)", "functional"),
+            h2=parse("DU(0)", "functional"), f=parse("u", "nonlinearity"),
+            lam=0.1, eta1=0.0, eta2=0.0, grid=Grid(8))
+        assert (spec.gamma1_at_1, spec.gamma2_at_1) == (1.0, 1.0)
+        assert (spec.dgamma1_sup, spec.dgamma2_sup) == (0.0, 1.0)
+
+    def test_gamma_error_surfaces_on_every_read(self):
+        # nan at t = 0 only: the spec loads, each read of a constant fails
+        spec = make_spec(FocalKernel(), "t + 0*sqrt(t - 1/1000)", "t", "1", "1",
+                         "U(1)", "DU(0)", "u", 0.1, 0.5, 0.0, n=32, validate=False)
+        for _ in range(2):
+            with pytest.raises(EvaluationError):
+                spec.gamma1_at_1
 
 
 class TestMakeSpec:

@@ -73,6 +73,13 @@ class TestPicard:
             with pytest.raises(ParameterError):
                 multistart_solve(example1, starts=2, tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_iteration_cap_at_least_one(self, example1, max_iter):
+        with pytest.raises(ParameterError, match="iteration cap must be at least 1"):
+            multistart_solve(example1, starts=2, max_iter=max_iter)
+        with pytest.raises(ParameterError, match="iteration cap must be at least 1"):
+            picard_solve(example1, GridFunction.zero(example1.grid), max_iter=max_iter)
+
     def test_max_iterations_status(self, example1):
         res = picard_solve(example1, GridFunction.zero(example1.grid), max_iter=3)
         assert res.status == "max-iterations"
