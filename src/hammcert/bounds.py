@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, IncompleteBoundsError, ParameterError
 from .expr import Expr, eval_bound, eval_functional, eval_nonlinearity
-from .grid import GridFunction, c1_norm, random_cone_function
+from .grid import CONE_TOL, GridFunction, c1_norm, random_cone_function
 
 DEFAULT_INFLATION = 1.05
 
@@ -128,7 +128,7 @@ def estimate_H(spec, i: int, rho: float, samples: int = 200, seed: int = 0) -> f
 
 
 def falsify_linear_growth(spec, witness: LinearGrowthWitness, budget: int = 4096,
-                          seed: int = 0, eps: float = 1e-9) -> FalsificationResult:
+                          seed: int = 0) -> FalsificationResult:
     """Try to refute 0 <= f <= tau*u and h_i[u] <= xi_i * sup|u|.
 
     Samples lattices plus random points over expanding boxes [0, 2^k]^2 in
@@ -149,21 +149,21 @@ def falsify_linear_growth(spec, witness: LinearGrowthWitness, budget: int = 4096
         lattice = np.stack(np.meshgrid(t_ax, u_ax, u_ax, indexing="ij"), axis=-1).reshape(-1, 3)
         rand = rng.random((m**3, 3)) * np.array([1.0, rho, rho])
         for pts in (lattice, rand):
-            ce = _check_growth_points(spec, witness, pts, eps)
+            ce = _check_growth_points(spec, witness, pts)
             checked += len(pts)
             if ce is not None:
                 return FalsificationResult(False, ce, checked)
         ce = _check_functionals(spec, witness, random_cone_function(
-            spec.grid, rng, norm=rho, count=4), eps)
+            spec.grid, rng, norm=rho, count=4))
         if ce is not None:
             return FalsificationResult(False, ce, checked)
         k += 1
     return FalsificationResult(True, None, checked)
 
 
-def _check_functionals(spec, witness, u: GridFunction, eps) -> Counterexample | None:
+def _check_functionals(spec, witness, u: GridFunction) -> Counterexample | None:
     """The first row of the stack, and in it the first h_i, with
-    h_i[u] > xi_i * sup u + eps."""
+    h_i[u] > xi_i * sup u + CONE_TOL."""
     checks = ((1, spec.h1, witness.xi1), (2, spec.h2, witness.xi2))
     try:
         values = [eval_functional(h, u) for _, h, _ in checks]
@@ -174,7 +174,7 @@ def _check_functionals(spec, witness, u: GridFunction, eps) -> Counterexample | 
         sup = float(np.max(u_fn.values))
         for k, (i, h, xi) in enumerate(checks):
             hv = float(values[k][row]) if values is not None else eval_functional(h, u_fn)
-            if hv > xi * sup + eps:
+            if hv > xi * sup + CONE_TOL:
                 return Counterexample(
                     kind=f"h{i}",
                     point=None,
@@ -185,15 +185,15 @@ def _check_functionals(spec, witness, u: GridFunction, eps) -> Counterexample | 
     return None
 
 
-def _check_growth_points(spec, witness, pts, eps) -> Counterexample | None:
+def _check_growth_points(spec, witness, pts) -> Counterexample | None:
     t, u, v = pts[:, 0], pts[:, 1], pts[:, 2]
     fv = np.asarray(eval_nonlinearity(spec.f, t, u, v))
-    bad = (fv < -eps) | (fv > witness.tau * u + eps)
+    bad = (fv < -CONE_TOL) | (fv > witness.tau * u + CONE_TOL)
     if not bad.any():
         return None
     j = int(np.argmax(bad))
     point = (float(t[j]), float(u[j]), float(v[j]))
-    if fv[j] < -eps:
+    if fv[j] < -CONE_TOL:
         return Counterexample("f-negative", point, float(fv[j]), 0.0,
                               f"f{point} = {fv[j]:.6g} < 0")
     return Counterexample("f-growth", point, float(fv[j]), float(witness.tau * u[j]),

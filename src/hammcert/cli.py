@@ -349,59 +349,65 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_falsification(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=_int_at_least(1), default=4096,
-                   help="witness falsification sample budget")
-    p.add_argument("--skip-falsification", action="store_true",
-                   help="trust the declared witness without sampling")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", required=True, help="path to the problem file")
-    p.add_argument("--n", type=int, default=256, help="grid subintervals (default 256)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized sampling (default 0)")
-    p.add_argument("--m", type=_int_at_least(2), default=64,
-                   help="lattice size for sampled checks/bounds (at least 2)")
-    p.add_argument("--samples", type=_int_at_least(0), default=200,
-                   help="cone samples for functional bounds")
-    p.add_argument("--out", default=None, help="write the machine-readable record/table here")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # Flag groups as parent parsers: each subcommand declares exactly the
+    # flags its handler reads, and no parser takes a flag's prefix for it.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--problem", required=True, help="path to the problem file")
+    common.add_argument("--n", type=int, default=256, help="grid subintervals (default 256)")
+    common.add_argument("--seed", type=_int_at_least(0), default=0,
+                        help="seed for randomized sampling (default 0)")
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument("--m", type=_int_at_least(2), default=64,
+                         help="lattice size for sampled checks/bounds (at least 2)")
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--samples", type=_int_at_least(0), default=200,
+                         help="cone samples for functional bounds")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write the machine-readable record/table here")
+    falsification = argparse.ArgumentParser(add_help=False)
+    falsification.add_argument("--budget", type=_int_at_least(1), default=4096,
+                               help="witness falsification sample budget")
+    falsification.add_argument("--skip-falsification", action="store_true",
+                               help="trust the declared witness without sampling")
+
     parser = argparse.ArgumentParser(
         prog="hammcert",
         description="Certify and locate non-negative non-decreasing solutions of "
                     "perturbed Hammerstein integral equations with derivative dependence.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="run the sampled hypothesis checks on a problem file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
+    def command(name, func, parents, summary):
+        p = sub.add_parser(name, parents=parents, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("certify-existence", help="evaluate the annulus existence certificate")
-    _add_common(p)
+    # validate's checks use a fixed seed; it keeps --seed so one argv shape
+    # serves every command.
+    command("validate", _cmd_validate, [common, lattice],
+            "run the sampled hypothesis checks on a problem file")
+
+    p = command("certify-existence", _cmd_certify_existence, [common, lattice, samples, out],
+                "evaluate the annulus existence certificate")
     p.add_argument("--r", type=float, required=True, help="inner radius (0 < r < R)")
     p.add_argument("--R", type=float, required=True, help="outer radius")
-    p.set_defaults(func=_cmd_certify_existence)
 
-    p = sub.add_parser("certify-nonexistence", help="evaluate the linear-growth certificate")
-    _add_common(p)
-    _add_falsification(p)
-    p.set_defaults(func=_cmd_certify_nonexistence)
+    command("certify-nonexistence", _cmd_certify_nonexistence, [common, out, falsification],
+            "evaluate the linear-growth certificate")
 
-    p = sub.add_parser("solve", help="locate fixed points by multistart Picard iteration")
-    _add_common(p)
+    p = command("solve", _cmd_solve, [common, out],
+                "locate fixed points by multistart Picard iteration")
     p.add_argument("--r", type=float, default=None, help="inner radius of the target annulus")
     p.add_argument("--R", type=float, default=None, help="outer radius of the target annulus")
     p.add_argument("--starts", type=int, default=8, help="number of starts (default 8)")
     p.add_argument("--tol", type=float, default=1e-10, help="fixed point tolerance in C1 norm")
     p.add_argument("--max-iter", type=_int_at_least(1), default=10000,
                    help="iteration cap per start")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("sweep", help="classify a parameter box by certificate")
-    _add_common(p)
+    p = command("sweep", _cmd_sweep, [common, lattice, samples, out, falsification],
+                "classify a parameter box by certificate")
     p.add_argument("--lambda", dest="lam", required=True, metavar="A:B:K",
                    help="lambda axis as start:stop:steps")
     p.add_argument("--eta1", required=True, metavar="A:B:K", help="eta1 axis")
@@ -410,9 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, required=True, help="outer radius for existence")
     p.add_argument("--witness", action="store_true",
                    help="also run the non-existence certificate with the file's witness")
-    _add_falsification(p)
-    p.set_defaults(func=_cmd_sweep)
-
     return parser
 
 

@@ -10,11 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import CheckResult, DomainError, ParameterError, ShapeError
 
-# Node values may dip this far below zero before we treat it as a genuine
-# cone violation rather than floating-point noise.
+# Node values of a cone function, and the samples of every sign check, may
+# dip this far below zero before we treat it as a genuine violation rather
+# than floating-point noise.
 CONE_TOL = 1e-9
+
+
+def sign_check(name: str, vals: np.ndarray, axes: dict, where: str) -> CheckResult:
+    """The check `name` on the minimum of lattice samples ``vals``: a warning
+    names the lattice point of the minimum (``axes`` maps each variable to
+    its axis, one per dimension of ``vals``), a pass reports the minimum
+    followed by ``where``."""
+    worst = float(vals.min())
+    if worst < -CONE_TOL:
+        idx = np.unravel_index(int(vals.argmin()), vals.shape)
+        point = ", ".join(f"{var}={ax[i]:.4g}" for (var, ax), i in zip(axes.items(), idx))
+        return CheckResult(name, "warn", f"min {worst:.3g} at {point}")
+    return CheckResult(name, "pass", f"min {worst:.3g} {where}")
 
 
 def consistency_tol(n: int) -> float:
@@ -237,8 +251,8 @@ def cone_defect(u: GridFunction):
     return _first_max(0.0, -np.min(u.values, axis=-1), -np.min(u.dvalues, axis=-1))
 
 
-def in_cone(u: GridFunction, tol: float = CONE_TOL):
-    return cone_defect(u) <= tol
+def in_cone(u: GridFunction):
+    return cone_defect(u) <= CONE_TOL
 
 
 def consistency_defect(u: GridFunction):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CheckResult, EvaluationError, ShapeError
 from .expr import eval_dominator, eval_kernel_expr, parse
-from .grid import Grid, cumulative_integral, integrate
+from .grid import CONE_TOL, Grid, cumulative_integral, integrate, sign_check
 
 
 class Kernel:
@@ -157,7 +157,7 @@ class FocalKernel(Kernel):
 
 
 def kernel_from_exprs(k_src: str, dk_src: str, phi_src: str | None = None,
-                      psi_src: str | None = None, name: str = "custom") -> Kernel:
+                      psi_src: str | None = None) -> Kernel:
     """Build a Kernel from expression strings in t and s (dominators in s)."""
     k_ast = parse(k_src, "kernel")
     dk_ast = parse(dk_src, "kernel")
@@ -173,7 +173,6 @@ def kernel_from_exprs(k_src: str, dk_src: str, phi_src: str | None = None,
         dk=lambda t, s: eval_kernel_expr(dk_ast, t, s),
         phi=phi,
         psi=psi,
-        name=name,
     )
 
 
@@ -207,7 +206,7 @@ def apply_dkernel_row(kernel: Kernel, grid: Grid, F, j: int) -> float:
     return _check_row(kernel, grid, F, j, 1)
 
 
-def check_kernel_hypotheses(kernel: Kernel, m: int = 64, tol: float = 1e-9) -> list[CheckResult]:
+def check_kernel_hypotheses(kernel: Kernel, m: int = 64) -> list[CheckResult]:
     """Sampled falsification of positivity and domination on an m x m lattice.
 
     These are warnings, not proofs: the lattice can refute the standing
@@ -216,23 +215,16 @@ def check_kernel_hypotheses(kernel: Kernel, m: int = 64, tol: float = 1e-9) -> l
     pts = np.linspace(0.0, 1.0, m)
     t = pts[:, None]
     s = pts[None, :]
-    results = []
     kvals = kernel._sample(kernel.k, t, s, "k")
     dkvals = kernel._sample(kernel.dk, t, s, "dk")
-    for label, vals in (("kernel k >= 0", kvals), ("kernel dk >= 0", dkvals)):
-        worst = float(vals.min())
-        if worst < -tol:
-            i, j = np.unravel_index(int(vals.argmin()), vals.shape)
-            results.append(CheckResult(label, "warn",
-                                       f"min {worst:.3g} at t={pts[i]:.4g}, s={pts[j]:.4g}"))
-        else:
-            results.append(CheckResult(label, "pass", f"min {worst:.3g} on {m}x{m} lattice"))
+    results = [sign_check(label, vals, {"t": pts, "s": pts}, f"on {m}x{m} lattice")
+               for label, vals in (("kernel k >= 0", kvals), ("kernel dk >= 0", dkvals))]
     if kernel.phi is not None:
         gap = float((np.broadcast_to(kernel.phi(s), kvals.shape) - kvals).min())
-        status = "pass" if gap >= -tol else "warn"
+        status = "pass" if gap >= -CONE_TOL else "warn"
         results.append(CheckResult("kernel k <= Phi", status, f"min slack {gap:.3g}"))
     if kernel.psi is not None:
         gap = float((np.broadcast_to(kernel.psi(s), dkvals.shape) - dkvals).min())
-        status = "pass" if gap >= -tol else "warn"
+        status = "pass" if gap >= -CONE_TOL else "warn"
         results.append(CheckResult("kernel dk <= Psi", status, f"min slack {gap:.3g}"))
     return results

@@ -22,7 +22,8 @@ from .bounds import BoundSet, LinearGrowthWitness
 from .errors import CheckResult, ParameterError, ProblemFileError
 from .expr import (Expr, eval_coefficient, eval_constant, eval_functional,
                    eval_nonlinearity, parse)
-from .grid import CONE_TOL, Grid, GridFunction, cone_defect, random_cone_function
+from .grid import (CONE_TOL, Grid, GridFunction, cone_defect, random_cone_function,
+                   sign_check)
 from .kernel import FocalKernel, Kernel, check_kernel_hypotheses, kernel_from_exprs
 
 FD_STEP = 1e-5
@@ -90,8 +91,10 @@ def make_spec(kernel: Kernel, gamma1: str, gamma2: str, dgamma1: str, dgamma2: s
     )
     _check_declared_derivatives(spec)
     if validate:
-        warn = tuple(r for r in validate_spec(spec) if not r.ok)
-        spec = replace(spec, warnings=warn)
+        checked = spec
+        spec = replace(spec, warnings=tuple(r for r in validate_spec(spec) if not r.ok))
+        # Same gamma and grid, so the samples validation drew stay valid.
+        spec._coefficient_cache.update(checked._coefficient_cache)
     return spec
 
 
@@ -115,48 +118,36 @@ def _check_declared_derivatives(spec: ProblemSpec) -> None:
             )
 
 
-def validate_spec(spec: ProblemSpec, m: int = 64, tol: float = 1e-9) -> list[CheckResult]:
+def validate_spec(spec: ProblemSpec, m: int = 64) -> list[CheckResult]:
     """All sampled hypothesis checks, pass rows included (the validate table)."""
     if m < 2:
         raise ParameterError(f"lattice size must be at least 2, got {m}")
-    results = list(check_kernel_hypotheses(spec.kernel, m=m, tol=tol))
-    t = spec.grid.nodes
+    results = check_kernel_hypotheses(spec.kernel, m=m)
     for label, vals in zip(("gamma1 >= 0", "gamma2 >= 0", "gamma1' >= 0", "gamma2' >= 0"),
                            _coefficient_samples(spec, spec.grid)):
-        worst = float(vals.min())
-        if worst < -tol:
-            j = int(vals.argmin())
-            results.append(CheckResult(label, "warn", f"min {worst:.3g} at t={t[j]:.4g}"))
-        else:
-            results.append(CheckResult(label, "pass", f"min {worst:.3g} on grid nodes"))
-    results.append(_check_f_sign(spec, m, tol))
+        results.append(sign_check(label, vals, {"t": spec.grid.nodes}, "on grid nodes"))
+    results.append(_check_f_sign(spec, m))
     results.append(CheckResult("declared gamma' match", "pass",
                                f"finite differences agree within {FD_TOL:g}"))
-    results.append(_check_functional_boundedness(spec, tol))
+    results.append(_check_functional_boundedness(spec))
     return results
 
 
-def _check_f_sign(spec: ProblemSpec, m: int, tol: float) -> CheckResult:
-    ax_t = np.linspace(0.0, 1.0, m)
-    ax_u = np.linspace(0.0, 1.0, m)
-    vals = eval_nonlinearity(spec.f, ax_t[:, None, None], ax_u[None, :, None],
-                             ax_u[None, None, :])
-    vals = np.broadcast_to(np.asarray(vals), (m, m, m))
-    worst = float(vals.min())
-    if worst < -tol:
-        i, j, k = np.unravel_index(int(vals.argmin()), vals.shape)
-        return CheckResult("f >= 0", "warn",
-                           f"min {worst:.3g} at t={ax_t[i]:.4g}, u={ax_u[j]:.4g}, v={ax_u[k]:.4g}")
-    return CheckResult("f >= 0", "pass", f"min {worst:.3g} on {m}^3 lattice over [0,1]^3")
+def _check_f_sign(spec: ProblemSpec, m: int) -> CheckResult:
+    # Its own frame, so the m^3 samples are freed before the next check.
+    ax = np.linspace(0.0, 1.0, m)
+    vals = eval_nonlinearity(spec.f, ax[:, None, None], ax[None, :, None], ax[None, None, :])
+    return sign_check("f >= 0", np.broadcast_to(np.asarray(vals), (m, m, m)),
+                      {"t": ax, "u": ax, "v": ax}, f"on {m}^3 lattice over [0,1]^3")
 
 
-def _check_functional_boundedness(spec: ProblemSpec, tol: float) -> CheckResult:
+def _check_functional_boundedness(spec: ProblemSpec) -> CheckResult:
     # 8 cone functions on each sphere rho = 0.5, 1, 2, as one stack.
     u = random_cone_function(spec.grid, np.random.default_rng(0),
                              norm=np.repeat([0.5, 1.0, 2.0], 8), count=24)
     # eval_functional raises on non-finite values
     worst = min(0.0, *(float(np.min(eval_functional(h, u))) for h in (spec.h1, spec.h2)))
-    if worst < -tol:
+    if worst < -CONE_TOL:
         return CheckResult("functionals >= 0 and bounded", "warn",
                            f"found h[u] = {worst:.3g} < 0 on a cone sample")
     return CheckResult("functionals >= 0 and bounded", "pass",
@@ -227,7 +218,7 @@ def load_problem(path: str, n: int = 256, validate: bool = True) -> ProblemSpec:
             cp.read_file(fh, source=str(path))
     except OSError as exc:
         raise ProblemFileError(f"cannot read problem file {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"{path}: {exc}") from exc
     return _spec_from_config(cp, path, n=n, validate=validate)
 

@@ -1,3 +1,4 @@
+import argparse
 import os
 import pathlib
 import subprocess
@@ -266,6 +267,14 @@ class TestValidate:
         assert rc == 2
         assert "gamma2" in capsys.readouterr().err
 
+    def test_non_utf8_file_exit_2(self, zero_problem, tmp_path, capsys):
+        bad = tmp_path / "latin1.prob"
+        bad.write_bytes(pathlib.Path(zero_problem).read_bytes().replace(b"f = u", b"f = u # \xff"))
+        assert main(["validate", "--problem", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "can't decode byte 0xff" in err
+
 
 class TestSweepCommand:
     def test_example2_sweep(self, example2_path, tmp_path):
@@ -344,6 +353,56 @@ class TestNumericOptions:
     def test_non_integer_lattice_size(self, example1_path, capsys):
         assert main(["validate", "--problem", example1_path, "--m", "x"]) == 2
         assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["certify-existence", "--r", "0.05", "--R", "1"],
+        ["certify-nonexistence"],
+        ["solve"],
+        ["sweep", "--lambda", "0:1:2", "--eta1", "0:1:2", "--eta2", "0:1:2",
+         "--r", "0.05", "--R", "1", "--witness"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_not_negative(self, example2_path, argv, capsys):
+        assert main([argv[0], "--problem", example2_path, *argv[1:], "--seed", "-1"]) == 2
+        assert "argument --seed: must be at least 0" in capsys.readouterr().err
+
+
+class TestOptionSurface:
+    # Each subcommand declares exactly the flags its handler reads.
+    FLAGS = {
+        "validate": ["--problem", "--n", "--seed", "--m"],
+        "certify-existence": ["--problem", "--n", "--seed", "--m", "--samples", "--out",
+                              "--r", "--R"],
+        "certify-nonexistence": ["--problem", "--n", "--seed", "--out", "--budget",
+                                 "--skip-falsification"],
+        "solve": ["--problem", "--n", "--seed", "--out", "--r", "--R", "--starts", "--tol",
+                  "--max-iter"],
+        "sweep": ["--problem", "--n", "--seed", "--m", "--samples", "--out", "--budget",
+                  "--skip-falsification", "--lambda", "--eta1", "--eta2", "--r", "--R",
+                  "--witness"],
+    }
+
+    def test_each_command_declares_exactly_its_flags(self):
+        parser = hammcert.cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(self.FLAGS)
+        for name, command in sub.choices.items():
+            flags = [opt for action in command._actions for opt in action.option_strings
+                     if opt not in ("-h", "--help")]
+            assert flags == self.FLAGS[name], name
+            assert command.allow_abbrev is False, name
+        assert parser.allow_abbrev is False
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--m", "8"],
+        ["solve", "--samples", "3"],
+        ["certify-nonexistence", "--m", "8"],
+        ["validate", "--out", "x"],
+        ["solve", "--star", "2"],
+    ], ids=" ".join)
+    def test_removed_flags_and_prefixes_are_rejected(self, example2_path, argv, capsys):
+        assert main([argv[0], "--problem", example2_path, *argv[1:]]) == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 class TestRecordEnvelope:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hammcert.problem
 from hammcert.errors import EvaluationError, ParameterError, ProblemFileError
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, cone_defect,
                            consistency_defect, consistency_tol, in_cone,
@@ -104,6 +105,44 @@ class TestLoading:
         text = ZERO_PROBLEM.replace("f = u", "f = u - 10")
         spec = loads_problem(text)
         assert any(w.name == "f >= 0" for w in spec.warnings)
+
+    @pytest.mark.parametrize("edits, name, detail", [
+        ((("gamma2 = t", "gamma2 = (t-0.3)^2 - 0.01"), ("dgamma2 = 1", "dgamma2 = 2*(t-0.3)")),
+         "gamma2 >= 0", "min -0.01 at t=0.3008"),
+        ((("name = focal", "k = (t-0.4)^2 + (s-0.7)^2 - 0.01\ndk = 2*(t-0.4)"),),
+         "kernel k >= 0", "min -0.00999 at t=0.3968, s=0.6984"),
+        ((("f = u", "f = (t-0.3)^2 + (u-0.6)^2 + (v-0.2)^2 - 0.01"),),
+         "f >= 0", "min -0.00995 at t=0.3016, u=0.6032, v=0.2063"),
+    ])
+    def test_sign_warning_names_the_lattice_minimum(self, edits, name, detail):
+        text = ZERO_PROBLEM
+        for old, new in edits:
+            text = text.replace(old, new)
+        spec = loads_problem(text)
+        assert [w.detail for w in spec.warnings if w.name == name] == [detail]
+
+    def test_sign_pass_reports_the_minimum(self):
+        spec = loads_problem(ZERO_PROBLEM.replace("name = focal", "k = t*s\ndk = s"))
+        details = {r.name: r.detail for r in validate_spec(spec, m=8)}
+        assert details["kernel k >= 0"] == "min 0 on 8x8 lattice"
+        assert details["gamma2' >= 0"] == "min 1 on grid nodes"
+        assert details["f >= 0"] == "min 0 on 8^3 lattice over [0,1]^3"
+
+    def test_load_keeps_the_validation_samples(self, example2_path, monkeypatch):
+        # Validation samples gamma_i and gamma_i' on the nodes once; the
+        # loaded spec reuses those samples for its constants.
+        n = 256
+        calls = []
+
+        def counting(expr, t):
+            if np.shape(t) == (n + 1,):
+                calls.append(expr)
+            return eval_coefficient(expr, t)
+
+        monkeypatch.setattr(hammcert.problem, "eval_coefficient", counting)
+        spec = load_problem(example2_path, n=n)
+        assert spec.gamma1_at_1 == 1.0
+        assert len(calls) == 4
 
     def test_partial_witness_rejected(self):
         text = ZERO_PROBLEM + "\n[bounds]\ntau = 1\n"
