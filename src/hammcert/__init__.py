@@ -13,10 +13,8 @@ from .errors import (CheckResult, DomainError, EvaluationError, ExprError,
                      ProblemFileError, ShapeError)
 from .expr import parse, to_source
 from .grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm,
-                   consistency_defect, eval_at, eval_deriv_at, integrate,
-                   integrate_tail, random_cone_function)
-from .kernel import (FocalKernel, Kernel, apply_dkernel_row, apply_kernel_row,
-                     constant_K, constant_Kstar, kernel_from_exprs)
+                   consistency_defect, integrate, integrate_tail, random_cone_function)
+from .kernel import FocalKernel, Kernel, constant_K, constant_Kstar, kernel_from_exprs
 from .problem import (ProblemSpec, apply_T, load_problem, loads_problem,
                       make_spec, validate_spec)
 from .solver import (SolveResult, VerificationReport, multistart_solve,
@@ -32,12 +30,10 @@ __all__ = [
     "HammcertError", "IncompleteBoundsError", "Kernel", "LinearGrowthWitness",
     "NonexistenceCertificate", "ParameterError", "ProblemFileError",
     "ProblemSpec", "ShapeError", "SolveResult", "SweepCell",
-    "VerificationReport", "apply_T", "apply_dkernel_row", "apply_kernel_row",
-    "axis_values", "c1_distance", "c1_norm", "check_existence",
-    "check_nonexistence", "consistency_defect", "constant_K",
-    "constant_Kstar", "estimate_H", "estimate_f_extrema", "eval_at",
-    "eval_deriv_at", "falsify_linear_growth", "integrate", "integrate_tail",
-    "kernel_from_exprs", "load_problem", "loads_problem", "make_spec",
+    "VerificationReport", "apply_T", "axis_values", "c1_distance", "c1_norm",
+    "check_existence", "check_nonexistence", "consistency_defect",
+    "constant_K", "constant_Kstar", "estimate_H", "estimate_f_extrema",
+    "falsify_linear_growth", "integrate", "integrate_tail", "kernel_from_exprs", "load_problem", "loads_problem", "make_spec",
     "multistart_solve", "parse", "picard_solve", "random_cone_function",
     "run_sweep", "to_source", "validate_spec", "verify_solution",
 ]

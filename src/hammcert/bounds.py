@@ -228,14 +228,6 @@ class BoundSet:
         out._sampling = (spec, m, samples, seed)
         return out
 
-    @property
-    def declared_complete(self) -> bool:
-        return all(e is not None for e in self._exprs.values())
-
-    @property
-    def seed(self) -> int | None:
-        return self._sampling[3] if self._sampling is not None else None
-
     def _declared(self, expr: Expr, rho: float, label: str) -> BoundEntry:
         val = eval_bound(expr, rho)
         if val < 0:

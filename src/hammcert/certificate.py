@@ -27,7 +27,8 @@ import numpy as np
 
 from .bounds import BoundEntry, BoundSet, LinearGrowthWitness
 from .errors import ParameterError
-from .kernel import constant_K, constant_Kstar
+from .expr import variables
+from .kernel import FocalKernel, constant_K, constant_Kstar
 from .problem import ProblemSpec
 
 
@@ -41,6 +42,7 @@ class ExistenceCertificate:
     upper_margin: float  # R - max(branches)
     lower_margin: float  # lhs_idx0 - r
     verdict: str  # 'certified' | 'heuristic-pass' | 'fail'
+    rigor: str  # 'certified' | 'heuristic', as _existence_rigor decides
     f_upper_R: BoundEntry
     f_lower_r: BoundEntry
     h1_R: BoundEntry
@@ -49,10 +51,6 @@ class ExistenceCertificate:
     @property
     def passed(self) -> bool:
         return self.verdict != "fail"
-
-    @property
-    def rigor(self) -> str:
-        return entries_rigor((self.f_upper_R, self.f_lower_r, self.h1_R, self.h2_R))
 
 
 @dataclass(frozen=True)
@@ -73,10 +71,10 @@ def existence_terms(spec: ProblemSpec, bounds: BoundSet, r: float, R: float, lam
     """The annulus certificate at radii 0 < r < R, elementwise in the parameters.
 
     lam, eta1 and eta2 are floats or equal-shape arrays.  Returns the four
-    bound entries, then the value branch, derivative branch, idx0 value,
-    upper and lower margins and the pass test, each of the parameters'
-    shape.  Scalar and array evaluations do the same float operations in
-    the same order, so they agree bit for bit.
+    bound entries and their rigor (_existence_rigor), then the value branch,
+    derivative branch, idx0 value, upper and lower margins and the pass
+    test, each of the parameters' shape.  Scalar and array evaluations do
+    the same float operations in the same order, so they agree bit for bit.
     """
     if not 0 < r < R:
         raise ParameterError(f"need 0 < r < R, got r={r}, R={R}")
@@ -88,12 +86,22 @@ def existence_terms(spec: ProblemSpec, bounds: BoundSet, r: float, R: float, lam
     deriv = lam * f_up * Kstar + eta1 * spec.dgamma1_sup * h1 + eta2 * spec.dgamma2_sup * h2
     idx0 = lam * f_low * min(K, Kstar)
     top = np.where(deriv > value, deriv, value)  # picks what max(value, deriv) picks
-    return entries, value, deriv, idx0, R - top, idx0 - r, (top <= R) & (idx0 >= r)
+    return (entries, _existence_rigor(spec, entries), value, deriv, idx0, R - top, idx0 - r,
+            (top <= R) & (idx0 >= r))
 
 
-def entries_rigor(entries) -> str:
-    """'certified' when every bound entry is, else 'heuristic'."""
-    return "certified" if all(e.rigor == "certified" for e in entries) else "heuristic"
+def _existence_rigor(spec: ProblemSpec, entries) -> str:
+    """'certified' when every bound entry is and every constant is exact,
+    else 'heuristic'.
+
+    K and K* are exact for the focal kernel only; a custom kernel's come
+    from quadrature and a maximum over the nodes.  ||gamma_i'|| is the
+    maximum over the nodes, which is the supremum when gamma_i' is free of t.
+    """
+    exact = (isinstance(spec.kernel, FocalKernel)
+             and not variables(spec.dgamma1) and not variables(spec.dgamma2))
+    certified = exact and all(e.rigor == "certified" for e in entries)
+    return "certified" if certified else "heuristic"
 
 
 def growth_lhs(spec: ProblemSpec, witness: LinearGrowthWitness, lam, eta1, eta2):
@@ -106,11 +114,11 @@ def growth_lhs(spec: ProblemSpec, witness: LinearGrowthWitness, lam, eta1, eta2)
 
 def check_existence(spec: ProblemSpec, bounds: BoundSet, r: float, R: float) -> ExistenceCertificate:
     """Evaluate the annulus certificate at radii 0 < r < R."""
-    entries, value, deriv, idx0, upper, lower, ok = existence_terms(
+    entries, rigor, value, deriv, idx0, upper, lower, ok = existence_terms(
         spec, bounds, r, R, spec.lam, spec.eta1, spec.eta2)
     if not ok:
         verdict = "fail"
-    elif entries_rigor(entries) == "certified":
+    elif rigor == "certified":
         verdict = "certified"
     else:
         verdict = "heuristic-pass"
@@ -124,6 +132,7 @@ def check_existence(spec: ProblemSpec, bounds: BoundSet, r: float, R: float) -> 
         upper_margin=float(upper),  # np.where made it a 0-d array
         lower_margin=lower,
         verdict=verdict,
+        rigor=rigor,
         f_upper_R=f_up,
         f_lower_r=f_low,
         h1_R=h1,

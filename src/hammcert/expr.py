@@ -120,6 +120,11 @@ class _Token:
     pos: int
 
 
+# Numbers are ASCII decimal literals: str.isdigit() would also take '²',
+# which float() rejects, and '٣', which it reads as 3.
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i, n = 0, len(text)
@@ -128,22 +133,22 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             # exponent part, but only when unambiguously numeric
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
+                if j < n and text[j] in _DIGITS:
                     i = j
-                    while i < n and text[i].isdigit():
+                    while i < n and text[i] in _DIGITS:
                         i += 1
             tokens.append(_Token("num", text[start:i], start))
             continue
@@ -293,6 +298,25 @@ def parse(text: str, role: str) -> Expr:
     if not text or not text.strip():
         raise ExprError("empty expression")
     return _Parser(_tokenize(text), role).parse()
+
+
+def parse_entry(section: str, key: str, text: str, role: str) -> Expr:
+    """parse(text, role) for the problem-file entry ``[section] key = text``:
+    an ExprError names the entry before the message."""
+    try:
+        return parse(text, role)
+    except ExprError as exc:
+        raise ExprError(f"[{section}] {key} = {text!r}: {exc}") from exc
+
+
+def variables(e: Expr) -> frozenset:
+    """The names of the variables an expression reads."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    parts = (getattr(e, name) for name in e.__dataclass_fields__)
+    return frozenset().union(*(variables(c) for p in parts
+                               for c in (p if isinstance(p, tuple) else (p,))
+                               if isinstance(c, Expr)))
 
 
 # ---------------------------------------------------------------------------

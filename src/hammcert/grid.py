@@ -31,11 +31,6 @@ def sign_check(name: str, vals: np.ndarray, axes: dict, where: str) -> CheckResu
     return CheckResult(name, "pass", f"min {worst:.3g} {where}")
 
 
-def consistency_tol(n: int) -> float:
-    """Tolerance for the u(t) = u(0) + int u' defect; tracks trapezoid order."""
-    return 10.0 / n**2
-
-
 class Grid:
     """Uniform partition of [0,1] into n subintervals, nodes t_j = j/n."""
 
@@ -58,13 +53,6 @@ class Grid:
 
     def __repr__(self) -> str:
         return f"Grid(n={self.n})"
-
-    def index_of(self, t: float) -> int:
-        """Index j of the node closest to t; t must sit on a node."""
-        j = int(round(t * self.n))
-        if not 0 <= j <= self.n or abs(self.nodes[j] - t) > 1e-12:
-            raise DomainError(f"t={t} is not a node of {self!r}")
-        return j
 
 
 class GridFunction:
@@ -190,25 +178,6 @@ def interp_rows(samples: np.ndarray, grid: Grid, a) -> np.ndarray:
     return np.where(a == x0, y0, np.where(a == x1, y1, out))
 
 
-def _eval_rows(samples: np.ndarray, grid: Grid, a):
-    a = np.asarray(a, dtype=float)
-    with np.errstate(all="ignore"):
-        out = interp_rows(samples.reshape(-1, grid.n + 1), grid, a.reshape(1, -1))
-    out = out.reshape(samples.shape[:-1] + a.shape)
-    return float(out) if out.ndim == 0 else out
-
-
-def eval_at(u: GridFunction, a):
-    """u(a) by linear interpolation; exact at nodes.  Accepts arrays; a
-    stack gives one row of values per function."""
-    return _eval_rows(u.values, u.grid, a)
-
-
-def eval_deriv_at(u: GridFunction, a):
-    """u'(a) by linear interpolation of the derivative samples."""
-    return _eval_rows(u.dvalues, u.grid, a)
-
-
 def _check_samples(samples, grid: Grid) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim not in (1, 2) or samples.shape[-1] != grid.n + 1:
@@ -259,11 +228,6 @@ def consistency_defect(u: GridFunction):
     """Max over nodes of |u(t_j) - u(0) - int_0^{t_j} u'| (trapezoid)."""
     rebuilt = u.values[..., :1] + cumulative_integral(u.dvalues, u.grid)
     return _first_max(np.max(np.abs(u.values - rebuilt), axis=-1))
-
-
-def monotone_defect(u: GridFunction):
-    """Largest decrease between consecutive node values (0 if non-decreasing)."""
-    return _first_max(0.0, np.max(u.values[..., :-1] - u.values[..., 1:], axis=-1))
 
 
 def random_cone_function(grid: Grid, rng: np.random.Generator, norm=None,

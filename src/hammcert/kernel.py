@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CheckResult, EvaluationError, ShapeError
-from .expr import eval_dominator, eval_kernel_expr, parse
+from .errors import CheckResult, EvaluationError
+from .expr import eval_dominator, eval_kernel_expr, parse_entry
 from .grid import CONE_TOL, Grid, cumulative_integral, integrate, sign_check
 
 
@@ -30,16 +30,15 @@ class Kernel:
     use for each grid and kept for the kernel's lifetime.
     """
 
-    def __init__(self, k, dk, phi=None, psi=None, name: str = "custom"):
+    def __init__(self, k, dk, phi=None, psi=None):
         self.k = k
         self.dk = dk
         self.phi = phi
         self.psi = psi
-        self.name = name
         self._cache: dict[int, dict] = {}
 
     def __repr__(self) -> str:
-        return f"Kernel({self.name!r})"
+        return f"{type(self).__name__}()"
 
     def _grid_data(self, grid: Grid, key: str):
         data = self._cache.setdefault(grid.n, {})
@@ -128,7 +127,6 @@ class FocalKernel(Kernel):
             dk=lambda t, s: np.where(s <= t, 0.0, 1.0),
             phi=lambda s: s,
             psi=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-            name="focal",
         )
 
     def _make_deriv_weights(self, grid: Grid) -> np.ndarray:
@@ -158,15 +156,18 @@ class FocalKernel(Kernel):
 
 def kernel_from_exprs(k_src: str, dk_src: str, phi_src: str | None = None,
                       psi_src: str | None = None) -> Kernel:
-    """Build a Kernel from expression strings in t and s (dominators in s)."""
-    k_ast = parse(k_src, "kernel")
-    dk_ast = parse(dk_src, "kernel")
+    """Build a Kernel from expression strings in t and s (dominators in s).
+
+    A parse error names the problem-file entry, as in ``[kernel] k = '...'``.
+    """
+    k_ast = parse_entry("kernel", "k", k_src, "kernel")
+    dk_ast = parse_entry("kernel", "dk", dk_src, "kernel")
     phi = psi = None
     if phi_src is not None:
-        phi_ast = parse(phi_src, "dominator")
+        phi_ast = parse_entry("kernel", "phi", phi_src, "dominator")
         phi = lambda s: eval_dominator(phi_ast, s)
     if psi_src is not None:
-        psi_ast = parse(psi_src, "dominator")
+        psi_ast = parse_entry("kernel", "psi", psi_src, "dominator")
         psi = lambda s: eval_dominator(psi_ast, s)
     return Kernel(
         k=lambda t, s: eval_kernel_expr(k_ast, t, s),
@@ -184,26 +185,6 @@ def constant_K(kernel: Kernel, grid: Grid) -> float:
 def constant_Kstar(kernel: Kernel, grid: Grid) -> float:
     """K* = sup over t of int_0^1 dk(t,s) ds, taken over grid nodes."""
     return float(np.max(kernel._grid_data(grid, "Kstar_rows")))
-
-
-def _check_row(kernel: Kernel, grid: Grid, F, j: int, which: int) -> float:
-    # Row j of Kernel.integrals, so the focal kernel answers in O(n) too.
-    F = np.asarray(F, dtype=float)
-    if F.shape != (grid.n + 1,):
-        raise ShapeError(f"expected {grid.n + 1} samples, got {F.shape}")
-    if not 0 <= j <= grid.n:
-        raise ShapeError(f"node index {j} out of range for {grid!r}")
-    return float(kernel.integrals(grid, F)[which][j])
-
-
-def apply_kernel_row(kernel: Kernel, grid: Grid, F, j: int) -> float:
-    """int_0^1 k(t_j, s) F(s) ds for node samples F."""
-    return _check_row(kernel, grid, F, j, 0)
-
-
-def apply_dkernel_row(kernel: Kernel, grid: Grid, F, j: int) -> float:
-    """int_0^1 dk(t_j, s) F(s) ds for node samples F."""
-    return _check_row(kernel, grid, F, j, 1)
 
 
 def check_kernel_hypotheses(kernel: Kernel, m: int = 64) -> list[CheckResult]:

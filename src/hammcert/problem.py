@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import BoundSet, LinearGrowthWitness
 from .errors import CheckResult, ParameterError, ProblemFileError
 from .expr import (Expr, eval_coefficient, eval_constant, eval_functional,
-                   eval_nonlinearity, parse)
+                   eval_nonlinearity, parse, parse_entry)
 from .grid import (CONE_TOL, Grid, GridFunction, cone_defect, random_cone_function,
                    sign_check)
 from .kernel import FocalKernel, Kernel, check_kernel_hypotheses, kernel_from_exprs
@@ -69,19 +69,23 @@ def make_spec(kernel: Kernel, gamma1: str, gamma2: str, dgamma1: str, dgamma2: s
               n: int = 256, bounds: BoundSet | None = None,
               witness: LinearGrowthWitness | None = None,
               validate: bool = True) -> ProblemSpec:
-    """Assemble and validate a ProblemSpec from expression strings."""
+    """Assemble and validate a ProblemSpec from expression strings.
+
+    A parse error names the problem-file entry of its string, as in
+    ``[gamma] gamma1 = '...'``.
+    """
     for name, val in (("lambda", lam), ("eta1", eta1), ("eta2", eta2)):
         if val < 0:
             raise ParameterError(f"parameter {name} must be non-negative, got {val}")
     spec = ProblemSpec(
         kernel=kernel,
-        gamma1=parse(gamma1, "coefficient"),
-        gamma2=parse(gamma2, "coefficient"),
-        dgamma1=parse(dgamma1, "coefficient"),
-        dgamma2=parse(dgamma2, "coefficient"),
-        h1=parse(h1, "functional"),
-        h2=parse(h2, "functional"),
-        f=parse(f, "nonlinearity"),
+        gamma1=parse_entry("gamma", "gamma1", gamma1, "coefficient"),
+        gamma2=parse_entry("gamma", "gamma2", gamma2, "coefficient"),
+        dgamma1=parse_entry("gamma", "dgamma1", dgamma1, "coefficient"),
+        dgamma2=parse_entry("gamma", "dgamma2", dgamma2, "coefficient"),
+        h1=parse_entry("functionals", "h1", h1, "functional"),
+        h2=parse_entry("functionals", "h2", h2, "functional"),
+        f=parse_entry("nonlinearity", "f", f, "nonlinearity"),
         lam=float(lam),
         eta1=float(eta1),
         eta2=float(eta2),
@@ -212,44 +216,37 @@ _REQUIRED = {
 
 def load_problem(path: str, n: int = 256, validate: bool = True) -> ProblemSpec:
     """Read a problem file (format in docs/problem-format.md)."""
-    cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh, source=str(path))
+            text = fh.read()
     except OSError as exc:
         raise ProblemFileError(f"cannot read problem file {path}: {exc}") from exc
-    except (configparser.Error, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise ProblemFileError(f"{path}: {exc}") from exc
-    return _spec_from_config(cp, path, n=n, validate=validate)
+    return _spec_from_text(text, path, n, validate)
 
 
 def loads_problem(text: str, n: int = 256, validate: bool = True) -> ProblemSpec:
     """Parse a problem declaration from a string (tests, docs examples)."""
-    cp = configparser.ConfigParser(interpolation=None)
+    return _spec_from_text(text, "<string>", n, validate)
+
+
+def _spec_from_text(text: str, path, n: int, validate: bool) -> ProblemSpec:
+    # An inline comment starts at a '#' or ';' after whitespace; no
+    # expression contains either character.
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
-        cp.read_string(text)
+        cp.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ProblemFileError(f"<string>: {exc}") from exc
-    return _spec_from_config(cp, "<string>", n=n, validate=validate)
-
-
-def _spec_from_config(cp: configparser.ConfigParser, path, n: int, validate: bool) -> ProblemSpec:
+        raise ProblemFileError(f"{path}: {exc}") from exc
     for section, keys in _REQUIRED.items():
         if not cp.has_section(section):
             raise ProblemFileError(f"{path}: missing [{section}] section")
         for key in keys:
             if not cp.has_option(section, key):
                 raise ProblemFileError(f"{path}: missing key {key!r} in [{section}]")
-
-    def const(section: str, key: str) -> float:
-        src = cp.get(section, key)
-        try:
-            return eval_constant(parse(src, "constant"))
-        except Exception as exc:
-            raise ProblemFileError(f"{path}: [{section}] {key} = {src!r}: {exc}") from exc
-
-    kernel = _kernel_from_config(cp, path)
     try:
+        kernel = _kernel_from_config(cp, path)
         bounds, witness = _bounds_from_config(cp, path)
         return make_spec(
             kernel,
@@ -260,9 +257,9 @@ def _spec_from_config(cp: configparser.ConfigParser, path, n: int, validate: boo
             h1=cp.get("functionals", "h1"),
             h2=cp.get("functionals", "h2"),
             f=cp.get("nonlinearity", "f"),
-            lam=const("parameters", "lambda"),
-            eta1=const("parameters", "eta1"),
-            eta2=const("parameters", "eta2"),
+            lam=_constant(cp, path, "parameters", "lambda"),
+            eta1=_constant(cp, path, "parameters", "eta1"),
+            eta2=_constant(cp, path, "parameters", "eta2"),
             n=n,
             bounds=bounds,
             witness=witness,
@@ -276,6 +273,14 @@ def _spec_from_config(cp: configparser.ConfigParser, path, n: int, validate: boo
         raise ProblemFileError(f"{path}: {exc}") from exc
 
 
+def _constant(cp: configparser.ConfigParser, path, section: str, key: str) -> float:
+    src = cp.get(section, key)
+    try:
+        return eval_constant(parse(src, "constant"))
+    except Exception as exc:
+        raise ProblemFileError(f"{path}: [{section}] {key} = {src!r}: {exc}") from exc
+
+
 def _kernel_from_config(cp: configparser.ConfigParser, path) -> Kernel:
     if not cp.has_section("kernel"):
         raise ProblemFileError(f"{path}: missing [kernel] section")
@@ -286,31 +291,17 @@ def _kernel_from_config(cp: configparser.ConfigParser, path) -> Kernel:
         return FocalKernel()
     if not (cp.has_option("kernel", "k") and cp.has_option("kernel", "dk")):
         raise ProblemFileError(f"{path}: [kernel] needs either name=focal or both k and dk")
-    try:
-        return kernel_from_exprs(
-            cp.get("kernel", "k"),
-            cp.get("kernel", "dk"),
-            cp.get("kernel", "phi", fallback=None),
-            cp.get("kernel", "psi", fallback=None),
-        )
-    except Exception as exc:
-        raise ProblemFileError(f"{path}: [kernel]: {exc}") from exc
+    return kernel_from_exprs(cp.get("kernel", "k"), cp.get("kernel", "dk"),
+                             cp.get("kernel", "phi", fallback=None),
+                             cp.get("kernel", "psi", fallback=None))
 
 
 def _bounds_from_config(cp, path) -> tuple[BoundSet | None, LinearGrowthWitness | None]:
     if not cp.has_section("bounds"):
         return None, None
     sec = cp["bounds"]
-
-    def bound_expr(key: str) -> Expr | None:
-        if key not in sec:
-            return None
-        try:
-            return parse(sec[key], "bound")
-        except Exception as exc:
-            raise ProblemFileError(f"{path}: [bounds] {key} = {sec[key]!r}: {exc}") from exc
-
-    entries = {key: bound_expr(key) for key in ("f_upper", "f_lower", "h1", "h2")}
+    entries = {key: parse_entry("bounds", key, sec[key], "bound") if key in sec else None
+               for key in ("f_upper", "f_lower", "h1", "h2")}
     bounds = None
     if any(e is not None for e in entries.values()):
         bounds = BoundSet(**entries)
@@ -323,13 +314,8 @@ def _bounds_from_config(cp, path) -> tuple[BoundSet | None, LinearGrowthWitness 
                 f"{path}: [bounds] declares {witness_keys} but a witness needs tau, xi1 and xi2"
             )
         try:
-            witness = LinearGrowthWitness(
-                tau=eval_constant(parse(sec["tau"], "constant")),
-                xi1=eval_constant(parse(sec["xi1"], "constant")),
-                xi2=eval_constant(parse(sec["xi2"], "constant")),
-            )
-        except ProblemFileError:
-            raise
-        except Exception as exc:
+            witness = LinearGrowthWitness(*(_constant(cp, path, "bounds", key)
+                                            for key in witness_keys))
+        except ParameterError as exc:
             raise ProblemFileError(f"{path}: [bounds] witness: {exc}") from exc
     return bounds, witness

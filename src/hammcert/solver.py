@@ -170,10 +170,6 @@ class VerificationReport:
     consistency_defect: float
     in_annulus: bool | None
 
-    @property
-    def is_fixed_point(self) -> bool:
-        return self.residual <= TOL_FIXPOINT
-
 
 def verify_solution(spec: ProblemSpec, u: GridFunction, r: float | None = None,
                     R: float | None = None) -> VerificationReport:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundSet, LinearGrowthWitness
-from .certificate import entries_rigor, existence_terms, growth_lhs
+from .certificate import existence_terms, growth_lhs
 from .errors import ParameterError
 from .problem import ProblemSpec
 
@@ -59,7 +59,7 @@ def run_sweep(spec: ProblemSpec, lam_values, eta1_values, eta2_values,
     """
     axes = [np.asarray(v, dtype=float) for v in (lam_values, eta1_values, eta2_values)]
     lam, eta1, eta2 = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-    entries, value, deriv, idx0, upper, lower, exists = existence_terms(
+    _, rigor, value, deriv, idx0, upper, lower, exists = existence_terms(
         spec, bounds, r, R, lam, eta1, eta2)
     if witness is None:
         nonexists = np.zeros(lam.shape, dtype=bool)
@@ -70,7 +70,6 @@ def run_sweep(spec: ProblemSpec, lam_values, eta1_values, eta2_values,
         nonexistence_lhs = lhs.tolist()
     classes = np.select([exists & nonexists, exists, nonexists],
                         ["conflict", "existence", "nonexistence"], "both-fail")
-    rigor = entries_rigor(entries)
     return [SweepCell(*row, rigor=rigor) for row in zip(
         lam.tolist(), eta1.tolist(), eta2.tolist(), classes.tolist(), value.tolist(),
         deriv.tolist(), idx0.tolist(), upper.tolist(), lower.tolist(), nonexistence_lhs)]

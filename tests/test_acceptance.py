@@ -17,11 +17,13 @@ from hammcert.bounds import (LinearGrowthWitness, estimate_f_extrema,
 from hammcert.certificate import check_existence, check_nonexistence
 from hammcert.expr import eval_functional, eval_nonlinearity, parse, to_source
 from hammcert.grid import (CONE_TOL, Grid, cone_defect, consistency_defect,
-                           consistency_tol, random_cone_function)
+                           random_cone_function)
 from hammcert.kernel import FocalKernel, constant_K, constant_Kstar
 from hammcert.problem import apply_T
 from hammcert.solver import multistart_solve
 from hammcert.sweep import axis_values, conflict_cells, run_sweep
+
+from grid_checks import consistency_tol
 
 E2 = math.exp(2.0)
 

@@ -165,7 +165,7 @@ class TestBoundSet:
         assert fu.value == pytest.approx(fu.raw * 1.05)
         assert fl.value == pytest.approx(fl.raw * 0.95)
         assert fu.value >= fl.value
-        assert b.seed == 0
+        assert h1.raw == estimate_H(example1, 1, 1.0, samples=20, seed=0)
 
     def test_inflation_widens_negative_estimates(self):
         # f = u - 2 is negative on the whole box at rho = 1, and so is h1

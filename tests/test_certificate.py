@@ -8,8 +8,8 @@ from hammcert.bounds import BoundSet, LinearGrowthWitness
 from hammcert.certificate import check_existence, check_nonexistence
 from hammcert.errors import IncompleteBoundsError, ParameterError
 from hammcert.expr import parse
-from hammcert.kernel import FocalKernel
-from hammcert.problem import make_spec
+from hammcert.kernel import FocalKernel, constant_K, constant_Kstar
+from hammcert.problem import loads_problem, make_spec
 
 E2 = math.exp(2.0)
 R_EX1 = 1.0
@@ -70,6 +70,29 @@ class TestRigorPropagation:
         assert cert.h2_R.rigor == "heuristic"
         assert cert.rigor == "heuristic"
         assert cert.verdict in ("heuristic-pass", "fail")
+
+    def test_quadrature_kernel_constants_are_heuristic(self, quadrature_spec):
+        spec = quadrature_spec
+        assert constant_K(spec.kernel, spec.grid) == constant_Kstar(spec.kernel, spec.grid) \
+            == 0.33333587646484375
+        cert = check_existence(spec, spec.bounds, 0.1000003, 1.0)
+        assert cert.lhs_idx0 >= cert.r  # passes on the quadrature constants only
+        assert {e.rigor for e in (cert.f_upper_R, cert.f_lower_r, cert.h1_R, cert.h2_R)} \
+            == {"certified"}
+        assert (cert.verdict, cert.rigor) == ("heuristic-pass", "heuristic")
+
+    def test_node_maximum_of_t_dependent_dgamma_is_heuristic(self, example1_path):
+        with open(example1_path, encoding="utf-8") as fh:
+            text = fh.read()
+        for old, new in (("gamma2 = t\n", "gamma2 = t + (1 - cos(7*t))/7\n"),
+                         ("dgamma2 = 1\n", "dgamma2 = 1 + sin(7*t)\n"),
+                         ("eta2 = 1/12\n", "eta2 = 1/24\n")):
+            assert old in text
+            text = text.replace(old, new)
+        spec = loads_problem(text)
+        assert spec.dgamma2_sup < 2.0  # the nodes miss the supremum 2 of 1 + sin(7t)
+        cert = check_existence(spec, spec.bounds, r_EX1, R_EX1)
+        assert (cert.verdict, cert.rigor) == ("heuristic-pass", "heuristic")
 
 
 class TestExistenceStructure:

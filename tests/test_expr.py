@@ -75,6 +75,13 @@ class TestParsing:
         with pytest.raises(ExprError):
             parse("1 ? 2", "constant")
 
+    @pytest.mark.parametrize("src", ["²", "٣"])
+    def test_numbers_are_ascii_decimals(self, src):
+        # str.isdigit() takes both: '²' crashed float(), '٣' read as 3.0
+        with pytest.raises(ExprError) as err:
+            parse(src, "constant")
+        assert err.value.pos == 0
+
     def test_unknown_function(self):
         with pytest.raises(ExprError):
             parse("tan(t)", "coefficient")

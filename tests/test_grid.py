@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hammcert.errors import DomainError, ParameterError, ShapeError
+from hammcert.expr import eval_functional, parse
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm,
-                           cone_defect, consistency_defect,
-                           cumulative_integral, eval_at, eval_deriv_at,
-                           in_cone, integrate, integrate_tail,
-                           random_cone_function)
+                           cone_defect, consistency_defect, cumulative_integral,
+                           in_cone, integrate, integrate_tail, random_cone_function)
 
 
 def quad_function(n: int) -> GridFunction:
@@ -36,12 +35,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.nodes[0] = 1.0
 
-    def test_index_of(self):
-        g = Grid(8)
-        assert g.index_of(0.25) == 2
-        with pytest.raises(DomainError):
-            g.index_of(0.3)
-
 
 class TestNorm:
     def test_zero(self):
@@ -64,33 +57,38 @@ class TestNorm:
             c1_distance(GridFunction.zero(Grid(4)), GridFunction.zero(Grid(8)))
 
 
+def value_at(u: GridFunction, a, atom: str = "U") -> float:
+    """u(a) (or u'(a) with atom "DU") through the functional atom."""
+    return eval_functional(parse(f"{atom}({float(a)!r})", "functional"), u)
+
+
 class TestEval:
     def test_node_value(self):
         u = GridFunction.ramp(Grid(4), 1.0)
-        assert eval_at(u, 0.25) == 0.25
+        assert value_at(u, 0.25) == 0.25
 
     def test_linear_reproduced(self):
         u = GridFunction.ramp(Grid(4), 1.0)
-        assert eval_at(u, 0.3) == pytest.approx(0.3, abs=1e-15)
-        assert eval_deriv_at(u, 0.3) == 1.0
+        assert value_at(u, 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert value_at(u, 0.3, "DU") == 1.0
 
     def test_quadratic_interpolation_error(self):
         u = quad_function(100)
-        assert eval_at(u, 0.5) == pytest.approx(0.25, abs=1e-4)
+        assert value_at(u, 0.5) == pytest.approx(0.25, abs=1e-4)
 
     def test_exact_at_every_node(self):
         rng = np.random.default_rng(3)
         g = Grid(17)
         u = GridFunction(g, rng.random(18), rng.random(18))
         for j in range(18):
-            assert eval_at(u, g.nodes[j]) == u.values[j]
-            assert eval_deriv_at(u, g.nodes[j]) == u.dvalues[j]
+            assert value_at(u, g.nodes[j]) == u.values[j]
+            assert value_at(u, g.nodes[j], "DU") == u.dvalues[j]
 
     @pytest.mark.parametrize("a", [-0.1, 1.1, 2.0])
     def test_outside_domain(self, a):
         u = GridFunction.zero(Grid(4))
         with pytest.raises(DomainError):
-            eval_at(u, a)
+            value_at(u, a)
 
 
 class TestQuadrature:

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from hammcert.errors import EvaluationError, ShapeError
 from hammcert.grid import Grid, integrate_tail
-from hammcert.kernel import (FocalKernel, Kernel, apply_dkernel_row,
-                             apply_kernel_row, check_kernel_hypotheses,
+from hammcert.kernel import (FocalKernel, Kernel, check_kernel_hypotheses,
                              constant_K, constant_Kstar, kernel_from_exprs)
 
 
@@ -45,9 +44,9 @@ class TestGenericConstants:
         k = kernel_from_exprs("t*s", "s*(1 - t/2)")
         g = Grid(40)
         kstar = constant_Kstar(k, g)
-        ones = np.ones(g.n + 1)
+        drows = k.integrals(g, np.ones(g.n + 1))[1]
         for j in range(0, g.n + 1, 5):
-            assert apply_dkernel_row(k, g, ones, j) <= kstar + 1e-15
+            assert drows[j] <= kstar + 1e-15
 
     def test_broken_kernel_raises(self):
         k = Kernel(k=lambda t, s: 1.0 / (s - s), dk=lambda t, s: s * 0.0)
@@ -58,28 +57,28 @@ class TestGenericConstants:
 class TestRows:
     def test_focal_row_at_one(self, focal):
         g = Grid(64)
-        assert apply_kernel_row(focal, g, np.ones(65), 64) == pytest.approx(0.5, abs=1e-12)
+        assert focal.integrals(g, np.ones(65))[0][64] == pytest.approx(0.5, abs=1e-12)
 
     def test_focal_row_at_zero(self, focal):
         g = Grid(64)
-        assert apply_kernel_row(focal, g, np.ones(65), 0) == 0.0
+        assert focal.integrals(g, np.ones(65))[0][0] == 0.0
 
     def test_focal_deriv_row_quarter(self, focal):
         g = Grid(8)
-        assert apply_dkernel_row(focal, g, np.ones(9), 2) == pytest.approx(0.75, abs=1e-12)
+        assert focal.integrals(g, np.ones(9))[1][2] == pytest.approx(0.75, abs=1e-12)
 
     def test_focal_deriv_row_is_tail_integral(self, focal):
         g = Grid(32)
         F = np.exp(g.nodes)
+        drows = focal.integrals(g, F)[1]
         for j in (0, 7, 16, 32):
-            assert apply_dkernel_row(focal, g, F, j) == pytest.approx(
-                integrate_tail(F, g, j), abs=1e-14)
+            assert drows[j] == pytest.approx(integrate_tail(F, g, j), abs=1e-14)
 
     def test_focal_rows_nondecreasing_in_t(self, focal):
         g = Grid(32)
         rng = np.random.default_rng(5)
         F = rng.random(33)
-        rows = [apply_kernel_row(focal, g, F, j) for j in range(33)]
+        rows = focal.integrals(g, F)[0].tolist()
         assert all(b >= a - 1e-15 for a, b in zip(rows, rows[1:]))
 
     def test_rows_nonnegative_for_cone_input(self, focal):
@@ -87,16 +86,18 @@ class TestRows:
         rng = np.random.default_rng(11)
         F = rng.random(17)
         for kern in (focal, kernel_from_exprs("t*s", "s")):
+            rows, drows = kern.integrals(g, F)
             for j in (0, 8, 16):
-                assert apply_kernel_row(kern, g, F, j) >= 0.0
-                assert apply_dkernel_row(kern, g, F, j) >= 0.0
+                assert rows[j] >= 0.0
+                assert drows[j] >= 0.0
 
     def test_shape_and_index_errors(self, focal):
+        # the focal derivative row is the tail integral, which checks both
         g = Grid(8)
         with pytest.raises(ShapeError):
-            apply_kernel_row(focal, g, np.ones(8), 0)
+            integrate_tail(np.ones(8), g, 0)
         with pytest.raises(ShapeError):
-            apply_dkernel_row(focal, g, np.ones(9), 9)
+            integrate_tail(np.ones(9), g, 9)
 
 
 class TestIntegrals:
@@ -118,8 +119,8 @@ class TestIntegrals:
         assert focal._cache.get(64, {}).keys().isdisjoint({"value_weights", "deriv_weights"})
         g = Grid(2048)
         F = np.random.default_rng(0).random(2049)
-        row = apply_kernel_row(focal, g, F, 700)
-        drow = apply_dkernel_row(focal, g, F, 700)
+        rows, drows = focal.integrals(g, F)
+        row, drow = rows[700], drows[700]
         assert focal._cache.get(2048, {}).keys().isdisjoint({"value_weights", "deriv_weights"})
         assert row == pytest.approx(focal.value_weight_matrix(g)[700] @ F, rel=1e-13)
         assert drow == pytest.approx(focal.deriv_weight_matrix(g)[700] @ F, rel=1e-13)

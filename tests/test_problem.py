@@ -1,19 +1,25 @@
 import math
+import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hammcert.problem
+from hammcert.bounds import LinearGrowthWitness
 from hammcert.errors import EvaluationError, ParameterError, ProblemFileError
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, cone_defect,
-                           consistency_defect, consistency_tol, in_cone,
-                           random_cone_function)
+                           consistency_defect, in_cone, random_cone_function)
 from hammcert.certificate import check_existence
 from hammcert.expr import eval_coefficient, eval_functional, eval_nonlinearity, parse
-from hammcert.kernel import FocalKernel, kernel_from_exprs
+from hammcert.kernel import FocalKernel, Kernel, kernel_from_exprs
 from hammcert.problem import (ProblemSpec, apply_T, load_problem, loads_problem,
                               make_spec, validate_spec)
+
+from grid_checks import consistency_tol
+
+DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "problem-format.md"
 
 ZERO_PROBLEM = """
 [kernel]
@@ -46,7 +52,11 @@ class TestLoading:
         assert example1.eta2 == pytest.approx(1 / 12)
         assert example1.grid.n == 256
         assert example1.warnings == ()
-        assert example1.bounds is not None and example1.bounds.declared_complete
+        # every slot declared: resolving each needs no sampler
+        b = example1.bounds
+        assert b is not None
+        assert {e.rigor for e in (b.f_upper(1.0), b.f_lower(1.0), b.h_upper(1, 1.0),
+                                  b.h_upper(2, 1.0))} == {"certified"}
 
     def test_example2_witness(self, example2):
         assert example2.witness is not None
@@ -72,8 +82,41 @@ class TestLoading:
 
     def test_bad_expression_names_key(self):
         text = ZERO_PROBLEM.replace("f = u", "f = u +")
-        with pytest.raises(ProblemFileError):
+        with pytest.raises(ProblemFileError, match=r"^<string>: \[nonlinearity\] f = 'u \+': "):
             loads_problem(text)
+
+    @pytest.mark.parametrize("old, new, entry", [
+        ("name = focal", "k = t*\ndk = s", "[kernel] k = 't*'"),
+        ("name = focal", "k = t*s\ndk = s\npsi = t", "[kernel] psi = 't'"),
+        ("gamma2 = t", "gamma2 = exp(", "[gamma] gamma2 = 'exp('"),
+        ("h2 = DU(0)", "h2 = DU(s)", "[functionals] h2 = 'DU(s)'"),
+        ("f = u", "f = exp(", "[nonlinearity] f = 'exp('"),
+        ("eta1 = 0", "eta1 = t", "[parameters] eta1 = 't'"),
+        ("eta2 = 0", "eta2 = 0\n[bounds]\nf_upper = exp(2*rho", "[bounds] f_upper = 'exp(2*rho'"),
+        ("eta2 = 0", "eta2 = 0\n[bounds]\ntau = 1\nxi1 = 1/\nxi2 = 1", "[bounds] xi1 = '1/'"),
+    ])
+    def test_expression_error_names_its_entry(self, old, new, entry):
+        with pytest.raises(ProblemFileError, match=r"^<string>: " + re.escape(entry) + ": "):
+            loads_problem(ZERO_PROBLEM.replace(old, new))
+
+    @pytest.mark.parametrize("kernel", ["focal", "expressions"])
+    def test_documented_examples_load_with_inline_comments(self, kernel):
+        # The indented example lines under each [section] heading of the
+        # format doc, inline comments included, make one problem file.
+        doc = DOC.read_text(encoding="utf-8")
+        lines = []
+        for line in doc[doc.index("## Sections"):doc.index("## Expression language")].splitlines():
+            heading = re.match(r"### `(\[\w+\])`", line)
+            if heading:
+                lines.append(heading.group(1))
+            elif line.startswith("    ") and not (kernel == "expressions" and "name =" in line):
+                lines.append(line.strip())
+        assert any("#" in line for line in lines)
+        spec = loads_problem("\n".join(lines))
+        assert type(spec.kernel) is (FocalKernel if kernel == "focal" else Kernel)
+        assert spec.warnings == ()
+        assert spec.bounds.f_lower(1.0).value == 1.0
+        assert spec.witness == LinearGrowthWitness(tau=3.0, xi1=1.0, xi2=1.0)
 
     def test_unknown_builtin_kernel(self):
         text = ZERO_PROBLEM.replace("name = focal", "name = dirichlet")
@@ -83,7 +126,7 @@ class TestLoading:
     def test_expression_kernel(self):
         text = ZERO_PROBLEM.replace("name = focal", "k = t*s\ndk = s")
         spec = loads_problem(text)
-        assert spec.kernel.name == "custom"
+        assert type(spec.kernel) is Kernel
 
     def test_expression_kernel_with_dominators(self):
         text = ZERO_PROBLEM.replace("name = focal", "k = t*s\ndk = s\nphi = s\npsi = 1")

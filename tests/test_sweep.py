@@ -111,12 +111,16 @@ class TestScalarReference:
             assert repr(cell) == repr(expected)  # same types and signed zeros too
         return cells
 
-    def test_cells_equal_scalar_certificates(self, example1, example2):
+    def test_cells_equal_scalar_certificates(self, example1, example2, quadrature_spec):
         cells = self._assert_cells_match(example2, axis_values(0.0, 1.0, 20),
                                          example2.bounds, example2.witness)
         assert {c.classification for c in cells} == {"nonexistence", "both-fail"}
         sampled = BoundSet().with_sampler(example1, m=16, samples=20, seed=0)
         cells = self._assert_cells_match(example1, axis_values(0.0, 1.0, 8), sampled, None)
+        assert {c.rigor for c in cells} == {"heuristic"}
+        # declared bounds, but K and K* come from quadrature
+        cells = self._assert_cells_match(quadrature_spec, axis_values(0.0, 1.0, 4),
+                                         quadrature_spec.bounds, None)
         assert {c.rigor for c in cells} == {"heuristic"}
 
 
