@@ -21,27 +21,34 @@ floating-point operations as a single certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bounds import BoundEntry, BoundSet, LinearGrowthWitness
 from .errors import ParameterError
 from .expr import variables
-from .kernel import FocalKernel, constant_K, constant_Kstar
+from .kernel import constant_K, constant_Kstar
 from .problem import ProblemSpec
 
 
 @dataclass(frozen=True)
 class ExistenceCertificate:
+    """The annulus certificate at radii (r, R).
+
+    Each left-hand side, margin and ``passed`` is a float (bool) at one
+    parameter point, or an array of the parameters' shape on a lattice.
+    """
     r: float
     R: float
+    K: float
+    Kstar: float
     lhs_value_branch: float
     lhs_deriv_branch: float
     lhs_idx0: float
     upper_margin: float  # R - max(branches)
     lower_margin: float  # lhs_idx0 - r
-    verdict: str  # 'certified' | 'heuristic-pass' | 'fail'
+    passed: bool  # max(branches) <= R and lhs_idx0 >= r
     rigor: str  # 'certified' | 'heuristic', as _existence_rigor decides
     f_upper_R: BoundEntry
     f_lower_r: BoundEntry
@@ -49,14 +56,18 @@ class ExistenceCertificate:
     h2_R: BoundEntry
 
     @property
-    def passed(self) -> bool:
-        return self.verdict != "fail"
+    def verdict(self) -> str:
+        """'certified' | 'heuristic-pass' | 'fail', at one parameter point."""
+        if not self.passed:
+            return "fail"
+        return "certified" if self.rigor == "certified" else "heuristic-pass"
 
 
 @dataclass(frozen=True)
 class NonexistenceCertificate:
-    lhs: float
+    lhs: float  # or an array of the parameters' shape on a lattice
     witness: LinearGrowthWitness
+    rigor: str  # 'certified' when K is exact, else 'heuristic'
 
     @property
     def passed(self) -> bool:
@@ -67,14 +78,13 @@ class NonexistenceCertificate:
         return 1.0 - self.lhs
 
 
-def existence_terms(spec: ProblemSpec, bounds: BoundSet, r: float, R: float, lam, eta1, eta2):
+def existence_terms(spec: ProblemSpec, bounds: BoundSet, r: float, R: float,
+                    lam, eta1, eta2) -> ExistenceCertificate:
     """The annulus certificate at radii 0 < r < R, elementwise in the parameters.
 
-    lam, eta1 and eta2 are floats or equal-shape arrays.  Returns the four
-    bound entries and their rigor (_existence_rigor), then the value branch,
-    derivative branch, idx0 value, upper and lower margins and the pass
-    test, each of the parameters' shape.  Scalar and array evaluations do
-    the same float operations in the same order, so they agree bit for bit.
+    lam, eta1 and eta2 are floats or equal-shape arrays.  Scalar and array
+    evaluations do the same float operations in the same order, so they
+    agree bit for bit.
     """
     if not 0 < r < R:
         raise ParameterError(f"need 0 < r < R, got r={r}, R={R}")
@@ -86,61 +96,45 @@ def existence_terms(spec: ProblemSpec, bounds: BoundSet, r: float, R: float, lam
     deriv = lam * f_up * Kstar + eta1 * spec.dgamma1_sup * h1 + eta2 * spec.dgamma2_sup * h2
     idx0 = lam * f_low * min(K, Kstar)
     top = np.where(deriv > value, deriv, value)  # picks what max(value, deriv) picks
-    return (entries, _existence_rigor(spec, entries), value, deriv, idx0, R - top, idx0 - r,
-            (top <= R) & (idx0 >= r))
+    return ExistenceCertificate(r, R, K, Kstar, value, deriv, idx0, R - top, idx0 - r,
+                                (top <= R) & (idx0 >= r), _existence_rigor(spec, entries),
+                                *entries)
 
 
 def _existence_rigor(spec: ProblemSpec, entries) -> str:
     """'certified' when every bound entry is and every constant is exact,
     else 'heuristic'.
 
-    K and K* are exact for the focal kernel only; a custom kernel's come
-    from quadrature and a maximum over the nodes.  ||gamma_i'|| is the
-    maximum over the nodes, which is the supremum when gamma_i' is free of t.
+    K and K* are exact for an exact kernel only (Kernel.exact).
+    ||gamma_i'|| is the maximum over the nodes, which is the supremum when
+    gamma_i' is free of t.
     """
-    exact = (isinstance(spec.kernel, FocalKernel)
-             and not variables(spec.dgamma1) and not variables(spec.dgamma2))
+    exact = spec.kernel.exact and not variables(spec.dgamma1) and not variables(spec.dgamma2)
     certified = exact and all(e.rigor == "certified" for e in entries)
     return "certified" if certified else "heuristic"
 
 
-def growth_lhs(spec: ProblemSpec, witness: LinearGrowthWitness, lam, eta1, eta2):
-    """Left-hand side of the non-existence certificate, elementwise in the parameters."""
+def nonexistence_terms(spec: ProblemSpec, witness: LinearGrowthWitness,
+                       lam, eta1, eta2) -> NonexistenceCertificate:
+    """The linear-growth certificate, elementwise in the parameters.
+
+    The witness is declared and gamma_i(1) is a point sample, so K alone
+    decides the rigor.
+    """
     K = constant_K(spec.kernel, spec.grid)
-    return (lam * witness.tau * K
-            + eta1 * witness.xi1 * spec.gamma1_at_1
-            + eta2 * witness.xi2 * spec.gamma2_at_1)
+    lhs = (lam * witness.tau * K
+           + eta1 * witness.xi1 * spec.gamma1_at_1
+           + eta2 * witness.xi2 * spec.gamma2_at_1)
+    return NonexistenceCertificate(lhs, witness, "certified" if spec.kernel.exact else "heuristic")
 
 
 def check_existence(spec: ProblemSpec, bounds: BoundSet, r: float, R: float) -> ExistenceCertificate:
     """Evaluate the annulus certificate at radii 0 < r < R."""
-    entries, rigor, value, deriv, idx0, upper, lower, ok = existence_terms(
-        spec, bounds, r, R, spec.lam, spec.eta1, spec.eta2)
-    if not ok:
-        verdict = "fail"
-    elif rigor == "certified":
-        verdict = "certified"
-    else:
-        verdict = "heuristic-pass"
-    f_up, f_low, h1, h2 = entries
-    return ExistenceCertificate(
-        r=r,
-        R=R,
-        lhs_value_branch=value,
-        lhs_deriv_branch=deriv,
-        lhs_idx0=idx0,
-        upper_margin=float(upper),  # np.where made it a 0-d array
-        lower_margin=lower,
-        verdict=verdict,
-        rigor=rigor,
-        f_upper_R=f_up,
-        f_lower_r=f_low,
-        h1_R=h1,
-        h2_R=h2,
-    )
+    cert = existence_terms(spec, bounds, r, R, spec.lam, spec.eta1, spec.eta2)
+    # np.where made the upper margin and the pass test 0-d
+    return replace(cert, upper_margin=float(cert.upper_margin), passed=bool(cert.passed))
 
 
 def check_nonexistence(spec: ProblemSpec, witness: LinearGrowthWitness) -> NonexistenceCertificate:
     """Evaluate the linear-growth certificate; caller vets the witness first."""
-    return NonexistenceCertificate(lhs=growth_lhs(spec, witness, spec.lam, spec.eta1, spec.eta2),
-                                   witness=witness)
+    return nonexistence_terms(spec, witness, spec.lam, spec.eta1, spec.eta2)

@@ -15,7 +15,6 @@ import time
 from .bounds import BoundSet, falsify_linear_growth
 from .certificate import check_existence, check_nonexistence
 from .errors import HammcertError, ParameterError, ProblemFileError
-from .kernel import constant_K, constant_Kstar
 from .problem import load_problem, validate_spec
 from .solver import multistart_solve
 from .sweep import axis_values, conflict_cells, run_sweep
@@ -130,11 +129,9 @@ def _bounds_for(spec, args) -> BoundSet:
 def _cmd_certify_existence(args) -> int:
     spec = _load(args)
     cert = check_existence(spec, _bounds_for(spec, args), args.r, args.R)
-    K = constant_K(spec.kernel, spec.grid)
-    Kstar = constant_Kstar(spec.kernel, spec.grid)
     print(f"existence certificate for {args.problem}")
     print(f"  parameters: lambda={spec.lam!r}, eta1={spec.eta1!r}, eta2={spec.eta2!r}")
-    print(f"  annulus: r={cert.r!r}, R={cert.R!r}; kernel constants K={K!r}, K*={Kstar!r}")
+    print(f"  annulus: r={cert.r!r}, R={cert.R!r}; kernel constants K={cert.K!r}, K*={cert.Kstar!r}")
     print(f"  value branch: {cert.lhs_value_branch!r} (needs <= R)")
     print(f"  deriv branch: {cert.lhs_deriv_branch!r} (needs <= R)")
     print(f"  idx0 value:   {cert.lhs_idx0!r} (needs >= r)")
@@ -154,8 +151,8 @@ def _cmd_certify_existence(args) -> int:
         "idx0_value": cert.lhs_idx0,
         "upper_margin": cert.upper_margin,
         "lower_margin": cert.lower_margin,
-        "K": K,
-        "Kstar": Kstar,
+        "K": cert.K,
+        "Kstar": cert.Kstar,
         "f_upper_R": cert.f_upper_R.value,
         "f_upper_R_raw": cert.f_upper_R.raw,
         "f_upper_R_rigor": cert.f_upper_R.rigor,
@@ -209,10 +206,11 @@ def _cmd_certify_nonexistence(args) -> int:
     print(f"  witness: tau={spec.witness.tau!r}, xi1={spec.witness.xi1!r}, xi2={spec.witness.xi2!r}")
     print(f"  falsification: {falsification} ({detail})")
     print(f"  lhs = {cert.lhs!r} (needs < 1, strict); margin = {cert.margin!r}")
-    print(f"  verdict: {'PASS' if cert.passed else 'FAIL'}")
+    print(f"  verdict: {'PASS' if cert.passed else 'FAIL'} (rigor: {cert.rigor})")
     record = _record(args, spec, {
         "verdict": "pass" if cert.passed else "fail",
         "passed": cert.passed,
+        "rigor": cert.rigor,
         "lhs": cert.lhs,
         "margin": cert.margin,
         "tau": spec.witness.tau,
@@ -240,19 +238,20 @@ def _cmd_solve(args) -> int:
     r, R = _annulus_args(args)
     started = time.perf_counter()
     results = multistart_solve(spec, starts=args.starts, seed=args.seed,
-                               tol=args.tol, max_iter=args.max_iter, r=r, R=R)
+                               tol=args.tol, max_iter=args.max_iter)
     elapsed = time.perf_counter() - started
+
+    def inside(res) -> bool | None:  # r <= norm <= R; None without --r/--R
+        return None if r is None else r <= res.norm <= R
+
     print(f"solve {args.problem}: {len(results)} distinct results "
           f"from {args.starts} starts in {elapsed:.2f}s")
     for res in results:
-        annulus = "-" if res.in_annulus is None else ("yes" if res.in_annulus else "no")
+        annulus = {None: "-", True: "yes", False: "no"}[inside(res)]
         print(f"  {res.status:<14} norm={res.norm:<12.6g} residual={res.residual:<10.3g} "
               f"iterations={res.iterations:<6} cone={'ok' if res.cone_ok else 'VIOLATED'} "
               f"annulus={annulus}")
-    if r is not None:
-        candidates = [x for x in results if x.converged and x.in_annulus]
-    else:
-        candidates = [x for x in results if x.converged]
+    candidates = [x for x in results if x.converged and inside(x) is not False]
     best = max(candidates, key=lambda x: x.norm) if candidates else None
     record = _record(args, spec, {
         "starts": args.starts,
@@ -270,7 +269,7 @@ def _cmd_solve(args) -> int:
             "residual": best.residual,
             "iterations": best.iterations,
             "cone_ok": best.cone_ok,
-            "in_annulus": best.in_annulus,
+            "in_annulus": inside(best),
         })
         print(f"selected solution: norm={best.norm!r}, residual={best.residual!r}")
     else:

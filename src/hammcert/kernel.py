@@ -30,6 +30,8 @@ class Kernel:
     use for each grid and kept for the kernel's lifetime.
     """
 
+    exact = False  # whether K and K* are the true constants, not estimates
+
     def __init__(self, k, dk, phi=None, psi=None):
         self.k = k
         self.dk = dk
@@ -120,6 +122,8 @@ class FocalKernel(Kernel):
     the trapezoid rule on node-aligned pieces reproduces 1/2 and 1 - t_j
     in exact arithmetic, so the closed forms are used directly.
     """
+
+    exact = True
 
     def __init__(self):
         super().__init__(

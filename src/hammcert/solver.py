@@ -1,4 +1,4 @@
-"""Fixed points of T by Picard iteration, with cone and annulus checks.
+"""Fixed points of T by Picard iteration, with cone checks.
 
 Successive substitution is the only solve primitive: the operator is
 positive on the cone and, at the feasible parameters the certificates
@@ -32,28 +32,18 @@ class SolveResult:
     residual: float  # c1_norm(u - Tu) for the returned u (stale if diverged)
     norm: float
     cone_ok: bool
-    in_annulus: bool | None  # set when (r, R) were supplied
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
 
 
-def _annulus(norm: float, r: float | None, R: float | None) -> bool | None:
-    if r is None or R is None:
-        return None
-    return r <= norm <= R
+def _result(status: str, u: GridFunction, iterations: int, residual: float) -> SolveResult:
+    return SolveResult(status, u, iterations, float(residual), c1_norm(u), in_cone(u))
 
 
-def _result(status: str, u: GridFunction, iterations: int, residual: float,
-            r: float | None, R: float | None) -> SolveResult:
-    norm = c1_norm(u)
-    return SolveResult(status, u, iterations, float(residual), norm, in_cone(u),
-                       _annulus(norm, r, R))
-
-
-def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float, max_iter: int,
-              r: float | None, R: float | None) -> list[SolveResult]:
+def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float,
+              max_iter: int) -> list[SolveResult]:
     """Picard from every row of the stack at once, one result per row.
 
     Each row leaves the active stack when it converges or diverges, so it
@@ -85,7 +75,7 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float, max_iter: int
                 failed = (np.isin(np.arange(active.size), exc.rows) if exc.rows
                           else np.ones(active.size, dtype=bool))
                 for i in np.flatnonzero(failed):
-                    results[active[i]] = _result("diverged", u[i], it, residual[i], r, R)
+                    results[active[i]] = _result("diverged", u[i], it, residual[i])
                 active, u, residual = active[~failed], u[~failed], residual[~failed]
         if not active.size:
             break
@@ -93,21 +83,20 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float, max_iter: int
         converged = residual <= tol
         diverged = ~converged & (c1_norm(w) > DIVERGENCE_CAP)
         for i in np.flatnonzero(converged):
-            results[active[i]] = _result("converged", u[i], it + 1, residual[i], r, R)
+            results[active[i]] = _result("converged", u[i], it + 1, residual[i])
         for i in np.flatnonzero(diverged):
-            results[active[i]] = _result("diverged", w[i], it + 1, residual[i], r, R)
+            results[active[i]] = _result("diverged", w[i], it + 1, residual[i])
         going = ~(converged | diverged)
         active, u, residual = active[going], w[going], residual[going]
     if active.size:
         residual = c1_distance(u, apply_T(spec, u))
         for i in range(active.size):
-            results[active[i]] = _result("max-iterations", u[i], max_iter, residual[i], r, R)
+            results[active[i]] = _result("max-iterations", u[i], max_iter, residual[i])
     return results
 
 
 def picard_solve(spec: ProblemSpec, u0: GridFunction, tol: float = TOL_FIXPOINT,
-                 max_iter: int = MAX_ITERATIONS, r: float | None = None,
-                 R: float | None = None) -> SolveResult:
+                 max_iter: int = MAX_ITERATIONS) -> SolveResult:
     """Iterate u <- Tu from a cone start until the residual drops below tol.
 
     The reported residual is c1_norm(u - Tu) for the exact iterate
@@ -116,7 +105,7 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction, tol: float = TOL_FIXPOINT,
     runaway iterate) counts as divergence; an error on the very first
     application is a problem with the start and propagates.
     """
-    return _lockstep(spec, GridFunction.stack([u0]), tol, max_iter, r, R)[0]
+    return _lockstep(spec, GridFunction.stack([u0]), tol, max_iter)[0]
 
 
 def _start_functions(spec: ProblemSpec, starts: int,
@@ -136,8 +125,7 @@ def _start_functions(spec: ProblemSpec, starts: int,
 
 def multistart_solve(spec: ProblemSpec, starts: int = 8, seed: int = 0,
                      tol: float = TOL_FIXPOINT,
-                     max_iter: int = MAX_ITERATIONS, r: float | None = None,
-                     R: float | None = None) -> list[SolveResult]:
+                     max_iter: int = MAX_ITERATIONS) -> list[SolveResult]:
     """Picard from the zero start, log-spaced ramps, and random cone starts.
 
     All starts iterate in lockstep as one stack, each with the result it
@@ -149,7 +137,7 @@ def multistart_solve(spec: ProblemSpec, starts: int = 8, seed: int = 0,
         raise ParameterError(f"need at least one start, got {starts}")
     rng = np.random.default_rng(seed)
     results = _lockstep(spec, GridFunction.stack(_start_functions(spec, starts, rng)),
-                        tol, max_iter, r, R)
+                        tol, max_iter)
     results.sort(key=lambda res: (res.norm, res.status, res.residual))
     kept: list[SolveResult] = []
     for res in results:
@@ -168,19 +156,14 @@ class VerificationReport:
     cone_ok: bool
     cone_defect: float
     consistency_defect: float
-    in_annulus: bool | None
 
 
-def verify_solution(spec: ProblemSpec, u: GridFunction, r: float | None = None,
-                    R: float | None = None) -> VerificationReport:
-    """Independent re-check of a candidate: residual, cone, consistency, annulus."""
-    residual = c1_distance(u, apply_T(spec, u))
-    norm = c1_norm(u)
+def verify_solution(spec: ProblemSpec, u: GridFunction) -> VerificationReport:
+    """Independent re-check of a candidate: residual, norm, cone, consistency."""
     return VerificationReport(
-        residual=residual,
-        norm=norm,
+        residual=c1_distance(u, apply_T(spec, u)),
+        norm=c1_norm(u),
         cone_ok=in_cone(u),
         cone_defect=cone_defect(u),
         consistency_defect=consistency_defect(u),
-        in_annulus=_annulus(norm, r, R),
     )

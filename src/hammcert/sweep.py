@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundSet, LinearGrowthWitness
-from .certificate import existence_terms, growth_lhs
+from .certificate import existence_terms, nonexistence_terms
 from .errors import ParameterError
 from .problem import ProblemSpec
 
@@ -59,20 +59,20 @@ def run_sweep(spec: ProblemSpec, lam_values, eta1_values, eta2_values,
     """
     axes = [np.asarray(v, dtype=float) for v in (lam_values, eta1_values, eta2_values)]
     lam, eta1, eta2 = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-    _, rigor, value, deriv, idx0, upper, lower, exists = existence_terms(
-        spec, bounds, r, R, lam, eta1, eta2)
+    cert = existence_terms(spec, bounds, r, R, lam, eta1, eta2)
     if witness is None:
         nonexists = np.zeros(lam.shape, dtype=bool)
         nonexistence_lhs = [None] * lam.size
     else:
-        lhs = growth_lhs(spec, witness, lam, eta1, eta2)
-        nonexists = lhs < 1.0  # strict, as in NonexistenceCertificate.passed
-        nonexistence_lhs = lhs.tolist()
-    classes = np.select([exists & nonexists, exists, nonexists],
+        growth = nonexistence_terms(spec, witness, lam, eta1, eta2)
+        nonexists = growth.passed
+        nonexistence_lhs = growth.lhs.tolist()
+    classes = np.select([cert.passed & nonexists, cert.passed, nonexists],
                         ["conflict", "existence", "nonexistence"], "both-fail")
-    return [SweepCell(*row, rigor=rigor) for row in zip(
-        lam.tolist(), eta1.tolist(), eta2.tolist(), classes.tolist(), value.tolist(),
-        deriv.tolist(), idx0.tolist(), upper.tolist(), lower.tolist(), nonexistence_lhs)]
+    return [SweepCell(*row, rigor=cert.rigor) for row in zip(
+        lam.tolist(), eta1.tolist(), eta2.tolist(), classes.tolist(),
+        cert.lhs_value_branch.tolist(), cert.lhs_deriv_branch.tolist(), cert.lhs_idx0.tolist(),
+        cert.upper_margin.tolist(), cert.lower_margin.tolist(), nonexistence_lhs)]
 
 
 def conflict_cells(cells: list[SweepCell]) -> list[SweepCell]:

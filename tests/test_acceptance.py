@@ -80,10 +80,10 @@ def test_criterion_3_example2_nonexistence_certificate(example2):
 def test_criterion_4_solver_corroborates_existence(example1):
     assert example1.grid.n == 256
     t0 = time.perf_counter()
-    results = multistart_solve(example1, starts=8, seed=0, r=1 / 20, R=1.0)
+    results = multistart_solve(example1, starts=8, seed=0)
     elapsed = time.perf_counter() - t0
-    good = [res for res in results
-            if res.converged and res.residual <= 1e-10 and res.cone_ok and res.in_annulus]
+    good = [res for res in results if res.converged and res.residual <= 1e-10
+            and res.cone_ok and 1 / 20 <= res.norm <= 1.0]
     if not good:
         pytest.fail(
             "certificate passes but Picard iteration found no fixed point in the "

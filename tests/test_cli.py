@@ -32,6 +32,33 @@ eta2 = 0
 """
 
 
+# A custom concave kernel whose exact K = 2/3 puts lambda*tau*K exactly on
+# the strict boundary 1; its trapezoid K = 0.66661... passes it.
+CONCAVE_PROBLEM = """\
+[kernel]
+k = t*sqrt(s)
+dk = sqrt(s)
+[gamma]
+gamma1 = 1
+gamma2 = t
+dgamma1 = 0
+dgamma2 = 1
+[functionals]
+h1 = 0*U(0)
+h2 = 0*U(0)
+[nonlinearity]
+f = u
+[parameters]
+lambda = 3/2
+eta1 = 0
+eta2 = 0
+[bounds]
+tau = 1
+xi1 = 0
+xi2 = 0
+"""
+
+
 @pytest.fixture()
 def zero_problem(tmp_path) -> str:
     path = tmp_path / "empty.prob"
@@ -130,6 +157,22 @@ class TestCertifyNonexistence:
         assert record["falsification"] == "consistent"
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, lhs, rigor", [
+        ("example2", 0.95, "certified"),
+        ("concave", 0.9999248234647922, "heuristic"),  # the exact lhs is 1: a false pass
+    ])
+    def test_rigor_follows_the_kernel(self, example2_path, tmp_path, capsys, name, lhs, rigor):
+        problem = example2_path
+        if name == "concave":
+            problem = tmp_path / "concave.prob"
+            problem.write_text(CONCAVE_PROBLEM)
+        out = tmp_path / "cert.rec"
+        assert main(["certify-nonexistence", "--problem", str(problem), "--out", str(out)]) == 0
+        record = parse_record(out.read_text())
+        assert (record["verdict"], record["lhs"], record["rigor"]) == ("pass", lhs, rigor)
+        assert list(record).index("rigor") == list(record).index("passed") + 1
+        assert f"verdict: PASS (rigor: {rigor})" in capsys.readouterr().out
+
     def test_boundary_point_fails(self, example2_path, tmp_path):
         boundary = _variant(tmp_path, example2_path, "lambda = 1/3", "lambda = 2/3")
         boundary = _variant(tmp_path, boundary, "eta1 = 1/4", "eta1 = 0")
@@ -197,6 +240,27 @@ class TestSolve:
         assert record["residual"] <= 1e-10
         assert record["warnings"] == 0
         assert isinstance(record["elapsed_s"], float) and record["elapsed_s"] > 0
+
+    @pytest.mark.parametrize("radii, columns, in_annulus, rc", [
+        ([], ["-", "-"], None, 0),
+        (["--r", "0.05", "--R", "1"], ["yes", "no"], True, 0),
+        (["--r", "0.2", "--R", "1"], ["no", "no"], "absent", 1),
+    ])
+    def test_annulus_column_and_selection(self, example1_path, tmp_path, capsys,
+                                          radii, columns, in_annulus, rc):
+        # example1 at the defaults: one converged row (norm 0.1094) and one
+        # diverged row; every row, the diverged one too, is judged r <= norm <= R.
+        out = tmp_path / "sol.csv"
+        assert main(["solve", "--problem", example1_path, *radii, "--out", str(out)]) == rc
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  ")]
+        assert [row[0] for row in rows] == ["converged", "diverged"]
+        assert [row[-1] for row in rows] == [f"annulus={c}" for c in columns]
+        record = parse_record(out.read_text())
+        assert record["found"] is (rc == 0)
+        assert record.get("in_annulus", "absent") == in_annulus
+        if rc == 0:
+            assert record["norm"] == pytest.approx(0.1094489, abs=1e-6)
 
     def test_annulus_without_solution_exits_1(self, example2_path):
         # only the trivial fixed point exists; requesting norm >= 0.05 must fail

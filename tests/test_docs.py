@@ -1,14 +1,34 @@
-"""The README's library example runs as written."""
+"""The README's library and command-line examples run as written."""
 
 import pathlib
 import re
+import shlex
+
+from hammcert.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_readme_library_block_runs(monkeypatch):
+def _block(heading: str, language: str) -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme[readme.index("## Library"):]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = readme[readme.index(heading):]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_block_runs(monkeypatch):
+    code = _block("## Library", "python")
     monkeypatch.chdir(ROOT)  # the block names problems/ relative to the root
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_command_line_block_runs(monkeypatch, tmp_path):
+    script = _block("## Command line", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line) for line in script.splitlines()
+                if line.startswith("hammcert ")]
+    assert len(commands) == 5
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        if "--out" in argv:  # keep the written files out of the checkout
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert main(argv[1:]) == 0, argv

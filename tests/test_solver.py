@@ -23,12 +23,10 @@ class TestPicard:
         assert res.converged and res.iterations == 1 and res.norm == 0.0
 
     def test_example1_nontrivial_solution(self, example1):
-        res = picard_solve(example1, GridFunction.zero(example1.grid),
-                           r=1 / 20, R=1.0)
+        res = picard_solve(example1, GridFunction.zero(example1.grid))
         assert res.converged
         assert res.residual <= 1e-10
         assert res.cone_ok
-        assert res.in_annulus
         assert 1 / 20 <= res.norm <= 1.0
 
     def test_matches_finer_grid_reference(self, example1, example1_path):
@@ -95,8 +93,8 @@ class TestPicard:
 
 class TestMultistart:
     def test_example1_finds_annulus_solution(self, example1):
-        results = multistart_solve(example1, starts=8, seed=0, r=1 / 20, R=1.0)
-        good = [r for r in results if r.converged and r.in_annulus]
+        results = multistart_solve(example1, starts=8, seed=0)
+        good = [r for r in results if r.converged and 1 / 20 <= r.norm <= 1.0]
         assert good
         assert all(r.cone_ok for r in good)
 
@@ -138,10 +136,10 @@ class TestMultistart:
 class TestVerifySolution:
     def test_converged_solution_report(self, example1):
         res = picard_solve(example1, GridFunction.zero(example1.grid))
-        report = verify_solution(example1, res.u, r=1 / 20, R=1.0)
+        report = verify_solution(example1, res.u)
         assert report.residual <= TOL_FIXPOINT
         assert report.cone_ok
-        assert report.in_annulus
+        assert 1 / 20 <= report.norm <= 1.0
         assert report.consistency_defect <= consistency_tol(example1.grid.n)
 
     def test_zero_is_not_a_fixed_point_of_example1(self, example1):
