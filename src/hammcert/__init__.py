@@ -15,8 +15,7 @@ from .expr import parse, to_source
 from .grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm,
                    consistency_defect, integrate, integrate_tail, random_cone_function)
 from .kernel import FocalKernel, Kernel, constant_K, constant_Kstar, kernel_from_exprs
-from .problem import (ProblemSpec, apply_T, load_problem, loads_problem,
-                      make_spec, validate_spec)
+from .problem import ProblemSpec, apply_T, load_problem, loads_problem, validate_spec
 from .solver import (SolveResult, VerificationReport, multistart_solve,
                      picard_solve, verify_solution)
 from .sweep import SweepCell, axis_values, run_sweep
@@ -33,7 +32,7 @@ __all__ = [
     "VerificationReport", "apply_T", "axis_values", "c1_distance", "c1_norm",
     "check_existence", "check_nonexistence", "consistency_defect",
     "constant_K", "constant_Kstar", "estimate_H", "estimate_f_extrema",
-    "falsify_linear_growth", "integrate", "integrate_tail", "kernel_from_exprs", "load_problem", "loads_problem", "make_spec",
+    "falsify_linear_growth", "integrate", "integrate_tail", "kernel_from_exprs", "load_problem", "loads_problem",
     "multistart_solve", "parse", "picard_solve", "random_cone_function",
     "run_sweep", "to_source", "validate_spec", "verify_solution",
 ]

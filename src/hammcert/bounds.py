@@ -229,7 +229,10 @@ class BoundSet:
         return out
 
     def _declared(self, expr: Expr, rho: float, label: str) -> BoundEntry:
-        val = eval_bound(expr, rho)
+        try:
+            val = eval_bound(expr, rho)
+        except EvaluationError as exc:
+            raise EvaluationError(f"declared bound {label}({rho}): {exc}") from exc
         if val < 0:
             raise ParameterError(f"declared bound {label}({rho}) = {val} is negative")
         return BoundEntry(val, val, "certified")

@@ -78,6 +78,14 @@ class NonexistenceCertificate:
         return 1.0 - self.lhs
 
 
+def check_radii(r: float, R: float) -> None:
+    """Reject radii unless 0 < r < R < inf."""
+    if not 0 < r < R:
+        raise ParameterError(f"need 0 < r < R, got r={r}, R={R}")
+    if not np.isfinite(R):
+        raise ParameterError(f"outer radius R must be finite, got {R}")
+
+
 def existence_terms(spec: ProblemSpec, bounds: BoundSet, r: float, R: float,
                     lam, eta1, eta2) -> ExistenceCertificate:
     """The annulus certificate at radii 0 < r < R, elementwise in the parameters.
@@ -86,8 +94,7 @@ def existence_terms(spec: ProblemSpec, bounds: BoundSet, r: float, R: float,
     evaluations do the same float operations in the same order, so they
     agree bit for bit.
     """
-    if not 0 < r < R:
-        raise ParameterError(f"need 0 < r < R, got r={r}, R={R}")
+    check_radii(r, R)
     K = constant_K(spec.kernel, spec.grid)
     Kstar = constant_Kstar(spec.kernel, spec.grid)
     entries = (bounds.f_upper(R), bounds.f_lower(r), bounds.h_upper(1, R), bounds.h_upper(2, R))

@@ -13,7 +13,7 @@ import sys
 import time
 
 from .bounds import BoundSet, falsify_linear_growth
-from .certificate import check_existence, check_nonexistence
+from .certificate import check_existence, check_nonexistence, check_radii
 from .errors import HammcertError, ParameterError, ProblemFileError
 from .problem import load_problem, validate_spec
 from .solver import multistart_solve
@@ -122,8 +122,7 @@ def _cmd_validate(args) -> int:
 
 
 def _bounds_for(spec, args) -> BoundSet:
-    base = spec.bounds if spec.bounds is not None else BoundSet()
-    return base.with_sampler(spec, m=args.m, samples=args.samples, seed=args.seed)
+    return spec.bounds.with_sampler(spec, m=args.m, samples=args.samples, seed=args.seed)
 
 
 def _cmd_certify_existence(args) -> int:
@@ -228,8 +227,8 @@ def _cmd_certify_nonexistence(args) -> int:
 def _annulus_args(args) -> tuple[float | None, float | None]:
     if (args.r is None) != (args.R is None):
         raise ParameterError("--r and --R must be given together")
-    if args.r is not None and not 0 < args.r < args.R:
-        raise ParameterError(f"need 0 < r < R, got r={args.r}, R={args.R}")
+    if args.r is not None:
+        check_radii(args.r, args.R)
     return args.r, args.R
 
 

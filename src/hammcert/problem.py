@@ -46,7 +46,7 @@ class ProblemSpec:
     eta1: float
     eta2: float
     grid: Grid
-    bounds: BoundSet | None = None
+    bounds: BoundSet = field(default_factory=BoundSet)
     witness: LinearGrowthWitness | None = None
     warnings: tuple = field(default=())
     # Node samples of gamma_i and gamma_i' per grid.  Not an init field, so
@@ -62,44 +62,6 @@ class ProblemSpec:
 
     def with_params(self, lam: float, eta1: float, eta2: float) -> "ProblemSpec":
         return replace(self, lam=lam, eta1=eta1, eta2=eta2)
-
-
-def make_spec(kernel: Kernel, gamma1: str, gamma2: str, dgamma1: str, dgamma2: str,
-              h1: str, h2: str, f: str, lam: float, eta1: float, eta2: float,
-              n: int = 256, bounds: BoundSet | None = None,
-              witness: LinearGrowthWitness | None = None,
-              validate: bool = True) -> ProblemSpec:
-    """Assemble and validate a ProblemSpec from expression strings.
-
-    A parse error names the problem-file entry of its string, as in
-    ``[gamma] gamma1 = '...'``.
-    """
-    for name, val in (("lambda", lam), ("eta1", eta1), ("eta2", eta2)):
-        if val < 0:
-            raise ParameterError(f"parameter {name} must be non-negative, got {val}")
-    spec = ProblemSpec(
-        kernel=kernel,
-        gamma1=parse_entry("gamma", "gamma1", gamma1, "coefficient"),
-        gamma2=parse_entry("gamma", "gamma2", gamma2, "coefficient"),
-        dgamma1=parse_entry("gamma", "dgamma1", dgamma1, "coefficient"),
-        dgamma2=parse_entry("gamma", "dgamma2", dgamma2, "coefficient"),
-        h1=parse_entry("functionals", "h1", h1, "functional"),
-        h2=parse_entry("functionals", "h2", h2, "functional"),
-        f=parse_entry("nonlinearity", "f", f, "nonlinearity"),
-        lam=float(lam),
-        eta1=float(eta1),
-        eta2=float(eta2),
-        grid=Grid(n),
-        bounds=bounds,
-        witness=witness,
-    )
-    _check_declared_derivatives(spec)
-    if validate:
-        checked = spec
-        spec = replace(spec, warnings=tuple(r for r in validate_spec(spec) if not r.ok))
-        # Same gamma and grid, so the samples validation drew stay valid.
-        spec._coefficient_cache.update(checked._coefficient_cache)
-    return spec
 
 
 def _check_declared_derivatives(spec: ProblemSpec) -> None:
@@ -206,11 +168,14 @@ def _coefficient_samples(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, ...
 # ---------------------------------------------------------------------------
 # problem files
 
-_REQUIRED = {
-    "gamma": ("gamma1", "gamma2", "dgamma1", "dgamma2"),
-    "functionals": ("h1", "h2"),
-    "nonlinearity": ("f",),
-    "parameters": ("lambda", "eta1", "eta2"),
+# Every entry a problem file must declare, as section -> ((key, role), ...):
+# the role an expression is parsed in, 'constant' for a number.
+_ENTRIES = {
+    "gamma": (("gamma1", "coefficient"), ("gamma2", "coefficient"),
+              ("dgamma1", "coefficient"), ("dgamma2", "coefficient")),
+    "functionals": (("h1", "functional"), ("h2", "functional")),
+    "nonlinearity": (("f", "nonlinearity"),),
+    "parameters": (("lambda", "constant"), ("eta1", "constant"), ("eta2", "constant")),
 }
 
 
@@ -232,90 +197,80 @@ def loads_problem(text: str, n: int = 256, validate: bool = True) -> ProblemSpec
 
 
 def _spec_from_text(text: str, path, n: int, validate: bool) -> ProblemSpec:
+    """The spec a problem text declares.  The first fault in load order wins
+    (docs/problem-format.md), and every error names the file first."""
     # An inline comment starts at a '#' or ';' after whitespace; no
     # expression contains either character.
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ProblemFileError(f"{path}: {exc}") from exc
-    for section, keys in _REQUIRED.items():
-        if not cp.has_section(section):
-            raise ProblemFileError(f"{path}: missing [{section}] section")
-        for key in keys:
-            if not cp.has_option(section, key):
-                raise ProblemFileError(f"{path}: missing key {key!r} in [{section}]")
-    try:
-        kernel = _kernel_from_config(cp, path)
-        bounds, witness = _bounds_from_config(cp, path)
-        return make_spec(
-            kernel,
-            gamma1=cp.get("gamma", "gamma1"),
-            gamma2=cp.get("gamma", "gamma2"),
-            dgamma1=cp.get("gamma", "dgamma1"),
-            dgamma2=cp.get("gamma", "dgamma2"),
-            h1=cp.get("functionals", "h1"),
-            h2=cp.get("functionals", "h2"),
-            f=cp.get("nonlinearity", "f"),
-            lam=_constant(cp, path, "parameters", "lambda"),
-            eta1=_constant(cp, path, "parameters", "eta1"),
-            eta2=_constant(cp, path, "parameters", "eta2"),
-            n=n,
-            bounds=bounds,
-            witness=witness,
-            validate=validate,
-        )
-    except ProblemFileError:
-        raise
-    except (ParameterError,) as exc:
+        for section, entries in _ENTRIES.items():
+            if not cp.has_section(section):
+                raise ProblemFileError(f"missing [{section}] section")
+            for key, _ in entries:
+                if not cp.has_option(section, key):
+                    raise ProblemFileError(f"missing key {key!r} in [{section}]")
+        kernel = _kernel_from_config(cp)
+        bounds, witness = _bounds_from_config(cp)
+        lam, eta1, eta2 = params = [_constant(cp, "parameters", key)
+                                    for key, _ in _ENTRIES["parameters"]]
+        for (key, _), val in zip(_ENTRIES["parameters"], params):
+            if val < 0:
+                raise ParameterError(f"parameter {key} must be non-negative, got {val}")
+        exprs = {key: parse_entry(section, key, cp.get(section, key), role)
+                 for section, entries in _ENTRIES.items() if section != "parameters"
+                 for key, role in entries}
+        spec = ProblemSpec(kernel=kernel, **exprs, lam=lam, eta1=eta1, eta2=eta2,
+                           grid=Grid(n), bounds=bounds, witness=witness)
+        _check_declared_derivatives(spec)
+        if validate:
+            checked = spec
+            spec = replace(spec, warnings=tuple(r for r in validate_spec(spec) if not r.ok))
+            # Same gamma and grid, so the samples validation drew stay valid.
+            spec._coefficient_cache.update(checked._coefficient_cache)
+        return spec
+    except (ParameterError, ProblemFileError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except Exception as exc:
         raise ProblemFileError(f"{path}: {exc}") from exc
 
 
-def _constant(cp: configparser.ConfigParser, path, section: str, key: str) -> float:
+def _constant(cp: configparser.ConfigParser, section: str, key: str) -> float:
     src = cp.get(section, key)
     try:
         return eval_constant(parse(src, "constant"))
     except Exception as exc:
-        raise ProblemFileError(f"{path}: [{section}] {key} = {src!r}: {exc}") from exc
+        raise ProblemFileError(f"[{section}] {key} = {src!r}: {exc}") from exc
 
 
-def _kernel_from_config(cp: configparser.ConfigParser, path) -> Kernel:
+def _kernel_from_config(cp: configparser.ConfigParser) -> Kernel:
     if not cp.has_section("kernel"):
-        raise ProblemFileError(f"{path}: missing [kernel] section")
+        raise ProblemFileError("missing [kernel] section")
     if cp.has_option("kernel", "name"):
         name = cp.get("kernel", "name").strip()
         if name != "focal":
-            raise ProblemFileError(f"{path}: unknown built-in kernel {name!r}")
+            raise ProblemFileError(f"unknown built-in kernel {name!r}")
         return FocalKernel()
     if not (cp.has_option("kernel", "k") and cp.has_option("kernel", "dk")):
-        raise ProblemFileError(f"{path}: [kernel] needs either name=focal or both k and dk")
+        raise ProblemFileError("[kernel] needs either name=focal or both k and dk")
     return kernel_from_exprs(cp.get("kernel", "k"), cp.get("kernel", "dk"),
                              cp.get("kernel", "phi", fallback=None),
                              cp.get("kernel", "psi", fallback=None))
 
 
-def _bounds_from_config(cp, path) -> tuple[BoundSet | None, LinearGrowthWitness | None]:
-    if not cp.has_section("bounds"):
-        return None, None
-    sec = cp["bounds"]
-    entries = {key: parse_entry("bounds", key, sec[key], "bound") if key in sec else None
-               for key in ("f_upper", "f_lower", "h1", "h2")}
-    bounds = None
-    if any(e is not None for e in entries.values()):
-        bounds = BoundSet(**entries)
-
+def _bounds_from_config(cp) -> tuple[BoundSet, LinearGrowthWitness | None]:
+    """The declared bounds (an empty BoundSet when none are) and the growth
+    witness, if [bounds] declares one."""
+    sec = cp["bounds"] if cp.has_section("bounds") else {}
+    bounds = BoundSet(**{key: parse_entry("bounds", key, sec[key], "bound")
+                         for key in ("f_upper", "f_lower", "h1", "h2") if key in sec})
     witness_keys = [k for k in ("tau", "xi1", "xi2") if k in sec]
-    witness = None
-    if witness_keys:
-        if len(witness_keys) != 3:
-            raise ProblemFileError(
-                f"{path}: [bounds] declares {witness_keys} but a witness needs tau, xi1 and xi2"
-            )
-        try:
-            witness = LinearGrowthWitness(*(_constant(cp, path, "bounds", key)
-                                            for key in witness_keys))
-        except ParameterError as exc:
-            raise ProblemFileError(f"{path}: [bounds] witness: {exc}") from exc
-    return bounds, witness
+    if not witness_keys:
+        return bounds, None
+    if len(witness_keys) != 3:
+        raise ProblemFileError(
+            f"[bounds] declares {witness_keys} but a witness needs tau, xi1 and xi2")
+    try:
+        return bounds, LinearGrowthWitness(*(_constant(cp, "bounds", key) for key in witness_keys))
+    except ParameterError as exc:
+        raise ProblemFileError(f"[bounds] witness: {exc}") from exc

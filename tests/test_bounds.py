@@ -10,14 +10,17 @@ from hammcert.bounds import (BoundSet, LinearGrowthWitness, estimate_H,
 from hammcert.errors import IncompleteBoundsError, ParameterError
 from hammcert.expr import eval_nonlinearity, parse
 from hammcert.grid import c1_norm, in_cone
-from hammcert.kernel import FocalKernel
-from hammcert.problem import make_spec
+from hammcert.problem import loads_problem
+
+from problem_texts import ZERO_PROBLEM, edited
 
 E2 = math.exp(2.0)
 
 
 def tiny_spec(f="u", h1="U(1)", h2="DU(0)", n=64):
-    return make_spec(FocalKernel(), "1", "t", "0", "1", h1, h2, f, 0.0, 0.0, 0.0, n=n)
+    text = edited(ZERO_PROBLEM, ("h1 = U(1)", f"h1 = {h1}"), ("h2 = DU(0)", f"h2 = {h2}"),
+                  ("f = u", f"f = {f}"))
+    return loads_problem(text, n=n)
 
 
 class TestEstimateFExtrema:
@@ -118,9 +121,7 @@ class TestFalsifyLinearGrowth:
 
     def test_functional_bound_violation_detected(self, example2):
         # keep example2's f (which satisfies tau=3) but declare xi1 far too small
-        spec = make_spec(FocalKernel(), "1", "t", "0", "1",
-                         "U(1/4) + DU(3/4)^2", "U(3/4)", "u*(2 - t*sin(u*v))",
-                         0.0, 0.0, 0.0, n=64)
+        spec = tiny_spec(f="u*(2 - t*sin(u*v))", h1="U(1/4) + DU(3/4)^2", h2="U(3/4)")
         result = falsify_linear_growth(spec, LinearGrowthWitness(3.0, 0.1, 1.0),
                                        budget=2048, seed=0)
         assert not result.consistent

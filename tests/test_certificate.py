@@ -8,8 +8,10 @@ from hammcert.bounds import BoundSet, LinearGrowthWitness
 from hammcert.certificate import check_existence, check_nonexistence
 from hammcert.errors import IncompleteBoundsError, ParameterError
 from hammcert.expr import parse
-from hammcert.kernel import FocalKernel, constant_K, constant_Kstar
-from hammcert.problem import loads_problem, make_spec
+from hammcert.kernel import constant_K, constant_Kstar
+from hammcert.problem import loads_problem
+
+from problem_texts import ZERO_PROBLEM, edited
 
 E2 = math.exp(2.0)
 R_EX1 = 1.0
@@ -111,10 +113,14 @@ class TestExistenceStructure:
 
     def test_slot_swap_symmetry(self, example1):
         # exchanging the (gamma_i, h_i, eta_i) slots leaves the verdict alone
-        swapped_spec = make_spec(
-            FocalKernel(), "t", "1", "1", "0",
-            "INT(U(s)^3 + DU(s))", "U(1/4) + DU(3/4)^2", "exp(t*(u + v))",
-            example1.lam, example1.eta2, example1.eta1, n=64)
+        swapped_spec = loads_problem(edited(
+            ZERO_PROBLEM,
+            ("gamma1 = 1\ngamma2 = t\ndgamma1 = 0\ndgamma2 = 1",
+             "gamma1 = t\ngamma2 = 1\ndgamma1 = 1\ndgamma2 = 0"),
+            ("h1 = U(1)", "h1 = INT(U(s)^3 + DU(s))"), ("h2 = DU(0)", "h2 = U(1/4) + DU(3/4)^2"),
+            ("f = u", "f = exp(t*(u + v))"), ("lambda = 0", f"lambda = {example1.lam!r}"),
+            ("eta1 = 0", f"eta1 = {example1.eta2!r}"), ("eta2 = 0", f"eta2 = {example1.eta1!r}")),
+            n=64)
         swapped_bounds = BoundSet(
             f_upper=parse("exp(2*rho)", "bound"), f_lower=parse("1", "bound"),
             h1=parse("rho^3 + rho", "bound"), h2=parse("rho + rho^2", "bound"))

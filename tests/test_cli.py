@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -10,27 +11,9 @@ import hammcert.cli
 import hammcert.problem
 from hammcert.cli import format_record, main, parse_record
 
+from problem_texts import ZERO_PROBLEM
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-
-ZERO_PROBLEM = """\
-[kernel]
-name = focal
-[gamma]
-gamma1 = 1
-gamma2 = t
-dgamma1 = 0
-dgamma2 = 1
-[functionals]
-h1 = U(1)
-h2 = DU(0)
-[nonlinearity]
-f = u
-[parameters]
-lambda = 0
-eta1 = 0
-eta2 = 0
-"""
-
 
 # A custom concave kernel whose exact K = 2/3 puts lambda*tau*K exactly on
 # the strict boundary 1; its trapezoid K = 0.66661... passes it.
@@ -145,6 +128,12 @@ class TestCertifyExistence:
     def test_missing_file_exit_2(self):
         assert main(["certify-existence", "--problem", "no/such/file.prob",
                      "--r", "0.05", "--R", "1"]) == 2
+
+    def test_non_finite_declared_bound_names_its_entry(self, example1_path, capsys):
+        assert main(["certify-existence", "--problem", example1_path,
+                     "--r", "0.05", "--R", "1000"]) == 2
+        assert capsys.readouterr().err == ("error: declared bound f_upper(1000.0): "
+                                           "expression 'exp(2.0*rho)' is non-finite at rho=1000\n")
 
 
 class TestCertifyNonexistence:
@@ -329,7 +318,17 @@ class TestValidate:
         bad = _variant(tmp_path, zero_problem, "dgamma2 = 1", "dgamma2 = 2")
         rc = main(["validate", "--problem", bad])
         assert rc == 2
-        assert "gamma2" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: declared derivative of gamma2 disagrees with finite differences: ")
+
+    def test_first_load_error_wins(self, zero_problem, tmp_path, capsys):
+        # Negative lambda is found before the malformed f.
+        text = pathlib.Path(zero_problem).read_text()
+        bad = tmp_path / "two-faults.prob"
+        bad.write_text(text.replace("lambda = 0", "lambda = -1").replace("f = u", "f = u +"))
+        assert main(["certify-existence", "--problem", str(bad), "--r", "0.05", "--R", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: parameter lambda must be non-negative, got -1.0\n")
 
     def test_non_utf8_file_exit_2(self, zero_problem, tmp_path, capsys):
         bad = tmp_path / "latin1.prob"
@@ -413,6 +412,22 @@ class TestNumericOptions:
                      "--r", "0.05", "--R", "1", "--witness"]
         assert main(argv) == 2
         assert "argument --budget: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["certify-existence"],
+        ["solve"],
+        ["sweep", "--lambda", "0:1:2", "--eta1", "0:1:2", "--eta2", "0:1:2"],
+    ], ids=lambda argv: argv[0])
+    def test_outer_radius_finite(self, example2_path, tmp_path, argv, capsys):
+        # Sampled bounds: an infinite R would reach the sampler, whose
+        # numpy warnings become errors here.
+        sampled = _variant(tmp_path, example2_path,
+                           "f_upper = 3*rho\nf_lower = 0\nh1 = rho\nh2 = rho\n", "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([argv[0], "--problem", sampled, *argv[1:], "--r", "0.05", "--R", "inf"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: outer radius R must be finite, got inf\n"
 
     def test_non_integer_lattice_size(self, example1_path, capsys):
         assert main(["validate", "--problem", example1_path, "--m", "x"]) == 2

@@ -8,38 +8,19 @@ import pytest
 
 import hammcert.problem
 from hammcert.bounds import LinearGrowthWitness
-from hammcert.errors import EvaluationError, ParameterError, ProblemFileError
+from hammcert.errors import (EvaluationError, IncompleteBoundsError, ParameterError,
+                             ProblemFileError)
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, cone_defect,
                            consistency_defect, in_cone, random_cone_function)
 from hammcert.certificate import check_existence
 from hammcert.expr import eval_coefficient, eval_functional, eval_nonlinearity, parse
 from hammcert.kernel import FocalKernel, Kernel, kernel_from_exprs
-from hammcert.problem import (ProblemSpec, apply_T, load_problem, loads_problem,
-                              make_spec, validate_spec)
+from hammcert.problem import ProblemSpec, apply_T, load_problem, loads_problem, validate_spec
 
 from grid_checks import consistency_tol
+from problem_texts import ZERO_PROBLEM, edited
 
 DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "problem-format.md"
-
-ZERO_PROBLEM = """
-[kernel]
-name = focal
-[gamma]
-gamma1 = 1
-gamma2 = t
-dgamma1 = 0
-dgamma2 = 1
-[functionals]
-h1 = U(1)
-h2 = DU(0)
-[nonlinearity]
-f = u
-[parameters]
-lambda = 0
-eta1 = 0
-eta2 = 0
-"""
-
 
 class TestLoading:
     def test_example1_precomputed_fields(self, example1):
@@ -136,7 +117,8 @@ class TestLoading:
 
     def test_derivative_mismatch_is_error(self):
         text = ZERO_PROBLEM.replace("dgamma2 = 1", "dgamma2 = 2")
-        with pytest.raises(ProblemFileError, match="gamma2"):
+        with pytest.raises(ProblemFileError, match=r"^<string>: declared derivative of gamma2 "
+                                                   r"disagrees with finite differences: "):
             loads_problem(text)
 
     def test_negative_gamma_is_warning(self):
@@ -186,6 +168,37 @@ class TestLoading:
         spec = load_problem(example2_path, n=n)
         assert spec.gamma1_at_1 == 1.0
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("edits, n, error, message", [
+        ((("lambda = 0", "lambda = -1"), ("f = u", "f = u +")), 256,
+         ParameterError, "parameter lambda must be non-negative, got -1.0"),
+        ((("lambda = 0", "lambda = 1/"), ("name = focal", "k = t*\ndk = s")), 256,
+         ProblemFileError, "[kernel] k = 't*': expected a value, found 'end of input' (at position 2)"),
+        ((("eta1 = 0", "eta1 = -1"), ("eta2 = 0", "eta2 = 0\n[bounds]\nh2 = rho^")), 256,
+         ProblemFileError, "[bounds] h2 = 'rho^': expected a value, found 'end of input' (at position 4)"),
+        ((("f = u", "f = 1/u"),), 1,
+         ParameterError, "grid needs at least 2 subintervals, got n=1"),
+        ((("eta2 = 0\n", ""), ("name = focal", "k = t*\ndk = s")), 256,
+         ProblemFileError, "missing key 'eta2' in [parameters]"),
+        ((("lambda = 0", "lambda = -1"), ("eta2 = 0", "eta2 = 0\n[bounds]\ntau = -1\nxi1 = 1\nxi2 = 1")),
+         256, ProblemFileError, "[bounds] witness: witness tau must be non-negative, got -1.0"),
+    ])
+    def test_error_precedence(self, edits, n, error, message):
+        # A file with several faults reports the first in load order
+        # (docs/problem-format.md).
+        text = ZERO_PROBLEM
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        with pytest.raises(error) as exc:
+            loads_problem(text, n=n)
+        assert str(exc.value) == f"<string>: {message}"
+
+    @pytest.mark.parametrize("bounds", ["", "[bounds]\ntau = 1\nxi1 = 1\nxi2 = 1\n"])
+    def test_undeclared_bounds_load_empty(self, bounds):
+        spec = loads_problem(ZERO_PROBLEM + bounds)
+        with pytest.raises(IncompleteBoundsError, match="no declared f_upper bound"):
+            check_existence(spec, spec.bounds, 0.05, 1.0)
 
     def test_partial_witness_rejected(self):
         text = ZERO_PROBLEM + "\n[bounds]\ntau = 1\n"
@@ -273,6 +286,12 @@ def _dense_T(spec, u):
     return values, dvalues
 
 
+# gamma1 is nan at t = 0 only, which the load-time probes miss.
+NAN_AT_ZERO_PROBLEM = edited(ZERO_PROBLEM, ("gamma1 = 1", "gamma1 = t + 0*sqrt(t - 1/1000)"),
+                             ("dgamma1 = 0", "dgamma1 = 1"), ("lambda = 0", "lambda = 0.1"),
+                             ("eta1 = 0", "eta1 = 0.5"))
+
+
 class TestApplyTReference:
     @pytest.mark.parametrize("name", ["example1", "example2"])
     @pytest.mark.parametrize("seed", range(3))
@@ -306,8 +325,7 @@ class TestApplyTReference:
 
     def test_gamma_error_surfaces_on_every_call(self):
         # 0*sqrt(t - 1/1000) is nan at t = 0 only; load-time probes miss it
-        spec = make_spec(FocalKernel(), "t + 0*sqrt(t - 1/1000)", "t", "1", "1",
-                         "U(1)", "DU(0)", "u", 0.1, 0.5, 0.0, n=32, validate=False)
+        spec = loads_problem(NAN_AT_ZERO_PROBLEM, n=32, validate=False)
         u = GridFunction.ramp(spec.grid, 0.5)
         for _ in range(2):
             with pytest.raises(EvaluationError):
@@ -348,21 +366,19 @@ class TestCoefficientConstants:
 
     def test_gamma_error_surfaces_on_every_read(self):
         # nan at t = 0 only: the spec loads, each read of a constant fails
-        spec = make_spec(FocalKernel(), "t + 0*sqrt(t - 1/1000)", "t", "1", "1",
-                         "U(1)", "DU(0)", "u", 0.1, 0.5, 0.0, n=32, validate=False)
+        spec = loads_problem(NAN_AT_ZERO_PROBLEM, n=32, validate=False)
         for _ in range(2):
             with pytest.raises(EvaluationError):
                 spec.gamma1_at_1
 
 
-class TestMakeSpec:
+class TestAssembly:
     def test_direct_assembly(self):
-        spec = make_spec(FocalKernel(), "1", "t", "0", "1", "U(1)", "DU(0)",
-                         "u + v", 0.1, 0.0, 0.0, n=32)
+        text = edited(ZERO_PROBLEM, ("f = u", "f = u + v"), ("lambda = 0", "lambda = 0.1"))
+        spec = loads_problem(text, n=32)
         assert spec.grid == Grid(32)
         assert spec.gamma2_at_1 == 1.0
 
     def test_negative_eta(self):
         with pytest.raises(ParameterError):
-            make_spec(FocalKernel(), "1", "t", "0", "1", "U(1)", "DU(0)",
-                      "u", 0.0, -0.5, 0.0)
+            loads_problem(edited(ZERO_PROBLEM, ("eta1 = 0", "eta1 = -0.5")))

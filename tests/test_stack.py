@@ -13,10 +13,12 @@ from hammcert.errors import EvaluationError, ShapeError
 from hammcert.expr import eval_functional, parse
 from hammcert.grid import (Grid, GridFunction, c1_distance, c1_norm, cone_defect,
                            in_cone, interp_rows, random_cone_function)
-from hammcert.kernel import FocalKernel, kernel_from_exprs
-from hammcert.problem import apply_T, make_spec
+from hammcert.kernel import kernel_from_exprs
+from hammcert.problem import apply_T, loads_problem
 from hammcert.solver import (DIVERGENCE_CAP, SolveResult, _start_functions,
                              multistart_solve, picard_solve)
+
+from problem_texts import ZERO_PROBLEM, edited
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -133,9 +135,11 @@ class TestApplyT:
     @given(seed=SEEDS, k=st.integers(1, 4))
     @settings(max_examples=10, deadline=None)
     def test_expression_kernel_stack_equals_rows(self, seed, k):
-        spec = make_spec(FocalKernel(), "1", "t", "0", "1", "U(1/4) + DU(3/4)^2",
-                         "INT(U(s)^3 + DU(s))", "exp(t*(u + v))", 0.1, 1 / 11, 1 / 12,
-                         n=64, validate=False)
+        text = edited(ZERO_PROBLEM, ("h1 = U(1)", "h1 = U(1/4) + DU(3/4)^2"),
+                      ("h2 = DU(0)", "h2 = INT(U(s)^3 + DU(s))"), ("f = u", "f = exp(t*(u + v))"),
+                      ("lambda = 0", "lambda = 0.1"), ("eta1 = 0", "eta1 = 1/11"),
+                      ("eta2 = 0", "eta2 = 1/12"))
+        spec = loads_problem(text, n=64, validate=False)
         spec = replace(spec, kernel=kernel_from_exprs("min(s,t)", "min(1, max(0, (s - t)*1e9))"))
         u = cone_stack(spec.grid, seed, k)
         w = apply_T(spec, u)
@@ -145,8 +149,8 @@ class TestApplyT:
             assert_same(w.dvalues[i], single.dvalues)
 
     def test_non_finite_f_names_rows(self):
-        spec = make_spec(FocalKernel(), "1", "t", "0", "1", "U(1)", "DU(0)",
-                         "sqrt(1/2 - u)", 0.1, 0.0, 0.0, n=16, validate=False)
+        text = edited(ZERO_PROBLEM, ("f = u", "f = sqrt(1/2 - u)"), ("lambda = 0", "lambda = 0.1"))
+        spec = loads_problem(text, n=16, validate=False)
         u = GridFunction.stack([GridFunction.ramp(spec.grid, s) for s in (0.2, 0.9, 0.4, 2.0)])
         with pytest.raises(EvaluationError) as err:
             apply_T(spec, u)
@@ -231,8 +235,10 @@ class TestLockstep:
         assert_same_results([got], [reference_picard(example1, u0, 1e-10, 10_000)])
 
     def test_first_application_error_propagates(self):
-        spec = make_spec(FocalKernel(), "1", "t", "0", "1", "U(1/4)", "DU(3/4)",
-                         "exp(100*t*(u + v))", 0.1, 0.1, 0.1, n=32, validate=False)
+        text = edited(ZERO_PROBLEM, ("h1 = U(1)", "h1 = U(1/4)"), ("h2 = DU(0)", "h2 = DU(3/4)"),
+                      ("f = u", "f = exp(100*t*(u + v))"), ("lambda = 0", "lambda = 0.1"),
+                      ("eta1 = 0", "eta1 = 0.1"), ("eta2 = 0", "eta2 = 0.1"))
+        spec = loads_problem(text, n=32, validate=False)
         with pytest.raises(EvaluationError, match="row"):
             multistart_solve(spec, starts=8, seed=0)
 
