@@ -7,6 +7,10 @@ Lattice and sphere sampling bound these extrema from the *wrong* side, so
 sampled values are always labelled heuristic (and nudged by a safety
 factor before use); the certified label is reserved for closed-form bounds
 declared in the problem file, which is how the worked examples supply them.
+
+The sampled f extrema scan m^3 lattices through expr.lattice_extrema,
+slab by slab along t, so no lattice-sized array is ever built; a sampled
+bound that is not finite names its slot and radius.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, IncompleteBoundsError, ParameterError
-from .expr import Expr, eval_bound, eval_functional, eval_nonlinearity
+from .expr import Expr, eval_bound, eval_functional, eval_nonlinearity, lattice_extrema
 from .grid import CONE_TOL, GridFunction, c1_norm, random_cone_function
 
 DEFAULT_INFLATION = 1.05
@@ -75,28 +79,20 @@ def estimate_f_extrema(spec, rho: float, m: int = 64) -> tuple[float, float]:
     if m < 2:
         raise ParameterError(f"lattice size must be at least 2, got {m}")
     axes = (np.linspace(0.0, 1.0, m), np.linspace(0.0, rho, m), np.linspace(0.0, rho, m))
-    vals = eval_nonlinearity(spec.f, axes[0][:, None, None], axes[1][None, :, None],
-                             axes[2][None, None, :])
-    vals = np.broadcast_to(np.asarray(vals), (m, m, m))
-    max_est = _refined_extremum(spec, axes, vals, rho, m, sign=+1)
-    min_est = _refined_extremum(spec, axes, vals, rho, m, sign=-1)
-    return max_est, min_est
+    lo, lo_at, hi, hi_at = lattice_extrema(spec.f, *axes)
+    _, _, near_hi, _ = _local_extrema(spec, axes, hi_at, rho, m)
+    near_lo, _, _, _ = _local_extrema(spec, axes, lo_at, rho, m)
+    return max(hi, near_hi), min(lo, near_lo)
 
 
-def _refined_extremum(spec, axes, vals, rho, m, sign) -> float:
-    flat = sign * vals
-    idx = np.unravel_index(int(np.argmax(flat)), vals.shape)
-    best = float(vals[idx])
-    uppers = (1.0, rho, rho)
+def _local_extrema(spec, axes, idx, rho, m) -> tuple:
+    """lattice_extrema of f on the m^3 lattice spanning the lattice cells
+    around index ``idx`` of ``axes``, clipped to [0,1] x [0,rho]^2."""
     local = []
-    for axis, i, hi in zip(axes, idx, uppers):
+    for axis, i, hi in zip(axes, idx, (1.0, rho, rho)):
         cell = hi / (m - 1)
         local.append(np.linspace(max(0.0, axis[i] - cell), min(hi, axis[i] + cell), m))
-    fine = eval_nonlinearity(spec.f, local[0][:, None, None], local[1][None, :, None],
-                             local[2][None, None, :])
-    fine = np.broadcast_to(np.asarray(fine), (m, m, m))
-    refined = float(np.max(sign * fine)) * sign
-    return max(best, refined) if sign > 0 else min(best, refined)
+    return lattice_extrema(spec.f, *local)
 
 
 def sphere_family(spec, rho: float, samples: int, rng: np.random.Generator) -> GridFunction:
@@ -246,10 +242,13 @@ class BoundSet:
         key = (slot, rho)
         if key not in self._sampled:
             spec, m, samples, seed = self._sampling
-            if slot in ("h1", "h2"):
-                raw = estimate_H(spec, int(slot[1]), rho, samples, seed)
-            else:
-                raw = estimate_f_extrema(spec, rho, m)[0 if upward else 1]
+            try:
+                if slot in ("h1", "h2"):
+                    raw = estimate_H(spec, int(slot[1]), rho, samples, seed)
+                else:
+                    raw = estimate_f_extrema(spec, rho, m)[0 if upward else 1]
+            except EvaluationError as exc:
+                raise EvaluationError(f"sampled bound {slot}({rho}): {exc}") from exc
             self._sampled[key] = BoundEntry(_widened(raw, upward), raw, "heuristic")
         return self._sampled[key]
 

@@ -352,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     # flags its handler reads, and no parser takes a flag's prefix for it.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--problem", required=True, help="path to the problem file")
-    common.add_argument("--n", type=int, default=256, help="grid subintervals (default 256)")
+    common.add_argument("--n", type=_int_at_least(2), default=256,
+                        help="grid subintervals (default 256, at least 2)")
     common.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="seed for randomized sampling (default 0)")
     lattice = argparse.ArgumentParser(add_help=False)

@@ -26,6 +26,11 @@ parsed for:
 U(a) is the point value u(a), DU(a) is u'(a), and INT(body) integrates the
 body over s in [0,1] with U(s), DU(s) available inside.  INT does not nest.
 Evaluation is numpy-vectorised; non-finite results raise EvaluationError.
+
+lattice_extrema scans a nonlinearity over a t x u x v lattice without
+building it: slab by slab along t, at most LATTICE_SLAB points at a time,
+with the subexpressions that do not read t evaluated once on a (u, v)
+plane.  It returns what argmin and argmax on the whole array would.
 """
 
 from __future__ import annotations
@@ -438,6 +443,72 @@ def eval_nonlinearity(e: Expr, t, u, v, rows: int | None = None):
     EvaluationError lists every failing row.
     """
     return _run(e, {"t": t, "u": u, "v": v}, rows=rows)
+
+
+# The most lattice points lattice_extrema evaluates at once (unless a single
+# v-row is longer): 2^14 points keep each temporary at 128 KiB.
+LATTICE_SLAB = 1 << 14
+
+
+def lattice_extrema(e: Expr, t, u, v) -> tuple[float, tuple, float, tuple]:
+    """(min, argmin, max, argmax) of f over the lattice with 1-D axes t, u, v.
+
+    Each extremum is the value at the index numpy's argmin or argmax gives
+    on the whole (len(t), len(u), len(v)) array: its first occurrence in C
+    order.  That array is never built: f is evaluated slab by slab along
+    t, at most LATTICE_SLAB points at a time (a t-plane larger than that is
+    split along u).  The subexpressions of f that do not read t are
+    evaluated once, on the (u, v) plane.  The slabs run in C order, so a
+    non-finite value raises the EvaluationError the whole lattice would.
+    """
+    free: dict = {}
+    core = _hoist_t_free(e, free)
+    dt = max(1, LATTICE_SLAB // (len(u) * len(v)))
+    du = len(u) if dt > 1 else max(1, LATTICE_SLAB // len(v))
+    lo = hi = None  # (value, index) so far; a later slab must be strictly better
+    with np.errstate(all="ignore"):
+        plane = {"u": u[None, :, None], "v": v[None, None, :]}
+        parts = {name: _eval(part, plane, None) for name, part in free.items()}
+        for i in range(0, len(t), dt):
+            for j in range(0, len(u), du):
+                cols = slice(j, j + du)
+                env = {"t": t[i:i + dt, None, None], "u": u[None, cols, None], "v": plane["v"]}
+                known = {name: p[:, cols] if p.shape[1] > 1 else p for name, p in parts.items()}
+                vals = np.atleast_3d(_eval(core, {**env, **known}, None))
+                if not np.isfinite(vals).all():
+                    raise _non_finite_error(e, env, vals, None)
+                kmin, kmax = int(vals.argmin()), int(vals.argmax())
+                if lo is None or vals.flat[kmin] < lo[0]:
+                    lo = _lattice_point(vals, kmin, i, j)
+                if hi is None or vals.flat[kmax] > hi[0]:
+                    hi = _lattice_point(vals, kmax, i, j)
+    return (*lo, *hi)
+
+
+def _hoist_t_free(e: Expr, free: dict) -> Expr:
+    """e with each largest subtree that reads u or v but not t replaced by a
+    variable; ``free`` maps the variable's name to the subtree."""
+    names = variables(e)
+    if "t" not in names:
+        if not names or isinstance(e, Var):
+            return e
+        name = f"#{len(free)}"  # no expression can read it: not an identifier
+        free[name] = e
+        return Var(name)
+    if isinstance(e, Unary):
+        return Unary(_hoist_t_free(e.operand, free))
+    if isinstance(e, Binary):
+        return Binary(e.op, _hoist_t_free(e.left, free), _hoist_t_free(e.right, free))
+    if isinstance(e, Call):
+        return Call(e.func, tuple(_hoist_t_free(a, free) for a in e.args))
+    return e
+
+
+def _lattice_point(vals: np.ndarray, k: int, i: int, j: int) -> tuple[float, tuple]:
+    """(value, lattice index) of flat index k of the slab with corner (i, j, 0);
+    a size-1 axis of the slab (f does not read that variable) reads index 0."""
+    a, b, c = np.unravel_index(k, vals.shape)
+    return float(vals.flat[k]), (i + int(a), j + int(b), int(c))
 
 
 def eval_coefficient(e: Expr, t):

@@ -18,15 +18,13 @@ from .errors import CheckResult, DomainError, ParameterError, ShapeError
 CONE_TOL = 1e-9
 
 
-def sign_check(name: str, vals: np.ndarray, axes: dict, where: str) -> CheckResult:
-    """The check `name` on the minimum of lattice samples ``vals``: a warning
-    names the lattice point of the minimum (``axes`` maps each variable to
-    its axis, one per dimension of ``vals``), a pass reports the minimum
-    followed by ``where``."""
-    worst = float(vals.min())
+def sign_check(name: str, worst: float, at: tuple, axes: dict, where: str) -> CheckResult:
+    """The check `name` on the minimum ``worst`` of lattice samples, found at
+    index ``at`` of the lattice: a warning names that point (``axes`` maps
+    each variable to its axis, one per dimension), a pass reports the
+    minimum followed by ``where``."""
     if worst < -CONE_TOL:
-        idx = np.unravel_index(int(vals.argmin()), vals.shape)
-        point = ", ".join(f"{var}={ax[i]:.4g}" for (var, ax), i in zip(axes.items(), idx))
+        point = ", ".join(f"{var}={ax[i]:.4g}" for (var, ax), i in zip(axes.items(), at))
         return CheckResult(name, "warn", f"min {worst:.3g} at {point}")
     return CheckResult(name, "pass", f"min {worst:.3g} {where}")
 

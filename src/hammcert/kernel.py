@@ -202,7 +202,9 @@ def check_kernel_hypotheses(kernel: Kernel, m: int = 64) -> list[CheckResult]:
     s = pts[None, :]
     kvals = kernel._sample(kernel.k, t, s, "k")
     dkvals = kernel._sample(kernel.dk, t, s, "dk")
-    results = [sign_check(label, vals, {"t": pts, "s": pts}, f"on {m}x{m} lattice")
+    results = [sign_check(label, float(vals.min()),
+                          np.unravel_index(int(vals.argmin()), vals.shape),
+                          {"t": pts, "s": pts}, f"on {m}x{m} lattice")
                for label, vals in (("kernel k >= 0", kvals), ("kernel dk >= 0", dkvals))]
     if kernel.phi is not None:
         gap = float((np.broadcast_to(kernel.phi(s), kvals.shape) - kvals).min())

@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import BoundSet, LinearGrowthWitness
 from .errors import CheckResult, ParameterError, ProblemFileError
 from .expr import (Expr, eval_coefficient, eval_constant, eval_functional,
-                   eval_nonlinearity, parse, parse_entry)
+                   eval_nonlinearity, lattice_extrema, parse, parse_entry)
 from .grid import (CONE_TOL, Grid, GridFunction, cone_defect, random_cone_function,
                    sign_check)
 from .kernel import FocalKernel, Kernel, check_kernel_hypotheses, kernel_from_exprs
@@ -91,7 +91,8 @@ def validate_spec(spec: ProblemSpec, m: int = 64) -> list[CheckResult]:
     results = check_kernel_hypotheses(spec.kernel, m=m)
     for label, vals in zip(("gamma1 >= 0", "gamma2 >= 0", "gamma1' >= 0", "gamma2' >= 0"),
                            _coefficient_samples(spec, spec.grid)):
-        results.append(sign_check(label, vals, {"t": spec.grid.nodes}, "on grid nodes"))
+        results.append(sign_check(label, float(vals.min()), (int(vals.argmin()),),
+                                  {"t": spec.grid.nodes}, "on grid nodes"))
     results.append(_check_f_sign(spec, m))
     results.append(CheckResult("declared gamma' match", "pass",
                                f"finite differences agree within {FD_TOL:g}"))
@@ -100,11 +101,10 @@ def validate_spec(spec: ProblemSpec, m: int = 64) -> list[CheckResult]:
 
 
 def _check_f_sign(spec: ProblemSpec, m: int) -> CheckResult:
-    # Its own frame, so the m^3 samples are freed before the next check.
     ax = np.linspace(0.0, 1.0, m)
-    vals = eval_nonlinearity(spec.f, ax[:, None, None], ax[None, :, None], ax[None, None, :])
-    return sign_check("f >= 0", np.broadcast_to(np.asarray(vals), (m, m, m)),
-                      {"t": ax, "u": ax, "v": ax}, f"on {m}^3 lattice over [0,1]^3")
+    worst, at, _, _ = lattice_extrema(spec.f, ax, ax, ax)
+    return sign_check("f >= 0", worst, at, {"t": ax, "u": ax, "v": ax},
+                      f"on {m}^3 lattice over [0,1]^3")
 
 
 def _check_functional_boundedness(spec: ProblemSpec) -> CheckResult:

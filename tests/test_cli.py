@@ -11,9 +11,10 @@ import hammcert.cli
 import hammcert.problem
 from hammcert.cli import format_record, main, parse_record
 
-from problem_texts import ZERO_PROBLEM
+from problem_texts import ZERO_PROBLEM, edited
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+PROBLEMS = SRC.parent / "problems"
 
 # A custom concave kernel whose exact K = 2/3 puts lambda*tau*K exactly on
 # the strict boundary 1; its trapezoid K = 0.66661... passes it.
@@ -134,6 +135,25 @@ class TestCertifyExistence:
                      "--r", "0.05", "--R", "1000"]) == 2
         assert capsys.readouterr().err == ("error: declared bound f_upper(1000.0): "
                                            "expression 'exp(2.0*rho)' is non-finite at rho=1000\n")
+
+    @pytest.mark.parametrize("source, edits, err", [
+        # Every bound sampled, as the benchmark's sampled copy has them: f
+        # overflows at the lattice point the whole-lattice scan names.
+        ("example2", [(f"{line}\n", "") for line in
+                      ("f_upper = 3*rho", "f_lower = 0", "h1 = rho", "h2 = rho")],
+         "sampled bound f_upper(1e+200): expression 'u*(2.0 - t*sin(u*v))' is non-finite "
+         "at t=0, u=1.5873e+198, v=1.5873e+198"),
+        # f_upper declared finite, h1 sampled: DU(3/4)^2 overflows on the sphere.
+        ("example1", [("f_upper = exp(2*rho)\n", "f_upper = 1\n"), ("h1 = rho + rho^2\n", "")],
+         "sampled bound h1(1e+200): expression 'U(1.0/4.0) + DU(3.0/4.0)^2.0' is non-finite "
+         "at (no variables) in row 0 of a stack of 202"),
+    ], ids=["f_upper", "h1"])
+    def test_non_finite_sampled_bound_names_its_slot(self, tmp_path, source, edits, err, capsys):
+        sampled = tmp_path / "sampled.prob"
+        sampled.write_text(edited((PROBLEMS / f"{source}.prob").read_text(), *edits))
+        assert main(["certify-existence", "--problem", str(sampled),
+                     "--r", "0.05", "--R", "1e200"]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 class TestCertifyNonexistence:
@@ -387,6 +407,13 @@ class TestNumericOptions:
     def test_solve_tolerance_finite_and_positive(self, example1_path, tol, capsys):
         assert main(["solve", "--problem", example1_path, "--n", "16", "--tol", tol]) == 2
         assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "0", "-5"])
+    def test_grid_size_at_least_two(self, n, capsys):
+        # A usage error, raised before the problem file is read.
+        assert main(["validate", "--problem", "no/such/file.prob", "--n", n]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"hammcert validate: error: argument --n: must be at least 2, got {n}")
 
     @pytest.mark.parametrize("m", ["1", "0", "-4"])
     def test_lattice_size_at_least_two(self, example1_path, m, capsys):
