@@ -10,7 +10,8 @@ declared in the problem file, which is how the worked examples supply them.
 
 The sampled f extrema scan m^3 lattices through expr.lattice_extrema,
 slab by slab along t, so no lattice-sized array is ever built; a sampled
-bound that is not finite names its slot and radius.
+bound that is not finite names its slot and radius, and the lattice point
+or the cone sample where it overflowed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, IncompleteBoundsError, ParameterError
-from .expr import Expr, eval_bound, eval_functional, eval_nonlinearity, lattice_extrema
+from .expr import Expr, eval_bound, eval_functional, eval_nonlinearity, lattice_extrema, to_source
 from .grid import CONE_TOL, GridFunction, c1_norm, random_cone_function
 
 DEFAULT_INFLATION = 1.05
@@ -95,6 +96,10 @@ def _local_extrema(spec, axes, idx, rho, m) -> tuple:
     return lattice_extrema(spec.f, *local)
 
 
+# The rows of sphere_family before its random cone samples.
+SPHERE_FIXED = ("the ramp rho*t", "the constant rho")
+
+
 def sphere_family(spec, rho: float, samples: int, rng: np.random.Generator) -> GridFunction:
     """A stack of cone functions with C1 norm exactly rho, drawn from the sphere.
 
@@ -119,8 +124,21 @@ def estimate_H(spec, i: int, rho: float, samples: int = 200, seed: int = 0) -> f
         raise ParameterError(f"rho must be positive, got {rho}")
     h = spec.h1 if i == 1 else spec.h2
     rng = np.random.default_rng([seed, i])
-    values = eval_functional(h, sphere_family(spec, rho, samples, rng))
+    values = functional_on_samples(h, sphere_family(spec, rho, samples, rng), SPHERE_FIXED)
     return float(values[np.argmax(values)])  # the first maximum, as max() picks
+
+
+def functional_on_samples(h: Expr, u: GridFunction, fixed: tuple = ()) -> np.ndarray:
+    """eval_functional(h, u) on a stack of cone samples: the rows ``fixed``
+    names, then random cone samples 0, 1, ...  A non-finite value names the
+    first sample it occurs on and that sample's C1 norm."""
+    try:
+        return eval_functional(h, u)
+    except EvaluationError as exc:
+        row = exc.rows[0]
+        which = fixed[row] if row < len(fixed) else f"random cone sample {row - len(fixed)}"
+        raise EvaluationError(f"expression '{to_source(h)}' is non-finite on {which} "
+                              f"(C1 norm {c1_norm(u[row]):.6g})", rows=exc.rows) from exc
 
 
 def falsify_linear_growth(spec, witness: LinearGrowthWitness, budget: int = 4096,

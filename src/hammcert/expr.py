@@ -325,6 +325,58 @@ def variables(e: Expr) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# differentiation
+
+def derivative(e: Expr, var: str) -> Expr:
+    """d e / d var over Num, Const, Var, Unary, Binary and Call nodes, with constants folded
+    (a subtree free of ``var`` gives Num(0.0)) and no negative Num, so to_source round-trips.
+    An exponent that reads ``var`` is an ExprError; abs, min and max are nan at the kink."""
+    if e == Var(var) or var not in variables(e):
+        return Num(float(e == Var(var)))
+    if isinstance(e, Unary):
+        return _binary("-", Num(0.0), derivative(e.operand, var))
+    if isinstance(e, Binary):
+        a, b, da, db = e.left, e.right, derivative(e.left, var), derivative(e.right, var)
+        if e.op in "+-":
+            return _binary(e.op, da, db)
+        if e.op == "*":
+            return _binary("+", _binary("*", da, b), _binary("*", a, db))
+        if e.op == "/":
+            return _binary("-", _binary("/", da, b),
+                           _binary("/", _binary("*", a, db), _binary("*", b, b)))
+        if var not in variables(b):  # an exponent that reads var falls through to the error
+            return _binary("*", _binary("*", b, _binary("^", a, _binary("-", b, Num(1.0)))), da)
+    if isinstance(e, Call) and e.func in FUNCTIONS2:  # s = sign(a - b), nan at the kink a = b
+        s = Binary("/", Binary("-", *e.args), Call("abs", (Binary("-", *e.args),)))
+        up, down = (Call("max", (w, Num(0.0))) for w in (s, Unary(s)))  # 1 where a > b, a < b
+        weights = (up, down) if e.func == "max" else (down, up)
+        return _binary("+", *(_binary("*", w, derivative(x, var)) for w, x in zip(weights, e.args)))
+    if isinstance(e, Call):
+        outer = {"exp": e, "sin": Call("cos", e.args), "cos": Unary(Call("sin", e.args)),
+                 "sqrt": Binary("/", Num(0.5), e), "abs": Binary("/", e.args[0], e)}[e.func]
+        return _binary("*", outer, derivative(e.args[0], var))
+    raise ExprError(f"cannot differentiate {to_source(e)!r}: an exponent reads {var} (no log)")
+
+
+def _binary(op: str, a: Expr, b: Expr) -> Expr:
+    """Binary(op, a, b), with constant operands folded and the identities of 0 and 1 applied."""
+    with np.errstate(all="ignore"):
+        x, y = (None if variables(o) else float(_eval(o, {}, None)) for o in (a, b))
+        v = float(_eval(Binary(op, a, b), {}, None)) if None not in (x, y) else math.nan
+    if math.isfinite(v):
+        return Unary(Num(-v)) if v < 0 else Num(v + 0.0)  # + 0.0 turns -0.0 into 0.0
+    if (op == "*" and 0 in (x, y)) or (op == "/" and x == 0):
+        return Num(0.0)
+    if (op in "+-" and y == 0) or (op in "*/^" and y == 1):
+        return a
+    if (op == "+" and x == 0) or (op == "*" and x == 1):
+        return b
+    if op == "-" and x == 0:
+        return b.operand if isinstance(b, Unary) else Unary(b)
+    return Binary(op, a, b)
+
+
+# ---------------------------------------------------------------------------
 # printing
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5

@@ -4,11 +4,11 @@ parameters, and the operator
     Tu(t) = eta1*gamma1(t)*h1[u] + eta2*gamma2(t)*h2[u]
             + lambda * int_0^1 k(t,s) f(s, u(s), u'(s)) ds,
 
-whose derivative row swaps in gamma_i' and dk.  Problems are declared in a
-flat INI-style file (see docs/problem-format.md); the standing hypotheses
-are validated by sampling at load time — sign violations of the sampled
-data are structured warnings, bad parameters and mismatched declared
-derivatives are errors.
+whose derivative row swaps in dk and gamma_i', derived from gamma_i.
+Problems are declared in a flat INI-style file (see docs/problem-format.md);
+the standing hypotheses are validated by sampling at load time — sign
+violations of the sampled data are structured warnings, bad parameters and
+unknown sections or keys are errors.
 """
 
 from __future__ import annotations
@@ -18,16 +18,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import BoundSet, LinearGrowthWitness
-from .errors import CheckResult, ParameterError, ProblemFileError
-from .expr import (Expr, eval_coefficient, eval_constant, eval_functional,
-                   eval_nonlinearity, lattice_extrema, parse, parse_entry)
+from .bounds import BoundSet, LinearGrowthWitness, functional_on_samples
+from .errors import CheckResult, EvaluationError, ExprError, ParameterError, ProblemFileError
+from .expr import (Expr, derivative, eval_coefficient, eval_constant, eval_functional,
+                   eval_nonlinearity, lattice_extrema, parse, parse_entry, to_source)
 from .grid import (CONE_TOL, Grid, GridFunction, cone_defect, random_cone_function,
                    sign_check)
 from .kernel import FocalKernel, Kernel, check_kernel_hypotheses, kernel_from_exprs
-
-FD_STEP = 1e-5
-FD_TOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +34,6 @@ class ProblemSpec:
     kernel: Kernel
     gamma1: Expr
     gamma2: Expr
-    dgamma1: Expr
-    dgamma2: Expr
     h1: Expr
     h2: Expr
     f: Expr
@@ -53,8 +48,10 @@ class ProblemSpec:
     # every replace() starts an empty cache and can never see stale samples.
     _coefficient_cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    # The certificates' gamma_i(1) (last node) and ||gamma_i'|| (max over the
-    # nodes), read from those samples when asked for, so copies never go stale.
+    # gamma_i' (derived from gamma_i), and the certificates' gamma_i(1) (last node)
+    # and ||gamma_i'|| (max over the nodes), come when asked for: no copy goes stale.
+    dgamma1 = property(lambda self: derivative(self.gamma1, "t"))
+    dgamma2 = property(lambda self: derivative(self.gamma2, "t"))
     gamma1_at_1 = property(lambda self: float(_coefficient_samples(self, self.grid)[0][-1]))
     gamma2_at_1 = property(lambda self: float(_coefficient_samples(self, self.grid)[1][-1]))
     dgamma1_sup = property(lambda self: float(np.max(np.abs(_coefficient_samples(self, self.grid)[2]))))
@@ -62,26 +59,6 @@ class ProblemSpec:
 
     def with_params(self, lam: float, eta1: float, eta2: float) -> "ProblemSpec":
         return replace(self, lam=lam, eta1=eta1, eta2=eta2)
-
-
-def _check_declared_derivatives(spec: ProblemSpec) -> None:
-    # Central differences against the user-declared gamma_i'; catches a
-    # mistyped derivative before it contaminates every certificate.
-    probes = np.linspace(0.05, 0.95, 19)
-    for label, g, dg in (("gamma1", spec.gamma1, spec.dgamma1),
-                         ("gamma2", spec.gamma2, spec.dgamma2)):
-        diff = np.asarray(eval_coefficient(g, probes + FD_STEP)) \
-            - np.asarray(eval_coefficient(g, probes - FD_STEP))
-        fd = np.broadcast_to(diff / (2 * FD_STEP), probes.shape)
-        declared = np.broadcast_to(np.asarray(eval_coefficient(dg, probes)), probes.shape)
-        gap = np.abs(fd - declared)
-        if float(gap.max()) > FD_TOL:
-            j = int(gap.argmax())
-            raise ProblemFileError(
-                f"declared derivative of {label} disagrees with finite differences: "
-                f"at t={probes[j]:.4g} declared {float(declared[j]):.6g}, "
-                f"measured {float(fd[j]):.6g}"
-            )
 
 
 def validate_spec(spec: ProblemSpec, m: int = 64) -> list[CheckResult]:
@@ -94,8 +71,6 @@ def validate_spec(spec: ProblemSpec, m: int = 64) -> list[CheckResult]:
         results.append(sign_check(label, float(vals.min()), (int(vals.argmin()),),
                                   {"t": spec.grid.nodes}, "on grid nodes"))
     results.append(_check_f_sign(spec, m))
-    results.append(CheckResult("declared gamma' match", "pass",
-                               f"finite differences agree within {FD_TOL:g}"))
     results.append(_check_functional_boundedness(spec))
     return results
 
@@ -111,8 +86,8 @@ def _check_functional_boundedness(spec: ProblemSpec) -> CheckResult:
     # 8 cone functions on each sphere rho = 0.5, 1, 2, as one stack.
     u = random_cone_function(spec.grid, np.random.default_rng(0),
                              norm=np.repeat([0.5, 1.0, 2.0], 8), count=24)
-    # eval_functional raises on non-finite values
-    worst = min(0.0, *(float(np.min(eval_functional(h, u))) for h in (spec.h1, spec.h2)))
+    # functional_on_samples raises on non-finite values
+    worst = min(0.0, *(float(np.min(functional_on_samples(h, u))) for h in (spec.h1, spec.h2)))
     if worst < -CONE_TOL:
         return CheckResult("functionals >= 0 and bounded", "warn",
                            f"found h[u] = {worst:.3g} < 0 on a cone sample")
@@ -159,9 +134,14 @@ def _coefficient_samples(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, ...
     samples = spec._coefficient_cache.get(grid)
     if samples is None:
         t = grid.nodes
-        samples = tuple(np.broadcast_to(np.asarray(eval_coefficient(e, t)), t.shape)
-                        for e in (spec.gamma1, spec.gamma2, spec.dgamma1, spec.dgamma2))
-        spec._coefficient_cache[grid] = samples
+        on_nodes = lambda e: np.broadcast_to(np.asarray(eval_coefficient(e, t)), t.shape)
+        samples = [on_nodes(spec.gamma1), on_nodes(spec.gamma2)]
+        for key, gamma in (("gamma1", spec.gamma1), ("gamma2", spec.gamma2)):
+            try:
+                samples.append(on_nodes(derivative(gamma, "t")))
+            except (ExprError, EvaluationError) as exc:  # name the entry it came from
+                raise type(exc)(f"{key}' from [gamma] {key} = {to_source(gamma)!r}: {exc}") from exc
+        samples = spec._coefficient_cache[grid] = tuple(samples)
     return samples
 
 
@@ -171,12 +151,19 @@ def _coefficient_samples(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, ...
 # Every entry a problem file must declare, as section -> ((key, role), ...):
 # the role an expression is parsed in, 'constant' for a number.
 _ENTRIES = {
-    "gamma": (("gamma1", "coefficient"), ("gamma2", "coefficient"),
-              ("dgamma1", "coefficient"), ("dgamma2", "coefficient")),
+    "gamma": (("gamma1", "coefficient"), ("gamma2", "coefficient")),
     "functionals": (("h1", "functional"), ("h2", "functional")),
     "nonlinearity": (("f", "nonlinearity"),),
     "parameters": (("lambda", "constant"), ("eta1", "constant"), ("eta2", "constant")),
 }
+_KERNEL_KEYS = ("name", "k", "dk", "phi", "psi")
+_BOUND_KEYS = ("f_upper", "f_lower", "h1", "h2")
+_WITNESS_KEYS = ("tau", "xi1", "xi2")
+# The keys each section may hold: the entries above and what the kernel and
+# bounds readers read.
+_KEYS = {"kernel": _KERNEL_KEYS, **{section: tuple(key for key, _ in entries)
+                                    for section, entries in _ENTRIES.items()},
+         "bounds": _BOUND_KEYS + _WITNESS_KEYS}
 
 
 def load_problem(path: str, n: int = 256, validate: bool = True) -> ProblemSpec:
@@ -210,6 +197,13 @@ def _spec_from_text(text: str, path, n: int, validate: bool) -> ProblemSpec:
             for key, _ in entries:
                 if not cp.has_option(section, key):
                     raise ProblemFileError(f"missing key {key!r} in [{section}]")
+        for section in [cp.default_section] * bool(cp.defaults()) + cp.sections():
+            if section not in _KEYS:
+                raise ProblemFileError(f"unknown section [{section}] (allowed: {', '.join(_KEYS)})")
+            for key in cp.options(section):
+                if key not in _KEYS[section]:
+                    raise ProblemFileError(f"unknown key {key!r} in [{section}] "
+                                           f"(allowed: {', '.join(_KEYS[section])})")
         kernel = _kernel_from_config(cp)
         bounds, witness = _bounds_from_config(cp)
         lam, eta1, eta2 = params = [_constant(cp, "parameters", key)
@@ -222,7 +216,6 @@ def _spec_from_text(text: str, path, n: int, validate: bool) -> ProblemSpec:
                  for key, role in entries}
         spec = ProblemSpec(kernel=kernel, **exprs, lam=lam, eta1=eta1, eta2=eta2,
                            grid=Grid(n), bounds=bounds, witness=witness)
-        _check_declared_derivatives(spec)
         if validate:
             checked = spec
             spec = replace(spec, warnings=tuple(r for r in validate_spec(spec) if not r.ok))
@@ -246,16 +239,14 @@ def _constant(cp: configparser.ConfigParser, section: str, key: str) -> float:
 def _kernel_from_config(cp: configparser.ConfigParser) -> Kernel:
     if not cp.has_section("kernel"):
         raise ProblemFileError("missing [kernel] section")
-    if cp.has_option("kernel", "name"):
-        name = cp.get("kernel", "name").strip()
-        if name != "focal":
-            raise ProblemFileError(f"unknown built-in kernel {name!r}")
+    name, k, dk, phi, psi = (cp.get("kernel", key, fallback=None) for key in _KERNEL_KEYS)
+    if name is not None:
+        if name.strip() != "focal":
+            raise ProblemFileError(f"unknown built-in kernel {name.strip()!r}")
         return FocalKernel()
-    if not (cp.has_option("kernel", "k") and cp.has_option("kernel", "dk")):
+    if k is None or dk is None:
         raise ProblemFileError("[kernel] needs either name=focal or both k and dk")
-    return kernel_from_exprs(cp.get("kernel", "k"), cp.get("kernel", "dk"),
-                             cp.get("kernel", "phi", fallback=None),
-                             cp.get("kernel", "psi", fallback=None))
+    return kernel_from_exprs(k, dk, phi, psi)
 
 
 def _bounds_from_config(cp) -> tuple[BoundSet, LinearGrowthWitness | None]:
@@ -263,8 +254,8 @@ def _bounds_from_config(cp) -> tuple[BoundSet, LinearGrowthWitness | None]:
     witness, if [bounds] declares one."""
     sec = cp["bounds"] if cp.has_section("bounds") else {}
     bounds = BoundSet(**{key: parse_entry("bounds", key, sec[key], "bound")
-                         for key in ("f_upper", "f_lower", "h1", "h2") if key in sec})
-    witness_keys = [k for k in ("tau", "xi1", "xi2") if k in sec]
+                         for key in _BOUND_KEYS if key in sec})
+    witness_keys = [k for k in _WITNESS_KEYS if k in sec]
     if not witness_keys:
         return bounds, None
     if len(witness_keys) != 3:

@@ -7,8 +7,6 @@ name = focal
 [gamma]
 gamma1 = 1
 gamma2 = t
-dgamma1 = 0
-dgamma2 = 1
 [functionals]
 h1 = U(1)
 h2 = DU(0)
@@ -30,8 +28,6 @@ dk = s^2
 [gamma]
 gamma1 = 1
 gamma2 = t
-dgamma1 = 0
-dgamma2 = 1
 [functionals]
 h1 = U(1)
 h2 = U(1)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from hammcert.errors import DomainError, EvaluationError, ExprError
 from hammcert.expr import (Binary, Call, Const, Integral, Num, PointValue,
-                           Unary, Var, eval_bound, eval_constant,
+                           Unary, Var, derivative, eval_bound, eval_constant,
                            eval_coefficient, eval_functional,
-                           eval_nonlinearity, parse, to_source)
+                           eval_nonlinearity, parse, to_source, variables)
 from hammcert.grid import Grid, GridFunction
 
 E2 = math.exp(2.0)
@@ -233,10 +233,10 @@ def test_round_trip_corpus(src, role):
     assert to_source(again) == printed
 
 
-def _exprs(role_vars, depth=3):
+def _exprs(role_vars, top=1e6):
     # abs() keeps -0.0 out: its repr would re-parse as a unary minus node
     leaf = st.one_of(
-        st.floats(min_value=0.0, max_value=1e6, allow_nan=False).map(lambda x: Num(abs(x))),
+        st.floats(min_value=0.0, max_value=top, allow_nan=False).map(lambda x: Num(abs(x))),
         st.sampled_from(sorted(role_vars)).map(Var) if role_vars else st.nothing(),
         st.sampled_from(["e", "pi"]).map(Const),
     )
@@ -269,3 +269,78 @@ def test_round_trip_random_functional(parts):
                  Binary("*", Integral(Binary("+", body, PointValue(True, Var("s")))),
                         PointValue(True, other)))
     assert parse(to_source(ast), "functional") == ast
+
+
+# --- derivatives ------------------------------------------------------------
+
+class TestDerivative:
+    @pytest.mark.parametrize("src, expected", [
+        ("1", Num(0.0)), ("t", Num(1.0)), ("pi*e", Num(0.0)), ("-t", Unary(Num(1.0))),
+        ("3*t - t/4", Num(2.75)), ("1 - 2*t", Unary(Num(2.0))),
+        ("t^2", Binary("*", Num(2.0), Var("t"))),
+        ("exp(t)", Call("exp", (Var("t"),))),
+        ("cos(t)", Unary(Call("sin", (Var("t"),)))),
+    ])
+    def test_folds_constants(self, src, expected):
+        assert derivative(parse(src, "coefficient"), "t") == expected
+
+    @pytest.mark.parametrize("src", ["2^t", "t^t", "1 + sin(t)^(1 + t)"])
+    def test_exponent_reading_the_variable_is_an_error(self, src):
+        with pytest.raises(ExprError, match=r"an exponent reads t \(no log\)$"):
+            derivative(parse(src, "coefficient"), "t")
+
+    @pytest.mark.parametrize("src, kink, slopes", [
+        ("abs(t - 1/2)", 0.5, (-1.0, 1.0)), ("min(t, 1/4)", 0.25, (1.0, 0.0)),
+        ("max(1/2, 2*t)", 0.25, (0.0, 2.0)),
+    ])
+    def test_kink_is_non_finite(self, src, kink, slopes):
+        d = derivative(parse(src, "coefficient"), "t")
+        assert (eval_coefficient(d, kink - 0.1), eval_coefficient(d, kink + 0.1)) == slopes
+        with pytest.raises(EvaluationError, match=f"non-finite at t={kink:g}"):
+            eval_coefficient(d, kink)
+
+
+def _exponent_reads_t(e) -> bool:
+    if isinstance(e, Binary):
+        here = e.op == "^" and "t" in variables(e.right)
+        return here or any(map(_exponent_reads_t, (e.left, e.right)))
+    if isinstance(e, Unary):
+        return _exponent_reads_t(e.operand)
+    return isinstance(e, Call) and any(map(_exponent_reads_t, e.args))
+
+
+def _at(e, ts):
+    """e at each point of ts, nan where it is not finite."""
+    out = []
+    for t in ts:
+        try:
+            out.append(eval_coefficient(e, float(t)))
+        except EvaluationError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+# Constants up to 4 keep the rounding error of the differences below the
+# tolerance; an exponent may read t, which derivative must reject.
+@given(_exprs({"t"}, top=4.0))
+@settings(max_examples=300, deadline=None)
+def test_derivative_matches_central_differences(e):
+    """At interior points where g and its derivative are finite and smooth
+    across the stencil, the derivative agrees with central differences."""
+    try:
+        d = derivative(e, "t")
+    except ExprError:
+        assert _exponent_reads_t(e)
+        return
+    assert not _exponent_reads_t(e)
+    assert parse(to_source(d), "coefficient") == d
+    h = 1e-6
+    for t in np.linspace(0.05, 0.95, 19):
+        g = _at(e, (t - h, t + h))
+        dl, dt, dr = _at(d, (t - h, t, t + h))
+        scale = 1.0 + abs(dt)
+        if not np.isfinite([*g, dl, dt, dr]).all() or max(abs(g)) > 1e6 \
+                or abs(dr - dl) > 1e-3 * scale or abs(dr - 2 * dt + dl) > 1e-5 * scale:
+            continue  # a kink, a pole or a non-finite value within the stencil
+        fd = (g[1] - g[0]) / (2 * h)
+        assert abs(fd - dt) <= 1e-4 * scale + 1e-9 * max(abs(g)) / h, (to_source(e), t, fd, dt)

@@ -13,7 +13,7 @@ from hammcert.errors import (EvaluationError, IncompleteBoundsError, ParameterEr
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, cone_defect,
                            consistency_defect, in_cone, random_cone_function)
 from hammcert.certificate import check_existence
-from hammcert.expr import eval_coefficient, eval_functional, eval_nonlinearity, parse
+from hammcert.expr import Num, eval_coefficient, eval_functional, eval_nonlinearity, parse
 from hammcert.kernel import FocalKernel, Kernel, kernel_from_exprs
 from hammcert.problem import ProblemSpec, apply_T, load_problem, loads_problem, validate_spec
 
@@ -21,6 +21,7 @@ from grid_checks import consistency_tol
 from problem_texts import ZERO_PROBLEM, edited
 
 DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "problem-format.md"
+SECTIONS = "kernel, gamma, functionals, nonlinearity, parameters, bounds"
 
 class TestLoading:
     def test_example1_precomputed_fields(self, example1):
@@ -99,6 +100,40 @@ class TestLoading:
         assert spec.bounds.f_lower(1.0).value == 1.0
         assert spec.witness == LinearGrowthWitness(tau=3.0, xi1=1.0, xi2=1.0)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("gamma2 = t", "gamma2 = t\ndgamma1 = 0",
+         "unknown key 'dgamma1' in [gamma] (allowed: gamma1, gamma2)"),
+        ("gamma2 = t", "gamma2 = t\nfoo = 3",
+         "unknown key 'foo' in [gamma] (allowed: gamma1, gamma2)"),
+        ("eta2 = 0", "eta2 = 0\n[bounds]\nf_uper = 1",
+         "unknown key 'f_uper' in [bounds] (allowed: f_upper, f_lower, h1, h2, tau, xi1, xi2)"),
+        ("name = focal", "name = focal\nphy = s",
+         "unknown key 'phy' in [kernel] (allowed: name, k, dk, phi, psi)"),
+        ("[kernel]", "[kernal]\n[kernel]",
+         f"unknown section [kernal] (allowed: {SECTIONS})"),
+        ("[kernel]", "[DEFAULT]\nf = u\n[kernel]",
+         f"unknown section [DEFAULT] (allowed: {SECTIONS})"),
+    ])
+    def test_unknown_section_or_key_is_error(self, old, new, message):
+        with pytest.raises(ProblemFileError) as exc:
+            loads_problem(ZERO_PROBLEM.replace(old, new))
+        assert str(exc.value) == f"<string>: {message}"
+
+    def test_exponent_reading_t_fails_to_load(self):
+        with pytest.raises(ProblemFileError) as exc:
+            loads_problem(edited(ZERO_PROBLEM, ("gamma2 = t", "gamma2 = 2^t")))
+        assert str(exc.value) == ("<string>: gamma2' from [gamma] gamma2 = '2.0^t': cannot "
+                                  "differentiate '2.0^t': an exponent reads t (no log)")
+
+    def test_derivative_error_names_its_entry(self):
+        text = edited(ZERO_PROBLEM, ("gamma2 = t", "gamma2 = abs(t - 1/2)"))
+        with pytest.raises(ProblemFileError) as exc:
+            loads_problem(text, n=256)  # t = 1/2 is a node: the kink of abs
+        assert str(exc.value) == (
+            "<string>: gamma2' from [gamma] gamma2 = 'abs(t - 1.0/2.0)': "
+            "expression '(t - 1.0/2.0)/abs(t - 1.0/2.0)' is non-finite at t=0.5")
+        assert loads_problem(text, n=255).dgamma2_sup == 1.0
+
     def test_unknown_builtin_kernel(self):
         text = ZERO_PROBLEM.replace("name = focal", "name = dirichlet")
         with pytest.raises(ProblemFileError, match="dirichlet"):
@@ -115,14 +150,8 @@ class TestLoading:
         assert spec.warnings == ()
         assert any(r.name == "kernel k <= Phi" for r in validate_spec(spec))
 
-    def test_derivative_mismatch_is_error(self):
-        text = ZERO_PROBLEM.replace("dgamma2 = 1", "dgamma2 = 2")
-        with pytest.raises(ProblemFileError, match=r"^<string>: declared derivative of gamma2 "
-                                                   r"disagrees with finite differences: "):
-            loads_problem(text)
-
     def test_negative_gamma_is_warning(self):
-        text = ZERO_PROBLEM.replace("gamma2 = t", "gamma2 = -t").replace("dgamma2 = 1", "dgamma2 = -1")
+        text = ZERO_PROBLEM.replace("gamma2 = t", "gamma2 = -t")
         spec = loads_problem(text)
         assert any("gamma2" in w.name for w in spec.warnings)
 
@@ -132,7 +161,7 @@ class TestLoading:
         assert any(w.name == "f >= 0" for w in spec.warnings)
 
     @pytest.mark.parametrize("edits, name, detail", [
-        ((("gamma2 = t", "gamma2 = (t-0.3)^2 - 0.01"), ("dgamma2 = 1", "dgamma2 = 2*(t-0.3)")),
+        ((("gamma2 = t", "gamma2 = (t-0.3)^2 - 0.01"),),
          "gamma2 >= 0", "min -0.01 at t=0.3008"),
         ((("name = focal", "k = (t-0.4)^2 + (s-0.7)^2 - 0.01\ndk = 2*(t-0.4)"),),
          "kernel k >= 0", "min -0.00999 at t=0.3968, s=0.6984"),
@@ -182,6 +211,10 @@ class TestLoading:
          ProblemFileError, "missing key 'eta2' in [parameters]"),
         ((("lambda = 0", "lambda = -1"), ("eta2 = 0", "eta2 = 0\n[bounds]\ntau = -1\nxi1 = 1\nxi2 = 1")),
          256, ProblemFileError, "[bounds] witness: witness tau must be non-negative, got -1.0"),
+        ((("gamma2 = t", "gamma2 = t\nfoo = 1"), ("eta2 = 0\n", "")), 256,
+         ProblemFileError, "missing key 'eta2' in [parameters]"),
+        ((("gamma2 = t", "gamma2 = t\nfoo = 1"), ("name = focal", "k = t*\ndk = s")), 256,
+         ProblemFileError, "unknown key 'foo' in [gamma] (allowed: gamma1, gamma2)"),
     ])
     def test_error_precedence(self, edits, n, error, message):
         # A file with several faults reports the first in load order
@@ -217,7 +250,9 @@ class TestValidateSpec:
         results = validate_spec(example1)
         assert all(r.ok for r in results)
         names = [r.name for r in results]
-        assert "f >= 0" in names and "declared gamma' match" in names
+        assert names == ["kernel k >= 0", "kernel dk >= 0", "kernel k <= Phi", "kernel dk <= Psi",
+                         "gamma1 >= 0", "gamma2 >= 0", "gamma1' >= 0", "gamma2' >= 0", "f >= 0",
+                         "functionals >= 0 and bounded"]
 
     @pytest.mark.parametrize("m", [1, 0])
     def test_lattice_needs_two_points(self, example1, m):
@@ -288,7 +323,7 @@ def _dense_T(spec, u):
 
 # gamma1 is nan at t = 0 only, which the load-time probes miss.
 NAN_AT_ZERO_PROBLEM = edited(ZERO_PROBLEM, ("gamma1 = 1", "gamma1 = t + 0*sqrt(t - 1/1000)"),
-                             ("dgamma1 = 0", "dgamma1 = 1"), ("lambda = 0", "lambda = 0.1"),
+                             ("lambda = 0", "lambda = 0.1"),
                              ("eta1 = 0", "eta1 = 0.5"))
 
 
@@ -336,8 +371,7 @@ class TestCoefficientConstants:
     """gamma_i(1) and ||gamma_i'|| come from the spec's own coefficients."""
 
     def test_replaced_coefficients_certify_like_a_fresh_load(self, example1, example1_path):
-        copy = replace(example1, gamma1=parse("30", "coefficient"),
-                       dgamma1=parse("0", "coefficient"))
+        copy = replace(example1, gamma1=parse("30", "coefficient"))
         text = open(example1_path, encoding="utf-8").read()
         fresh = loads_problem(text.replace("gamma1 = 1\n", "gamma1 = 30\n"))
         cert = check_existence(copy, copy.bounds, 0.05, 1.0)
@@ -345,9 +379,22 @@ class TestCoefficientConstants:
         assert cert.verdict == "fail"
         assert cert.lhs_value_branch == 5.990664926158654
 
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_shipped_derivatives_are_exact(self, name, request):
+        spec = request.getfixturevalue(name)
+        assert (spec.dgamma1, spec.dgamma2) == (Num(0.0), Num(1.0))
+
+    def test_replaced_gamma_brings_its_own_derivative(self, example1, example1_path):
+        copy = replace(example1, gamma2=parse("t^2", "coefficient"))
+        text = open(example1_path, encoding="utf-8").read()
+        fresh = loads_problem(edited(text, ("gamma2 = t\n", "gamma2 = t^2\n")))
+        assert copy.dgamma2_sup == fresh.dgamma2_sup == 2.0
+        cert = check_existence(copy, copy.bounds, 0.05, 1.0)
+        assert cert == check_existence(fresh, fresh.bounds, 0.05, 1.0)
+        assert (cert.verdict, cert.lhs_deriv_branch) == ("fail", 1.0722389432263983)
+
     def test_regridded_copy_reads_the_new_grid(self):
-        text = (ZERO_PROBLEM.replace("gamma2 = t", "gamma2 = t - cos(7*t)/7")
-                .replace("dgamma2 = 1", "dgamma2 = 1 + sin(7*t)"))
+        text = ZERO_PROBLEM.replace("gamma2 = t", "gamma2 = t - cos(7*t)/7")
         fine = loads_problem(text, n=256)
         coarse = loads_problem(text, n=4)
         assert fine.dgamma2_sup == pytest.approx(1.99993, abs=1e-5)
@@ -357,8 +404,7 @@ class TestCoefficientConstants:
     def test_direct_construction(self):
         spec = ProblemSpec(
             kernel=FocalKernel(), gamma1=parse("1", "coefficient"),
-            gamma2=parse("t", "coefficient"), dgamma1=parse("0", "coefficient"),
-            dgamma2=parse("1", "coefficient"), h1=parse("U(1)", "functional"),
+            gamma2=parse("t", "coefficient"), h1=parse("U(1)", "functional"),
             h2=parse("DU(0)", "functional"), f=parse("u", "nonlinearity"),
             lam=0.1, eta1=0.0, eta2=0.0, grid=Grid(8))
         assert (spec.gamma1_at_1, spec.gamma2_at_1) == (1.0, 1.0)
