@@ -347,6 +347,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):  # nan fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
+    return value
+
+
+_finite_positive.__name__ = "float"
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Flag groups as parent parsers: each subcommand declares exactly the
     # flags its handler reads, and no parser takes a flag's prefix for it.
@@ -400,8 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "locate fixed points by multistart Picard iteration")
     p.add_argument("--r", type=float, default=None, help="inner radius of the target annulus")
     p.add_argument("--R", type=float, default=None, help="outer radius of the target annulus")
-    p.add_argument("--starts", type=int, default=8, help="number of starts (default 8)")
-    p.add_argument("--tol", type=float, default=1e-10, help="fixed point tolerance in C1 norm")
+    p.add_argument("--starts", type=_int_at_least(1), default=8,
+                   help="number of starts (default 8)")
+    p.add_argument("--tol", type=_finite_positive, default=1e-10,
+                   help="fixed point tolerance in C1 norm")
     p.add_argument("--max-iter", type=_int_at_least(1), default=10000,
                    help="iteration cap per start")
 

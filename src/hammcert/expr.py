@@ -17,7 +17,6 @@ parsed for:
     nonlinearity   f(t, u, v)            variables t, u, v
     coefficient    gamma(t)              variable t
     kernel         k(t, s)               variables t, s
-    dominator      Phi(s), Psi(s)        variable s
     bound          entry(rho)            variable rho
     constant       plain number          no variables
     functional     h[u]                  atoms U(a), DU(a), INT(body);
@@ -47,7 +46,6 @@ ROLE_VARS = {
     "nonlinearity": frozenset({"t", "u", "v"}),
     "coefficient": frozenset({"t"}),
     "kernel": frozenset({"t", "s"}),
-    "dominator": frozenset({"s"}),
     "bound": frozenset({"rho"}),
     "constant": frozenset(),
     "functional": frozenset(),  # only s, and only inside INT
@@ -569,10 +567,6 @@ def eval_coefficient(e: Expr, t):
 
 def eval_kernel_expr(e: Expr, t, s):
     return _run(e, {"t": t, "s": s})
-
-
-def eval_dominator(e: Expr, s):
-    return _run(e, {"s": s})
 
 
 def eval_bound(e: Expr, rho: float) -> float:

@@ -7,36 +7,34 @@ integrals, and its constants are known in closed form (K = 1/2, K* = 1).
 Its value and derivative rows at all nodes come from prefix and suffix
 sums, in O(n) time and memory.  Generic kernels go through node-aligned
 trapezoid quadrature with dense (n+1)^2 weight matrices, cached per grid:
-about 134 MB per matrix at n = 4096.
+about 134 MB per matrix at n = 4096.  A kernel declared by an expression k
+gets its dk by differentiating k in t.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CheckResult, EvaluationError
-from .expr import eval_dominator, eval_kernel_expr, parse_entry
-from .grid import CONE_TOL, Grid, cumulative_integral, integrate, sign_check
+from .errors import CheckResult, EvaluationError, ExprError
+from .expr import derivative, eval_kernel_expr, parse_entry
+from .grid import Grid, cumulative_integral, integrate, sign_check
 
 
 class Kernel:
     """A kernel k(t,s) >= 0 with non-negative t-derivative dk(t,s).
 
-    ``k`` and ``dk`` must accept numpy arrays (broadcasting).  ``phi`` and
-    ``psi`` are the optional L1 dominators used only by hypothesis checks.
-    Instances are immutable in spirit; the only mutation is a per-grid
-    cache of derived quadrature data.  ``integrals`` applies the kernel
-    through two dense (n+1)^2 trapezoid weight matrices, built on first
-    use for each grid and kept for the kernel's lifetime.
+    ``k`` and ``dk`` must accept numpy arrays (broadcasting).  Instances
+    are immutable in spirit; the only mutation is a per-grid cache of
+    derived quadrature data.  ``integrals`` applies the kernel through two
+    dense (n+1)^2 trapezoid weight matrices, built on first use for each
+    grid and kept for the kernel's lifetime.
     """
 
     exact = False  # whether K and K* are the true constants, not estimates
 
-    def __init__(self, k, dk, phi=None, psi=None):
+    def __init__(self, k, dk):
         self.k = k
         self.dk = dk
-        self.phi = phi
-        self.psi = psi
         self._cache: dict[int, dict] = {}
 
     def __repr__(self) -> str:
@@ -74,6 +72,8 @@ class Kernel:
         try:
             with np.errstate(all="ignore"):
                 out = np.asarray(fn(t, s), dtype=float)
+        except EvaluationError:
+            raise  # an expression kernel's error names its entry and point
         except Exception as exc:
             raise EvaluationError(f"kernel {label}(t,s) failed to evaluate: {exc}") from exc
         out = np.broadcast_to(out, np.broadcast_shapes(np.shape(t), np.shape(s)))
@@ -118,9 +118,9 @@ class FocalKernel(Kernel):
     """Green's function for the right focal conditions u(0) = u'(1) = 0.
 
     k(t,s) = s for s <= t and t otherwise; dk(t,s) jumps from 0 to 1 at
-    s = t.  Dominators Phi(s) = s and Psi(s) = 1.  K and K* are exact:
-    the trapezoid rule on node-aligned pieces reproduces 1/2 and 1 - t_j
-    in exact arithmetic, so the closed forms are used directly.
+    s = t.  K and K* are exact: the trapezoid rule on node-aligned pieces
+    reproduces 1/2 and 1 - t_j in exact arithmetic, so the closed forms are
+    used directly.
     """
 
     exact = True
@@ -129,8 +129,6 @@ class FocalKernel(Kernel):
         super().__init__(
             k=lambda t, s: np.minimum(s, t),
             dk=lambda t, s: np.where(s <= t, 0.0, 1.0),
-            phi=lambda s: s,
-            psi=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         )
 
     def _make_deriv_weights(self, grid: Grid) -> np.ndarray:
@@ -158,27 +156,29 @@ class FocalKernel(Kernel):
         return 1.0 - grid.nodes
 
 
-def kernel_from_exprs(k_src: str, dk_src: str, phi_src: str | None = None,
-                      psi_src: str | None = None) -> Kernel:
-    """Build a Kernel from expression strings in t and s (dominators in s).
+def kernel_from_exprs(k_src: str) -> Kernel:
+    """Build a Kernel from an expression in t and s; dk is its derivative in t.
 
-    A parse error names the problem-file entry, as in ``[kernel] k = '...'``.
+    An error names the problem-file entry, as in ``[kernel] k = '...'``, and
+    one in the derived dk reads ``dk from [kernel] k = '...'``.
     """
+    entry = f"[kernel] k = {k_src!r}"
     k_ast = parse_entry("kernel", "k", k_src, "kernel")
-    dk_ast = parse_entry("kernel", "dk", dk_src, "kernel")
-    phi = psi = None
-    if phi_src is not None:
-        phi_ast = parse_entry("kernel", "phi", phi_src, "dominator")
-        phi = lambda s: eval_dominator(phi_ast, s)
-    if psi_src is not None:
-        psi_ast = parse_entry("kernel", "psi", psi_src, "dominator")
-        psi = lambda s: eval_dominator(psi_ast, s)
-    return Kernel(
-        k=lambda t, s: eval_kernel_expr(k_ast, t, s),
-        dk=lambda t, s: eval_kernel_expr(dk_ast, t, s),
-        phi=phi,
-        psi=psi,
-    )
+    try:
+        dk_ast = derivative(k_ast, "t")
+    except ExprError as exc:
+        raise ExprError(f"dk from {entry}: {exc}") from exc
+    return Kernel(k=_named(k_ast, entry), dk=_named(dk_ast, f"dk from {entry}"))
+
+
+def _named(e, where: str):
+    """e as a function of (t, s) whose evaluation errors start with ``where``."""
+    def fn(t, s):
+        try:
+            return eval_kernel_expr(e, t, s)
+        except EvaluationError as exc:
+            raise EvaluationError(f"{where}: {exc}") from exc
+    return fn
 
 
 def constant_K(kernel: Kernel, grid: Grid) -> float:
@@ -192,7 +192,7 @@ def constant_Kstar(kernel: Kernel, grid: Grid) -> float:
 
 
 def check_kernel_hypotheses(kernel: Kernel, m: int = 64) -> list[CheckResult]:
-    """Sampled falsification of positivity and domination on an m x m lattice.
+    """Sampled falsification of the signs of k and dk on an m x m lattice.
 
     These are warnings, not proofs: the lattice can refute the standing
     hypotheses but cannot establish measurability or a.e. statements.
@@ -202,16 +202,7 @@ def check_kernel_hypotheses(kernel: Kernel, m: int = 64) -> list[CheckResult]:
     s = pts[None, :]
     kvals = kernel._sample(kernel.k, t, s, "k")
     dkvals = kernel._sample(kernel.dk, t, s, "dk")
-    results = [sign_check(label, float(vals.min()),
-                          np.unravel_index(int(vals.argmin()), vals.shape),
-                          {"t": pts, "s": pts}, f"on {m}x{m} lattice")
-               for label, vals in (("kernel k >= 0", kvals), ("kernel dk >= 0", dkvals))]
-    if kernel.phi is not None:
-        gap = float((np.broadcast_to(kernel.phi(s), kvals.shape) - kvals).min())
-        status = "pass" if gap >= -CONE_TOL else "warn"
-        results.append(CheckResult("kernel k <= Phi", status, f"min slack {gap:.3g}"))
-    if kernel.psi is not None:
-        gap = float((np.broadcast_to(kernel.psi(s), dkvals.shape) - dkvals).min())
-        status = "pass" if gap >= -CONE_TOL else "warn"
-        results.append(CheckResult("kernel dk <= Psi", status, f"min slack {gap:.3g}"))
-    return results
+    return [sign_check(label, float(vals.min()),
+                       np.unravel_index(int(vals.argmin()), vals.shape),
+                       {"t": pts, "s": pts}, f"on {m}x{m} lattice")
+            for label, vals in (("kernel k >= 0", kvals), ("kernel dk >= 0", dkvals))]

@@ -4,7 +4,8 @@ parameters, and the operator
     Tu(t) = eta1*gamma1(t)*h1[u] + eta2*gamma2(t)*h2[u]
             + lambda * int_0^1 k(t,s) f(s, u(s), u'(s)) ds,
 
-whose derivative row swaps in dk and gamma_i', derived from gamma_i.
+whose derivative row swaps in dk = dk/dt and gamma_i'.  Both are derived
+from k and gamma_i; only the built-in focal kernel writes its dk out.
 Problems are declared in a flat INI-style file (see docs/problem-format.md);
 the standing hypotheses are validated by sampling at load time — sign
 violations of the sampled data are structured warnings, bad parameters and
@@ -156,7 +157,7 @@ _ENTRIES = {
     "nonlinearity": (("f", "nonlinearity"),),
     "parameters": (("lambda", "constant"), ("eta1", "constant"), ("eta2", "constant")),
 }
-_KERNEL_KEYS = ("name", "k", "dk", "phi", "psi")
+_KERNEL_KEYS = ("name", "k")
 _BOUND_KEYS = ("f_upper", "f_lower", "h1", "h2")
 _WITNESS_KEYS = ("tau", "xi1", "xi2")
 # The keys each section may hold: the entries above and what the kernel and
@@ -239,14 +240,15 @@ def _constant(cp: configparser.ConfigParser, section: str, key: str) -> float:
 def _kernel_from_config(cp: configparser.ConfigParser) -> Kernel:
     if not cp.has_section("kernel"):
         raise ProblemFileError("missing [kernel] section")
-    name, k, dk, phi, psi = (cp.get("kernel", key, fallback=None) for key in _KERNEL_KEYS)
-    if name is not None:
-        if name.strip() != "focal":
-            raise ProblemFileError(f"unknown built-in kernel {name.strip()!r}")
-        return FocalKernel()
-    if k is None or dk is None:
-        raise ProblemFileError("[kernel] needs either name=focal or both k and dk")
-    return kernel_from_exprs(k, dk, phi, psi)
+    name, k = (cp.get("kernel", key, fallback=None) for key in _KERNEL_KEYS)
+    if (name is None) == (k is None):
+        raise ProblemFileError("[kernel] needs exactly one of name and k, "
+                               f"got {'neither' if k is None else 'both'}")
+    if k is not None:
+        return kernel_from_exprs(k)
+    if name.strip() != "focal":
+        raise ProblemFileError(f"unknown built-in kernel {name.strip()!r}")
+    return FocalKernel()
 
 
 def _bounds_from_config(cp) -> tuple[BoundSet, LinearGrowthWitness | None]:

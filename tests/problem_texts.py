@@ -24,7 +24,6 @@ eta2 = 0
 QUADRATURE_PROBLEM = """\
 [kernel]
 k = t*s^2
-dk = s^2
 [gamma]
 gamma1 = 1
 gamma2 = t

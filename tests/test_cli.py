@@ -21,7 +21,6 @@ PROBLEMS = SRC.parent / "problems"
 CONCAVE_PROBLEM = """\
 [kernel]
 k = t*sqrt(s)
-dk = sqrt(s)
 [gamma]
 gamma1 = 1
 gamma2 = t
@@ -286,7 +285,7 @@ class TestValidate:
     def test_example_files_pass(self, example1_path, example2_path, capsys):
         assert main(["validate", "--problem", example1_path]) == 0
         assert main(["validate", "--problem", example2_path]) == 0
-        assert "10/10 checks passed" in capsys.readouterr().out
+        assert "8/8 checks passed" in capsys.readouterr().out
 
     def test_sign_warning_exits_1(self, zero_problem, tmp_path, capsys):
         bad = _variant(tmp_path, zero_problem, "gamma2 = t", "gamma2 = -t")
@@ -346,6 +345,19 @@ class TestValidate:
     def test_unknown_key_exits_2(self, example1_path, tmp_path, capsys, argv, old, new, err):
         bad = _variant(tmp_path, example1_path, old, new)
         assert main([argv[0], "--problem", bad, *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {err}\n"
+
+    @pytest.mark.parametrize("new, err", [
+        # The focal kernel used to win silently: PASS (certified) with K = 0.5.
+        ("name = focal\nk = t*s", "[kernel] needs exactly one of name and k, got both"),
+        ("k = s^t", "dk from [kernel] k = 's^t': cannot differentiate 's^t': "
+                    "an exponent reads t (no log)"),
+        ("k = 1/10 + min(s,t)", "dk from [kernel] k = '1/10 + min(s,t)': expression "
+                                "'max((s - t)/abs(s - t), 0.0)' is non-finite at t=0, s=0"),
+    ], ids=["name-and-k", "underivable", "kink-on-nodes"])
+    def test_kernel_fault_exits_2(self, example1_path, tmp_path, capsys, new, err):
+        bad = _variant(tmp_path, example1_path, "name = focal", new)
+        assert main(["certify-existence", "--problem", bad, "--r", "0.05", "--R", "1"]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {err}\n"
 
     def test_non_finite_f_names_the_point(self, example1_path, tmp_path, capsys):
@@ -418,9 +430,17 @@ class TestSweepCommand:
 
 class TestNumericOptions:
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
-    def test_solve_tolerance_finite_and_positive(self, example1_path, tol, capsys):
-        assert main(["solve", "--problem", example1_path, "--n", "16", "--tol", tol]) == 2
-        assert "tolerance must be finite and positive" in capsys.readouterr().err
+    def test_solve_tolerance_finite_and_positive(self, tol, capsys):
+        # A usage error, raised before the problem file is read.
+        assert main(["solve", "--problem", "no/such/file.prob", "--tol", tol]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"hammcert solve: error: argument --tol: must be finite and positive, got {float(tol)}")
+
+    @pytest.mark.parametrize("starts", ["0", "-2"])
+    def test_solve_starts_at_least_one(self, starts, capsys):
+        assert main(["solve", "--problem", "no/such/file.prob", "--starts", starts]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"hammcert solve: error: argument --starts: must be at least 1, got {starts}")
 
     @pytest.mark.parametrize("n", ["1", "0", "-5"])
     def test_grid_size_at_least_two(self, n, capsys):
@@ -561,7 +581,7 @@ class TestModuleEntry:
     def test_validate_runs(self, example1_path):
         proc = self._run("validate", "--problem", example1_path)
         assert proc.returncode == 0
-        assert "10/10 checks passed" in proc.stdout.splitlines()
+        assert "8/8 checks passed" in proc.stdout.splitlines()
 
     def test_missing_problem_is_usage_error(self):
         proc = self._run("validate")

@@ -13,7 +13,7 @@ from hammcert.errors import EvaluationError, ShapeError
 from hammcert.expr import eval_functional, parse
 from hammcert.grid import (Grid, GridFunction, c1_distance, c1_norm, cone_defect,
                            in_cone, interp_rows, random_cone_function)
-from hammcert.kernel import kernel_from_exprs
+from hammcert.kernel import Kernel
 from hammcert.problem import apply_T, loads_problem
 from hammcert.solver import (DIVERGENCE_CAP, SolveResult, _start_functions,
                              multistart_solve, picard_solve)
@@ -140,7 +140,10 @@ class TestApplyT:
                       ("lambda = 0", "lambda = 0.1"), ("eta1 = 0", "eta1 = 1/11"),
                       ("eta2 = 0", "eta2 = 1/12"))
         spec = loads_problem(text, n=64, validate=False)
-        spec = replace(spec, kernel=kernel_from_exprs("min(s,t)", "min(1, max(0, (s - t)*1e9))"))
+        # a kink on the nodes, which only a Kernel of functions can declare
+        step = Kernel(k=lambda t, s: np.minimum(s, t),
+                      dk=lambda t, s: np.minimum(1.0, np.maximum(0.0, (s - t) * 1e9)))
+        spec = replace(spec, kernel=step)
         u = cone_stack(spec.grid, seed, k)
         w = apply_T(spec, u)
         for i in range(k):
