@@ -225,7 +225,7 @@ class BoundSet:
 
     Declared closed-form expressions (in the variable rho) yield certified
     entries.  After ``with_sampler`` a slot without a declaration is
-    sampled once per rho and comes back heuristic, with the safety factor
+    sampled at each lookup and comes back heuristic, with the safety factor
     applied to the raw estimate; without a sampler a missing slot raises
     IncompleteBoundsError.  The heuristic sampler draws from the sphere
     ||u|| = rho, which is what the definition of H_i prescribes.
@@ -235,7 +235,6 @@ class BoundSet:
                  h1: Expr | None = None, h2: Expr | None = None):
         self._exprs = {"f_upper": f_upper, "f_lower": f_lower, "h1": h1, "h2": h2}
         self._sampling = None  # (spec, m, samples, seed) once with_sampler attached one
-        self._sampled: dict = {}  # (slot, rho) -> heuristic BoundEntry
 
     def with_sampler(self, spec, m: int = 64, samples: int = 200, seed: int = 0) -> "BoundSet":
         out = BoundSet(**self._exprs)
@@ -257,18 +256,15 @@ class BoundSet:
             return self._declared(expr, rho, slot)
         if self._sampling is None:
             raise IncompleteBoundsError(f"no declared {slot} bound and no sampler attached")
-        key = (slot, rho)
-        if key not in self._sampled:
-            spec, m, samples, seed = self._sampling
-            try:
-                if slot in ("h1", "h2"):
-                    raw = estimate_H(spec, int(slot[1]), rho, samples, seed)
-                else:
-                    raw = estimate_f_extrema(spec, rho, m)[0 if upward else 1]
-            except EvaluationError as exc:
-                raise EvaluationError(f"sampled bound {slot}({rho}): {exc}") from exc
-            self._sampled[key] = BoundEntry(_widened(raw, upward), raw, "heuristic")
-        return self._sampled[key]
+        spec, m, samples, seed = self._sampling
+        try:
+            if slot in ("h1", "h2"):
+                raw = estimate_H(spec, int(slot[1]), rho, samples, seed)
+            else:
+                raw = estimate_f_extrema(spec, rho, m)[0 if upward else 1]
+        except EvaluationError as exc:
+            raise EvaluationError(f"sampled bound {slot}({rho}): {exc}") from exc
+        return BoundEntry(_widened(raw, upward), raw, "heuristic")
 
     def f_upper(self, rho: float) -> BoundEntry:
         return self._resolve("f_upper", rho, upward=True)

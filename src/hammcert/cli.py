@@ -14,8 +14,8 @@ import time
 
 from .bounds import BoundSet, falsify_linear_growth
 from .certificate import check_existence, check_nonexistence, check_radii
-from .errors import HammcertError, ParameterError, ProblemFileError
-from .problem import load_problem, validate_spec
+from .errors import HammcertError, ParameterError
+from .problem import load_problem
 from .solver import multistart_solve
 from .sweep import axis_values, conflict_cells, run_sweep
 
@@ -93,32 +93,23 @@ def _table(record: dict, header: str, rows) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
-def _print_warnings(warns) -> None:
-    for warn in warns:
+def _load(args, m: int = 64):
+    """The problem file checked on an m^3 lattice, with each hypothesis
+    warning of its load on stderr."""
+    spec = load_problem(args.problem, n=args.n, m=m)
+    for warn in spec.warnings:
         print(f"warning: {warn.name}: {warn.detail}", file=sys.stderr)
-
-
-def _load(args):
-    """The problem file, with each hypothesis warning of its load on stderr."""
-    spec = load_problem(args.problem, n=args.n)
-    _print_warnings(spec.warnings)
     return spec
 
 
 def _cmd_validate(args) -> int:
-    # One validation pass at --m feeds both the stderr warnings and the table.
-    spec = load_problem(args.problem, n=args.n, validate=False)
-    try:
-        results = validate_spec(spec, m=args.m)
-    except Exception as exc:  # reported like a failed check at load
-        raise ProblemFileError(f"{args.problem}: {exc}") from exc
-    warns = [r for r in results if not r.ok]
-    _print_warnings(warns)
-    width = max(len(r.name) for r in results)
-    for res in results:
+    # The load's checks at --m feed both the stderr warnings and the table.
+    spec = _load(args, m=args.m)
+    width = max(len(r.name) for r in spec.checks)
+    for res in spec.checks:
         print(f"{res.name:<{width}}  {res.status.upper():4}  {res.detail}")
-    print(f"{len(results) - len(warns)}/{len(results)} checks passed")
-    return 1 if warns else 0
+    print(f"{len(spec.checks) - len(spec.warnings)}/{len(spec.checks)} checks passed")
+    return 1 if spec.warnings else 0
 
 
 def _bounds_for(spec, args) -> BoundSet:

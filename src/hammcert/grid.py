@@ -256,11 +256,6 @@ def random_cone_function(grid: Grid, rng: np.random.Generator, norm=None,
         u0[i] = rng.gamma(1.0, 0.5)
     u = GridFunction(grid, u0[:, None] + cumulative_integral(dvalues, grid), dvalues)
     if norm is not None and rows:
-        current = c1_norm(u)
-        flat = current == 0.0
-        if flat.any():  # practically impossible with gamma knots: use the ramp
-            u = GridFunction(grid, np.where(flat[:, None], grid.nodes, u.values),
-                             np.where(flat[:, None], 1.0, u.dvalues))
-            current = np.where(flat, 1.0, current)
-        u = u.scaled(norm / current)
+        # gamma draws are positive, so every row's C1 norm is too
+        u = u.scaled(norm / c1_norm(u))
     return u if count is not None else u[0]

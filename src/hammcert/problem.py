@@ -6,10 +6,11 @@ parameters, and the operator
 
 whose derivative row swaps in dk = dk/dt and gamma_i'.  Both are derived
 from k and gamma_i; only the built-in focal kernel writes its dk out.
-Problems are declared in a flat INI-style file (see docs/problem-format.md);
-the standing hypotheses are validated by sampling at load time — sign
-violations of the sampled data are structured warnings, bad parameters and
-unknown sections or keys are errors.
+Problems are declared in a flat INI-style file (see docs/problem-format.md).
+The loader samples the standing hypotheses at the lattice size it is given
+and keeps the whole table as ``ProblemSpec.checks``: a sign violation of the
+sampled data is a failed row, listed again in ``warnings``; bad parameters,
+unknown sections or keys and non-finite samples are errors.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ class ProblemSpec:
     grid: Grid
     bounds: BoundSet = field(default_factory=BoundSet)
     witness: LinearGrowthWitness | None = None
-    warnings: tuple = field(default=())
+    # The sampled hypothesis checks of the load, pass rows included.  A
+    # replace() copy keeps them as loaded; validate_spec re-checks a copy.
+    checks: tuple = field(default=())
     # Node samples of gamma_i and gamma_i' per grid.  Not an init field, so
     # every replace() starts an empty cache and can never see stale samples.
     _coefficient_cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -57,6 +60,7 @@ class ProblemSpec:
     gamma2_at_1 = property(lambda self: float(_coefficient_samples(self, self.grid)[1][-1]))
     dgamma1_sup = property(lambda self: float(np.max(np.abs(_coefficient_samples(self, self.grid)[2]))))
     dgamma2_sup = property(lambda self: float(np.max(np.abs(_coefficient_samples(self, self.grid)[3]))))
+    warnings = property(lambda self: tuple(r for r in self.checks if not r.ok))
 
     def with_params(self, lam: float, eta1: float, eta2: float) -> "ProblemSpec":
         return replace(self, lam=lam, eta1=eta1, eta2=eta2)
@@ -78,7 +82,11 @@ def validate_spec(spec: ProblemSpec, m: int = 64) -> list[CheckResult]:
 
 def _check_f_sign(spec: ProblemSpec, m: int) -> CheckResult:
     ax = np.linspace(0.0, 1.0, m)
-    worst, at, _, _ = lattice_extrema(spec.f, ax, ax, ax)
+    try:
+        worst, at, _, _ = lattice_extrema(spec.f, ax, ax, ax)
+    except EvaluationError as exc:  # name the entry it came from
+        raise EvaluationError(f"[nonlinearity] f = {to_source(spec.f)!r}: {exc}",
+                              rows=exc.rows) from exc
     return sign_check("f >= 0", worst, at, {"t": ax, "u": ax, "v": ax},
                       f"on {m}^3 lattice over [0,1]^3")
 
@@ -135,13 +143,19 @@ def _coefficient_samples(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, ...
     samples = spec._coefficient_cache.get(grid)
     if samples is None:
         t = grid.nodes
-        on_nodes = lambda e: np.broadcast_to(np.asarray(eval_coefficient(e, t)), t.shape)
-        samples = [on_nodes(spec.gamma1), on_nodes(spec.gamma2)]
-        for key, gamma in (("gamma1", spec.gamma1), ("gamma2", spec.gamma2)):
-            try:
-                samples.append(on_nodes(derivative(gamma, "t")))
-            except (ExprError, EvaluationError) as exc:  # name the entry it came from
-                raise type(exc)(f"{key}' from [gamma] {key} = {to_source(gamma)!r}: {exc}") from exc
+        samples = []
+        for prime in (False, True):  # gamma1, gamma2, then gamma1', gamma2'
+            for key in ("gamma1", "gamma2"):
+                gamma = getattr(spec, key)
+                where = f"[gamma] {key} = {to_source(gamma)!r}"  # the entry an error names
+                where = f"{key}' from {where}" if prime else where
+                try:
+                    vals = eval_coefficient(derivative(gamma, "t") if prime else gamma, t)
+                except ExprError as exc:
+                    raise ExprError(f"{where}: {exc}") from exc
+                except EvaluationError as exc:
+                    raise EvaluationError(f"{where}: {exc}", rows=exc.rows) from exc
+                samples.append(np.broadcast_to(np.asarray(vals), t.shape))
         samples = spec._coefficient_cache[grid] = tuple(samples)
     return samples
 
@@ -167,8 +181,9 @@ _KEYS = {"kernel": _KERNEL_KEYS, **{section: tuple(key for key, _ in entries)
          "bounds": _BOUND_KEYS + _WITNESS_KEYS}
 
 
-def load_problem(path: str, n: int = 256, validate: bool = True) -> ProblemSpec:
-    """Read a problem file (format in docs/problem-format.md)."""
+def load_problem(path: str, n: int = 256, m: int = 64) -> ProblemSpec:
+    """Read a problem file (format in docs/problem-format.md), checked on an
+    m^3 lattice."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -176,15 +191,15 @@ def load_problem(path: str, n: int = 256, validate: bool = True) -> ProblemSpec:
         raise ProblemFileError(f"cannot read problem file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ProblemFileError(f"{path}: {exc}") from exc
-    return _spec_from_text(text, path, n, validate)
+    return _spec_from_text(text, path, n, m)
 
 
-def loads_problem(text: str, n: int = 256, validate: bool = True) -> ProblemSpec:
+def loads_problem(text: str, n: int = 256, m: int = 64) -> ProblemSpec:
     """Parse a problem declaration from a string (tests, docs examples)."""
-    return _spec_from_text(text, "<string>", n, validate)
+    return _spec_from_text(text, "<string>", n, m)
 
 
-def _spec_from_text(text: str, path, n: int, validate: bool) -> ProblemSpec:
+def _spec_from_text(text: str, path, n: int, m: int) -> ProblemSpec:
     """The spec a problem text declares.  The first fault in load order wins
     (docs/problem-format.md), and every error names the file first."""
     # An inline comment starts at a '#' or ';' after whitespace; no
@@ -217,12 +232,10 @@ def _spec_from_text(text: str, path, n: int, validate: bool) -> ProblemSpec:
                  for key, role in entries}
         spec = ProblemSpec(kernel=kernel, **exprs, lam=lam, eta1=eta1, eta2=eta2,
                            grid=Grid(n), bounds=bounds, witness=witness)
-        if validate:
-            checked = spec
-            spec = replace(spec, warnings=tuple(r for r in validate_spec(spec) if not r.ok))
-            # Same gamma and grid, so the samples validation drew stay valid.
-            spec._coefficient_cache.update(checked._coefficient_cache)
-        return spec
+        checked = replace(spec, checks=tuple(validate_spec(spec, m=m)))
+        # Same gamma and grid, so the samples validation drew stay valid.
+        checked._coefficient_cache.update(spec._coefficient_cache)
+        return checked
     except (ParameterError, ProblemFileError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except Exception as exc:

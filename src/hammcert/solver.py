@@ -49,7 +49,8 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float,
     Each row leaves the active stack when it converges or diverges, so it
     runs exactly the iterations it would run alone.  An EvaluationError
     names the rows it hit: those diverge with their last residual, and the
-    application is repeated for the rest.
+    application is repeated for the rest, the last one included: after the
+    cap, one more application only measures the residual of each row left.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterError(f"tolerance must be finite and positive, got {tol}")
@@ -64,7 +65,7 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float,
     active = np.arange(starts.values.shape[0])
     u = starts
     residual = np.full(active.size, np.inf)
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         while active.size:
             try:
                 w = apply_T(spec, u)
@@ -80,6 +81,10 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float,
         if not active.size:
             break
         residual = c1_distance(u, w)
+        if it == max_iter:
+            for i in range(active.size):
+                results[active[i]] = _result("max-iterations", u[i], max_iter, residual[i])
+            break
         converged = residual <= tol
         diverged = ~converged & (c1_norm(w) > DIVERGENCE_CAP)
         for i in np.flatnonzero(converged):
@@ -88,10 +93,6 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float,
             results[active[i]] = _result("diverged", w[i], it + 1, residual[i])
         going = ~(converged | diverged)
         active, u, residual = active[going], w[going], residual[going]
-    if active.size:
-        residual = c1_distance(u, apply_T(spec, u))
-        for i in range(active.size):
-            results[active[i]] = _result("max-iterations", u[i], max_iter, residual[i])
     return results
 
 

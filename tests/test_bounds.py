@@ -7,6 +7,7 @@ import hammcert.bounds
 from hammcert.bounds import (BoundSet, LinearGrowthWitness, estimate_H,
                              estimate_f_extrema, falsify_linear_growth,
                              sphere_family)
+from hammcert.certificate import check_existence
 from hammcert.errors import IncompleteBoundsError, ParameterError
 from hammcert.expr import eval_nonlinearity, parse
 from hammcert.grid import c1_norm, in_cone
@@ -188,10 +189,8 @@ class TestBoundSet:
 
         monkeypatch.setattr(hammcert.bounds, "estimate_f_extrema", counting)
         base = BoundSet(h1=parse("rho", "bound"), h2=parse("rho", "bound"))
-        b = base.with_sampler(example1, m=8, samples=10, seed=0)
-        assert b.f_upper(1.0) is b.f_upper(1.0)
-        assert b.f_lower(0.5) is b.f_lower(0.5)
-        assert calls == [1.0, 0.5]
+        check_existence(example1, base.with_sampler(example1, m=8, samples=10, seed=0), 0.5, 1.0)
+        assert calls == [1.0, 0.5]  # f_upper at R, then f_lower at r
         with pytest.raises(IncompleteBoundsError):
             base.f_upper(1.0)  # with_sampler leaves the original unsampled
 

@@ -277,6 +277,17 @@ class TestSolve:
                    "--starts", "4"])
         assert rc == 1
 
+    def test_residual_overflow_at_the_cap_exits_1(self, example1_path, capsys):
+        # The ramp-10 start overflows exp on the application after the cap,
+        # which only measures its residual: it diverges, the others stop.
+        assert main(["solve", "--problem", example1_path, "--max-iter", "1"]) == 1
+        captured = capsys.readouterr()
+        statuses = [line.split()[0] for line in captured.out.splitlines()[1:-1]]
+        assert sorted(statuses) == ["diverged"] + ["max-iterations"] * 7
+        assert "iterations=1 " in next(line for line in captured.out.splitlines()
+                                       if "diverged" in line)
+        assert captured.err == ""
+
     def test_r_without_R_is_usage_error(self, example1_path):
         assert main(["solve", "--problem", example1_path, "--r", "0.05"]) == 2
 
@@ -302,7 +313,6 @@ class TestValidate:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(hammcert.problem, "validate_spec", counting)
-        monkeypatch.setattr(hammcert.cli, "validate_spec", counting)
         assert main(["validate", "--problem", example1_path, "--m", "8"]) == 0
         assert calls == [8]
 
@@ -364,8 +374,14 @@ class TestValidate:
         # f is non-finite on the u = 0 face of the (t, u, v) lattice
         bad = _variant(tmp_path, example1_path, "f = exp(t*(u + v))", "f = 1/u")
         assert main(["validate", "--problem", bad]) == 2
-        err = capsys.readouterr().err
-        assert "expression '1.0/u' is non-finite at t=0, u=0, v=0" in err
+        assert capsys.readouterr() == ("", f"error: {bad}: [nonlinearity] f = '1.0/u': "
+                                           "expression '1.0/u' is non-finite at t=0, u=0, v=0\n")
+
+    def test_non_finite_gamma_names_its_entry(self, example1_path, tmp_path, capsys):
+        bad = _variant(tmp_path, example1_path, "gamma2 = t\n", "gamma2 = 1/t\n")
+        assert main(["validate", "--problem", bad]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: [gamma] gamma2 = '1.0/t': "
+                                           "expression '1.0/t' is non-finite at t=0\n")
 
     def test_first_load_error_wins(self, zero_problem, tmp_path, capsys):
         # Negative lambda is found before the malformed f.

@@ -7,6 +7,7 @@ the sampled f extrema and the message of a non-finite value.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ import pytest
 import hammcert.expr
 from hammcert.bounds import estimate_f_extrema
 from hammcert.errors import CheckResult, EvaluationError
-from hammcert.expr import LATTICE_SLAB, eval_nonlinearity, lattice_extrema
+from hammcert.expr import LATTICE_SLAB, eval_nonlinearity, lattice_extrema, parse
 from hammcert.grid import CONE_TOL
 from hammcert.problem import _check_f_sign, loads_problem, validate_spec
 
-from problem_texts import ZERO_PROBLEM, edited
+from problem_texts import ZERO_PROBLEM
 
 FS = {
     "example1": "exp(t*(u + v))",
@@ -35,7 +36,7 @@ SIZES = (2, 63, 65, 100, 130)
 
 
 def spec_for(f: str):
-    return loads_problem(edited(ZERO_PROBLEM, ("f = u", f"f = {f}")), n=16, validate=False)
+    return replace(loads_problem(ZERO_PROBLEM, n=16), f=parse(f, "nonlinearity"))
 
 
 def whole(f, t, u, v) -> np.ndarray:

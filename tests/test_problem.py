@@ -73,6 +73,9 @@ class TestLoading:
         ("gamma2 = t", "gamma2 = exp(", "[gamma] gamma2 = 'exp('"),
         ("h2 = DU(0)", "h2 = DU(s)", "[functionals] h2 = 'DU(s)'"),
         ("f = u", "f = exp(", "[nonlinearity] f = 'exp('"),
+        # non-finite where the load's checks sample them
+        ("gamma2 = t", "gamma2 = 1/t", "[gamma] gamma2 = '1.0/t'"),
+        ("f = u", "f = 1/u", "[nonlinearity] f = '1.0/u'"),
         ("eta1 = 0", "eta1 = t", "[parameters] eta1 = 't'"),
         ("eta2 = 0", "eta2 = 0\n[bounds]\nf_upper = exp(2*rho", "[bounds] f_upper = 'exp(2*rho'"),
         ("eta2 = 0", "eta2 = 0\n[bounds]\ntau = 1\nxi1 = 1/\nxi2 = 1", "[bounds] xi1 = '1/'"),
@@ -268,6 +271,21 @@ class TestValidateSpec:
         with pytest.raises(ParameterError, match="at least 2"):
             validate_spec(example1, m=m)
 
+    def test_load_keeps_the_checks_at_its_lattice(self):
+        # f dips below zero between the 8^3 lattice points only
+        text = edited(ZERO_PROBLEM, ("gamma2 = t", "gamma2 = -t"),
+                      ("f = u", "f = (u - 1/14)^2 - 1/10000"))
+        spec = loads_problem(text, m=8)
+        assert list(spec.checks) == validate_spec(spec, m=8)
+        assert spec.warnings == tuple(r for r in spec.checks if not r.ok)
+        assert [r.name for r in spec.warnings] == ["gamma2 >= 0", "gamma2' >= 0"]
+        assert "f >= 0" in [r.name for r in loads_problem(text).warnings]  # m = 64
+
+    def test_copy_keeps_the_checks_as_loaded(self, example1):
+        copy = replace(example1, gamma1=parse("-1", "coefficient"))
+        assert copy.checks == example1.checks and copy.warnings == ()
+        assert [r.name for r in validate_spec(copy) if not r.ok] == ["gamma1 >= 0"]
+
 
 class TestApplyT:
     def test_zero_map_on_zero_problem(self):
@@ -330,10 +348,11 @@ def _dense_T(spec, u):
     return values, dvalues
 
 
-# gamma1 is nan at t = 0 only, which the load-time probes miss.
-NAN_AT_ZERO_PROBLEM = edited(ZERO_PROBLEM, ("gamma1 = 1", "gamma1 = t + 0*sqrt(t - 1/1000)"),
-                             ("lambda = 0", "lambda = 0.1"),
-                             ("eta1 = 0", "eta1 = 0.5"))
+def nan_at_zero_spec():
+    """gamma1 is nan at the node t = 0 only: swapped into a loaded spec, as
+    the load's own checks reject it."""
+    return replace(loads_problem(ZERO_PROBLEM, n=32), lam=0.1, eta1=0.5,
+                   gamma1=parse("t + 0*sqrt(t - 1/1000)", "coefficient"))
 
 
 class TestApplyTReference:
@@ -371,8 +390,7 @@ class TestApplyTReference:
             assert np.max(np.abs(w.dvalues - dvalues)) <= 1e-14
 
     def test_gamma_error_surfaces_on_every_call(self):
-        # 0*sqrt(t - 1/1000) is nan at t = 0 only; load-time probes miss it
-        spec = loads_problem(NAN_AT_ZERO_PROBLEM, n=32, validate=False)
+        spec = nan_at_zero_spec()
         u = GridFunction.ramp(spec.grid, 0.5)
         for _ in range(2):
             with pytest.raises(EvaluationError):
@@ -423,8 +441,7 @@ class TestCoefficientConstants:
         assert (spec.dgamma1_sup, spec.dgamma2_sup) == (0.0, 1.0)
 
     def test_gamma_error_surfaces_on_every_read(self):
-        # nan at t = 0 only: the spec loads, each read of a constant fails
-        spec = loads_problem(NAN_AT_ZERO_PROBLEM, n=32, validate=False)
+        spec = nan_at_zero_spec()  # each read of a constant fails
         for _ in range(2):
             with pytest.raises(EvaluationError):
                 spec.gamma1_at_1

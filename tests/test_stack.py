@@ -18,7 +18,7 @@ from hammcert.problem import apply_T, loads_problem
 from hammcert.solver import (DIVERGENCE_CAP, SolveResult, _start_functions,
                              multistart_solve, picard_solve)
 
-from problem_texts import ZERO_PROBLEM, edited
+from problem_texts import ZERO_PROBLEM
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -31,6 +31,15 @@ def assert_same(a, b):
     assert np.array_equal(nan, np.isnan(b))
     assert np.array_equal(a[~nan], b[~nan])
     assert np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan]))
+
+
+def unchecked(n, h1=None, h2=None, f=None, **fields):
+    """The zero problem on n subintervals with the given entries swapped in
+    after its load, so the load-time checks never see them."""
+    exprs = {key: parse(src, role) for key, role, src in
+             (("h1", "functional", h1), ("h2", "functional", h2), ("f", "nonlinearity", f))
+             if src is not None}
+    return replace(loads_problem(ZERO_PROBLEM, n=n), **exprs, **fields)
 
 
 def cone_stack(grid, seed, k):
@@ -135,15 +144,11 @@ class TestApplyT:
     @given(seed=SEEDS, k=st.integers(1, 4))
     @settings(max_examples=10, deadline=None)
     def test_expression_kernel_stack_equals_rows(self, seed, k):
-        text = edited(ZERO_PROBLEM, ("h1 = U(1)", "h1 = U(1/4) + DU(3/4)^2"),
-                      ("h2 = DU(0)", "h2 = INT(U(s)^3 + DU(s))"), ("f = u", "f = exp(t*(u + v))"),
-                      ("lambda = 0", "lambda = 0.1"), ("eta1 = 0", "eta1 = 1/11"),
-                      ("eta2 = 0", "eta2 = 1/12"))
-        spec = loads_problem(text, n=64, validate=False)
         # a kink on the nodes, which only a Kernel of functions can declare
         step = Kernel(k=lambda t, s: np.minimum(s, t),
                       dk=lambda t, s: np.minimum(1.0, np.maximum(0.0, (s - t) * 1e9)))
-        spec = replace(spec, kernel=step)
+        spec = unchecked(64, kernel=step, h1="U(1/4) + DU(3/4)^2", h2="INT(U(s)^3 + DU(s))",
+                         f="exp(t*(u + v))", lam=0.1, eta1=1 / 11, eta2=1 / 12)
         u = cone_stack(spec.grid, seed, k)
         w = apply_T(spec, u)
         for i in range(k):
@@ -152,8 +157,7 @@ class TestApplyT:
             assert_same(w.dvalues[i], single.dvalues)
 
     def test_non_finite_f_names_rows(self):
-        text = edited(ZERO_PROBLEM, ("f = u", "f = sqrt(1/2 - u)"), ("lambda = 0", "lambda = 0.1"))
-        spec = loads_problem(text, n=16, validate=False)
+        spec = unchecked(16, f="sqrt(1/2 - u)", lam=0.1)
         u = GridFunction.stack([GridFunction.ramp(spec.grid, s) for s in (0.2, 0.9, 0.4, 2.0)])
         with pytest.raises(EvaluationError) as err:
             apply_T(spec, u)
@@ -181,7 +185,11 @@ def reference_picard(spec, u0, tol, max_iter):
         if c1_norm(w) > DIVERGENCE_CAP:
             return result("diverged", w, it + 1, residual)
         u = w
-    return result("max-iterations", u, max_iter, c1_distance(u, apply_T(spec, u)))
+    try:
+        w = apply_T(spec, u)
+    except EvaluationError:  # the residual's application fails: diverged at the cap
+        return result("diverged", u, max_iter, residual)
+    return result("max-iterations", u, max_iter, c1_distance(u, w))
 
 
 def reference_multistart(spec, starts, seed, tol, max_iter):
@@ -231,6 +239,15 @@ class TestLockstep:
         assert_same_results(got, reference_multistart(example1, 6, 4, 1e-10, 3))
         assert {res.status for res in got} >= {"max-iterations"}
 
+    def test_residual_overflow_at_the_cap_diverges(self, example1):
+        # the ramp-10 start overflows exp on its second application, which
+        # at max_iter=1 only measures the residual
+        got = multistart_solve(example1, starts=8, seed=0, max_iter=1)
+        assert_same_results(got, reference_multistart(example1, 8, 0, 1e-10, 1))
+        assert [(res.status, res.iterations) for res in got if res.status != "max-iterations"] \
+            == [("diverged", 1)]
+        assert len(got) == 8
+
     @pytest.mark.parametrize("slope", [0.0, 0.3, 10.0])
     def test_picard_equals_reference(self, example1, slope):
         u0 = GridFunction.ramp(example1.grid, slope)
@@ -238,10 +255,8 @@ class TestLockstep:
         assert_same_results([got], [reference_picard(example1, u0, 1e-10, 10_000)])
 
     def test_first_application_error_propagates(self):
-        text = edited(ZERO_PROBLEM, ("h1 = U(1)", "h1 = U(1/4)"), ("h2 = DU(0)", "h2 = DU(3/4)"),
-                      ("f = u", "f = exp(100*t*(u + v))"), ("lambda = 0", "lambda = 0.1"),
-                      ("eta1 = 0", "eta1 = 0.1"), ("eta2 = 0", "eta2 = 0.1"))
-        spec = loads_problem(text, n=32, validate=False)
+        spec = unchecked(32, h1="U(1/4)", h2="DU(3/4)", f="exp(100*t*(u + v))",
+                         lam=0.1, eta1=0.1, eta2=0.1)
         with pytest.raises(EvaluationError, match="row"):
             multistart_solve(spec, starts=8, seed=0)
 
