@@ -9,8 +9,7 @@ from .bounds import (BoundEntry, BoundSet, FalsificationResult,
 from .certificate import (ExistenceCertificate, NonexistenceCertificate,
                           check_existence, check_nonexistence)
 from .errors import (CheckResult, DomainError, EvaluationError, ExprError,
-                     HammcertError, IncompleteBoundsError, ParameterError,
-                     ProblemFileError, ShapeError)
+                     HammcertError, ParameterError, ProblemFileError, ShapeError)
 from .expr import parse, to_source
 from .grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm,
                    consistency_defect, integrate, integrate_tail, random_cone_function)
@@ -26,9 +25,8 @@ __all__ = [
     "BoundEntry", "BoundSet", "CheckResult", "CONE_TOL", "DomainError",
     "EvaluationError", "ExistenceCertificate", "ExprError",
     "FalsificationResult", "FocalKernel", "Grid", "GridFunction",
-    "HammcertError", "IncompleteBoundsError", "Kernel", "LinearGrowthWitness",
-    "NonexistenceCertificate", "ParameterError", "ProblemFileError",
-    "ProblemSpec", "ShapeError", "SolveResult", "SweepCell",
+    "HammcertError", "Kernel", "LinearGrowthWitness", "NonexistenceCertificate",
+    "ParameterError", "ProblemFileError", "ProblemSpec", "ShapeError", "SolveResult", "SweepCell",
     "VerificationReport", "apply_T", "axis_values", "c1_distance", "c1_norm",
     "check_existence", "check_nonexistence", "consistency_defect",
     "constant_K", "constant_Kstar", "estimate_H", "estimate_f_extrema",

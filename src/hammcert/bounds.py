@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, IncompleteBoundsError, ParameterError
-from .expr import Expr, eval_bound, eval_functional, eval_nonlinearity, lattice_extrema, to_source
+from .errors import EvaluationError, ParameterError
+from .expr import (Expr, eval_bound, eval_functional, eval_nonlinearity, lattice_extrema,
+                   naming_entry, to_source)
 from .grid import CONE_TOL, GridFunction, c1_norm, random_cone_function
 
 DEFAULT_INFLATION = 1.05
@@ -108,12 +109,8 @@ def sphere_family(spec, rho: float, samples: int, rng: np.random.Generator) -> G
     functions.
     """
     grid = spec.grid
-    n1 = grid.n + 1
-    return GridFunction.stack([
-        GridFunction.ramp(grid, rho),
-        GridFunction(grid, np.full(n1, rho), np.zeros(n1)),
-        random_cone_function(grid, rng, norm=rho, count=samples),
-    ])
+    return GridFunction.stack([GridFunction.ramp(grid, rho), GridFunction.constant(grid, rho),
+                               random_cone_function(grid, rng, norm=rho, count=samples)])
 
 
 def estimate_H(spec, i: int, rho: float, samples: int = 200, seed: int = 0) -> float:
@@ -128,7 +125,7 @@ def estimate_H(spec, i: int, rho: float, samples: int = 200, seed: int = 0) -> f
     return float(values[np.argmax(values)])  # the first maximum, as max() picks
 
 
-def functional_on_samples(h: Expr, u: GridFunction, fixed: tuple = ()) -> np.ndarray:
+def functional_on_samples(h: Expr, u: GridFunction, fixed: tuple) -> np.ndarray:
     """eval_functional(h, u) on a stack of cone samples: the rows ``fixed``
     names, then random cone samples 0, 1, ...  A non-finite value names the
     first sample it occurs on and that sample's C1 norm."""
@@ -167,8 +164,7 @@ def falsify_linear_growth(spec, witness: LinearGrowthWitness, budget: int = 4096
             checked += len(pts)
             if ce is not None:
                 return FalsificationResult(False, ce, checked)
-        ce = _check_functionals(spec, witness, random_cone_function(
-            spec.grid, rng, norm=rho, count=4))
+        ce = _check_functionals(spec, witness, sphere_family(spec, rho, 4, rng))
         if ce is not None:
             return FalsificationResult(False, ce, checked)
         k += 1
@@ -176,18 +172,18 @@ def falsify_linear_growth(spec, witness: LinearGrowthWitness, budget: int = 4096
 
 
 def _check_functionals(spec, witness, u: GridFunction) -> Counterexample | None:
-    """The first row of the stack, and in it the first h_i, with
-    h_i[u] > xi_i * sup u + CONE_TOL."""
+    """The first row of a sphere_family stack, and in it the first h_i, with
+    h_i[u] > xi_i * sup u + CONE_TOL; a non-finite h_i names entry and row."""
     checks = ((1, spec.h1, witness.xi1), (2, spec.h2, witness.xi2))
-    try:
-        values = [eval_functional(h, u) for _, h, _ in checks]
-    except (DomainError, EvaluationError):
-        values = None  # evaluate row by row below, so the first failure in order surfaces
+    values = []
+    for i, h, _ in checks:
+        with naming_entry("functionals", f"h{i}", h):
+            values.append(functional_on_samples(h, u, SPHERE_FIXED))
     for row in range(u.values.shape[0]):
         u_fn = u[row]
         sup = float(np.max(u_fn.values))
         for k, (i, h, xi) in enumerate(checks):
-            hv = float(values[k][row]) if values is not None else eval_functional(h, u_fn)
+            hv = float(values[k][row])
             if hv > xi * sup + CONE_TOL:
                 return Counterexample(
                     kind=f"h{i}",
@@ -221,25 +217,17 @@ def _widened(raw: float, upward: bool) -> float:
 
 
 class BoundSet:
-    """f_upper, f_lower and H_i as functions of rho, each tagged with rigor.
+    """f_upper, f_lower and H_i of one problem as functions of rho, each tagged with rigor.
 
-    Declared closed-form expressions (in the variable rho) yield certified
-    entries.  After ``with_sampler`` a slot without a declaration is
-    sampled at each lookup and comes back heuristic, with the safety factor
-    applied to the raw estimate; without a sampler a missing slot raises
-    IncompleteBoundsError.  The heuristic sampler draws from the sphere
-    ||u|| = rho, which is what the definition of H_i prescribes.
+    A slot that ``spec.bounds`` declares (an expression in rho) is evaluated
+    and certified.  Any other is sampled at each lookup (m^3 lattices for f;
+    ``samples`` cone functions drawn with ``seed`` from the sphere ||u|| = rho
+    for H_i, as its definition prescribes) and comes back heuristic, with
+    the safety factor applied to the raw estimate.
     """
 
-    def __init__(self, f_upper: Expr | None = None, f_lower: Expr | None = None,
-                 h1: Expr | None = None, h2: Expr | None = None):
-        self._exprs = {"f_upper": f_upper, "f_lower": f_lower, "h1": h1, "h2": h2}
-        self._sampling = None  # (spec, m, samples, seed) once with_sampler attached one
-
-    def with_sampler(self, spec, m: int = 64, samples: int = 200, seed: int = 0) -> "BoundSet":
-        out = BoundSet(**self._exprs)
-        out._sampling = (spec, m, samples, seed)
-        return out
+    def __init__(self, spec, m: int = 64, samples: int = 200, seed: int = 0):
+        self.spec, self.m, self.samples, self.seed = spec, m, samples, seed
 
     def _declared(self, expr: Expr, rho: float, label: str) -> BoundEntry:
         try:
@@ -251,17 +239,14 @@ class BoundSet:
         return BoundEntry(val, val, "certified")
 
     def _resolve(self, slot: str, rho: float, upward: bool) -> BoundEntry:
-        expr = self._exprs[slot]
+        expr = self.spec.bounds.get(slot)
         if expr is not None:
             return self._declared(expr, rho, slot)
-        if self._sampling is None:
-            raise IncompleteBoundsError(f"no declared {slot} bound and no sampler attached")
-        spec, m, samples, seed = self._sampling
         try:
             if slot in ("h1", "h2"):
-                raw = estimate_H(spec, int(slot[1]), rho, samples, seed)
+                raw = estimate_H(self.spec, int(slot[1]), rho, self.samples, self.seed)
             else:
-                raw = estimate_f_extrema(spec, rho, m)[0 if upward else 1]
+                raw = estimate_f_extrema(self.spec, rho, self.m)[0 if upward else 1]
         except EvaluationError as exc:
             raise EvaluationError(f"sampled bound {slot}({rho}): {exc}") from exc
         return BoundEntry(_widened(raw, upward), raw, "heuristic")

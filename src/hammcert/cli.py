@@ -112,13 +112,10 @@ def _cmd_validate(args) -> int:
     return 1 if spec.warnings else 0
 
 
-def _bounds_for(spec, args) -> BoundSet:
-    return spec.bounds.with_sampler(spec, m=args.m, samples=args.samples, seed=args.seed)
-
-
 def _cmd_certify_existence(args) -> int:
     spec = _load(args)
-    cert = check_existence(spec, _bounds_for(spec, args), args.r, args.R)
+    cert = check_existence(spec, BoundSet(spec, m=args.m, samples=args.samples, seed=args.seed),
+                           args.r, args.R)
     print(f"existence certificate for {args.problem}")
     print(f"  parameters: lambda={spec.lam!r}, eta1={spec.eta1!r}, eta2={spec.eta2!r}")
     print(f"  annulus: r={cert.r!r}, R={cert.R!r}; kernel constants K={cert.K!r}, K*={cert.Kstar!r}")
@@ -292,7 +289,8 @@ def _cmd_sweep(args) -> int:
         witness = spec.witness
     axes = [_parse_axis(getattr(args, dest), name)
             for name, dest in (("lambda", "lam"), ("eta1", "eta1"), ("eta2", "eta2"))]
-    cells = run_sweep(spec, *axes, _bounds_for(spec, args), args.r, args.R, witness=witness)
+    bounds = BoundSet(spec, m=args.m, samples=args.samples, seed=args.seed)
+    cells = run_sweep(spec, *axes, bounds, args.r, args.R, witness=witness)
     record = _record(args, spec, {
         "r": args.r,
         "R": args.R,

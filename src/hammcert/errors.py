@@ -50,10 +50,6 @@ class ProblemFileError(HammcertError):
     """A problem file is missing, malformed, or internally inconsistent."""
 
 
-class IncompleteBoundsError(HammcertError):
-    """A certificate was requested without the bound entries it needs."""
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one sampled hypothesis check: 'pass' or 'warn' plus detail."""

@@ -35,6 +35,7 @@ plane.  It returns what argmin and argmax on the whole array would.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,6 +311,19 @@ def parse_entry(section: str, key: str, text: str, role: str) -> Expr:
         return parse(text, role)
     except ExprError as exc:
         raise ExprError(f"[{section}] {key} = {text!r}: {exc}") from exc
+
+
+@contextmanager
+def naming_entry(section: str, key: str, e: Expr, derived: str = ""):
+    """Name the problem-file entry ``[section] key = '<source of e>'``, after
+    ``derived`` for an expression derived from it, in front of an ExprError
+    or EvaluationError the block raises; an EvaluationError keeps its rows."""
+    try:
+        yield
+    except (ExprError, EvaluationError) as exc:
+        where = f"{derived}[{section}] {key} = {to_source(e)!r}: {exc}"
+        raise (ExprError(where) if isinstance(exc, ExprError)
+               else EvaluationError(where, rows=exc.rows)) from exc
 
 
 def variables(e: Expr) -> frozenset:

@@ -87,6 +87,10 @@ class GridFunction:
         return cls(grid, z, z)
 
     @classmethod
+    def constant(cls, grid: Grid, value: float) -> "GridFunction":
+        return cls(grid, np.full(grid.n + 1, value), np.zeros(grid.n + 1))
+
+    @classmethod
     def ramp(cls, grid: Grid, slope: float) -> "GridFunction":
         """u(t) = slope * t, the canonical cone direction."""
         return cls(grid, slope * grid.nodes, np.full(grid.n + 1, slope))

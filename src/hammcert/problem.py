@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import BoundSet, LinearGrowthWitness, functional_on_samples
-from .errors import CheckResult, EvaluationError, ExprError, ParameterError, ProblemFileError
+from .bounds import SPHERE_FIXED, LinearGrowthWitness, functional_on_samples
+from .errors import CheckResult, ParameterError, ProblemFileError
 from .expr import (Expr, derivative, eval_coefficient, eval_constant, eval_functional,
-                   eval_nonlinearity, lattice_extrema, parse, parse_entry, to_source)
+                   eval_nonlinearity, lattice_extrema, naming_entry, parse, parse_entry)
 from .grid import (CONE_TOL, Grid, GridFunction, cone_defect, random_cone_function,
                    sign_check)
 from .kernel import FocalKernel, Kernel, check_kernel_hypotheses, kernel_from_exprs
@@ -43,7 +43,7 @@ class ProblemSpec:
     eta1: float
     eta2: float
     grid: Grid
-    bounds: BoundSet = field(default_factory=BoundSet)
+    bounds: dict = field(default_factory=dict)  # declared [bounds] slot -> its AST in rho
     witness: LinearGrowthWitness | None = None
     # The sampled hypothesis checks of the load, pass rows included.  A
     # replace() copy keeps them as loaded; validate_spec re-checks a copy.
@@ -82,21 +82,26 @@ def validate_spec(spec: ProblemSpec, m: int = 64) -> list[CheckResult]:
 
 def _check_f_sign(spec: ProblemSpec, m: int) -> CheckResult:
     ax = np.linspace(0.0, 1.0, m)
-    try:
+    with naming_entry("nonlinearity", "f", spec.f):
         worst, at, _, _ = lattice_extrema(spec.f, ax, ax, ax)
-    except EvaluationError as exc:  # name the entry it came from
-        raise EvaluationError(f"[nonlinearity] f = {to_source(spec.f)!r}: {exc}",
-                              rows=exc.rows) from exc
     return sign_check("f >= 0", worst, at, {"t": ax, "u": ax, "v": ax},
                       f"on {m}^3 lattice over [0,1]^3")
 
 
 def _check_functional_boundedness(spec: ProblemSpec) -> CheckResult:
-    # 8 cone functions on each sphere rho = 0.5, 1, 2, as one stack.
-    u = random_cone_function(spec.grid, np.random.default_rng(0),
-                             norm=np.repeat([0.5, 1.0, 2.0], 8), count=24)
-    # functional_on_samples raises on non-finite values
-    worst = min(0.0, *(float(np.min(functional_on_samples(h, u))) for h in (spec.h1, spec.h2)))
+    # The zero function, the ramp and the constant on each sphere
+    # rho = 0.5, 1, 2, then 8 random cone functions on each, as one stack.
+    grid, radii = spec.grid, (0.5, 1.0, 2.0)
+    u = GridFunction.stack([GridFunction.zero(grid),
+                            *(row(grid, rho) for rho in radii
+                              for row in (GridFunction.ramp, GridFunction.constant)),
+                            random_cone_function(grid, np.random.default_rng(0),
+                                                 norm=np.repeat(radii, 8), count=24)])
+    fixed = ("the zero function",) + SPHERE_FIXED * len(radii)
+    worst = 0.0
+    for key, h in (("h1", spec.h1), ("h2", spec.h2)):
+        with naming_entry("functionals", key, h):  # a non-finite value raises
+            worst = min(worst, float(np.min(functional_on_samples(h, u, fixed))))
     if worst < -CONE_TOL:
         return CheckResult("functionals >= 0 and bounded", "warn",
                            f"found h[u] = {worst:.3g} < 0 on a cone sample")
@@ -111,7 +116,7 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     negative samples (cone drift within tolerance) are clamped to zero
     before f sees them, since f is only defined on [0, inf)^2.  A stack
     is mapped row by row in one pass; a non-finite f or h_i value raises
-    an EvaluationError whose ``rows`` names the failing rows.
+    an EvaluationError that names its entry, with the failing rows in ``rows``.
     """
     defect = np.atleast_1d(cone_defect(u))
     outside = defect > CONE_TOL
@@ -126,11 +131,14 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     uc = np.maximum(u.values, 0.0)
     vc = np.maximum(u.dvalues, 0.0)
     rows = uc.shape[0] if u.is_stack else None
-    fvals = np.broadcast_to(np.asarray(eval_nonlinearity(spec.f, t, uc, vc, rows=rows)), uc.shape)
-    h1v = np.asarray(eval_functional(spec.h1, u))[..., None]
-    h2v = np.asarray(eval_functional(spec.h2, u))[..., None]
+    with naming_entry("nonlinearity", "f", spec.f):
+        fvals = np.asarray(eval_nonlinearity(spec.f, t, uc, vc, rows=rows))
+    with naming_entry("functionals", "h1", spec.h1):
+        h1v = np.asarray(eval_functional(spec.h1, u))[..., None]
+    with naming_entry("functionals", "h2", spec.h2):
+        h2v = np.asarray(eval_functional(spec.h2, u))[..., None]
     g1, g2, dg1, dg2 = _coefficient_samples(spec, grid)
-    integral, dintegral = spec.kernel.integrals(grid, fvals)
+    integral, dintegral = spec.kernel.integrals(grid, np.broadcast_to(fvals, uc.shape))
     values = spec.eta1 * g1 * h1v + spec.eta2 * g2 * h2v + spec.lam * integral
     dvalues = spec.eta1 * dg1 * h1v + spec.eta2 * dg2 * h2v + spec.lam * dintegral
     return GridFunction(grid, values, dvalues)
@@ -147,14 +155,8 @@ def _coefficient_samples(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, ...
         for prime in (False, True):  # gamma1, gamma2, then gamma1', gamma2'
             for key in ("gamma1", "gamma2"):
                 gamma = getattr(spec, key)
-                where = f"[gamma] {key} = {to_source(gamma)!r}"  # the entry an error names
-                where = f"{key}' from {where}" if prime else where
-                try:
+                with naming_entry("gamma", key, gamma, derived=f"{key}' from " if prime else ""):
                     vals = eval_coefficient(derivative(gamma, "t") if prime else gamma, t)
-                except ExprError as exc:
-                    raise ExprError(f"{where}: {exc}") from exc
-                except EvaluationError as exc:
-                    raise EvaluationError(f"{where}: {exc}", rows=exc.rows) from exc
                 samples.append(np.broadcast_to(np.asarray(vals), t.shape))
         samples = spec._coefficient_cache[grid] = tuple(samples)
     return samples
@@ -264,12 +266,12 @@ def _kernel_from_config(cp: configparser.ConfigParser) -> Kernel:
     return FocalKernel()
 
 
-def _bounds_from_config(cp) -> tuple[BoundSet, LinearGrowthWitness | None]:
-    """The declared bounds (an empty BoundSet when none are) and the growth
-    witness, if [bounds] declares one."""
+def _bounds_from_config(cp) -> tuple[dict, LinearGrowthWitness | None]:
+    """The declared bounds, slot -> AST in rho, and the growth witness, if
+    [bounds] declares one."""
     sec = cp["bounds"] if cp.has_section("bounds") else {}
-    bounds = BoundSet(**{key: parse_entry("bounds", key, sec[key], "bound")
-                         for key in _BOUND_KEYS if key in sec})
+    bounds = {key: parse_entry("bounds", key, sec[key], "bound")
+              for key in _BOUND_KEYS if key in sec}
     witness_keys = [k for k in _WITNESS_KEYS if k in sec]
     if not witness_keys:
         return bounds, None

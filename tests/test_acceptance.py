@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hammcert.bounds import (LinearGrowthWitness, estimate_f_extrema,
+from hammcert.bounds import (BoundSet, LinearGrowthWitness, estimate_f_extrema,
                              falsify_linear_growth)
 from hammcert.certificate import check_existence, check_nonexistence
 from hammcert.expr import eval_functional, eval_nonlinearity, parse, to_source
@@ -54,7 +54,7 @@ def test_criterion_1_kernel_constants_exact():
 
 
 def test_criterion_2_example1_existence_certificate(example1):
-    cert = check_existence(example1, example1.bounds, r=1 / 20, R=1.0)
+    cert = check_existence(example1, BoundSet(example1), r=1 / 20, R=1.0)
     value_oracle = E2 / 20 + 2 / 11 + 2 / 12
     deriv_oracle = E2 / 10 + 2 / 12
     assert cert.lhs_value_branch == pytest.approx(value_oracle, abs=1e-9)
@@ -152,7 +152,7 @@ def test_criterion_7_bounds_sanity(example1, example2):
 def test_criterion_8_sweep_reproduction(example2):
     ax = axis_values(0.0, 1.0, 20)
     t0 = time.perf_counter()
-    cells = run_sweep(example2, ax, ax, ax, example2.bounds, r=1 / 20, R=1.0,
+    cells = run_sweep(example2, ax, ax, ax, BoundSet(example2), r=1 / 20, R=1.0,
                       witness=example2.witness)
     elapsed = time.perf_counter() - t0
     assert len(cells) == 8000

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hammcert.bounds import (BoundSet, LinearGrowthWitness, estimate_H,
                              estimate_f_extrema, falsify_linear_growth,
                              sphere_family)
 from hammcert.certificate import check_existence
-from hammcert.errors import IncompleteBoundsError, ParameterError
+from hammcert.errors import ParameterError
 from hammcert.expr import eval_nonlinearity, parse
 from hammcert.grid import c1_norm, in_cone
 from hammcert.problem import loads_problem
@@ -72,7 +73,7 @@ class TestEstimateH:
     def test_example1_estimates_below_declared(self, example1):
         for i in (1, 2):
             est = estimate_H(example1, i, 1.0, samples=200, seed=0)
-            declared = example1.bounds.h_upper(i, 1.0).value
+            declared = BoundSet(example1).h_upper(i, 1.0).value
             assert est <= declared  # heuristic never exceeds the certified bound
             assert est <= 2.0
 
@@ -139,7 +140,7 @@ class TestFalsifyLinearGrowth:
 
 class TestBoundSet:
     def test_declared_entries_are_certified(self, example1):
-        b = example1.bounds
+        b = BoundSet(example1)
         fu = b.f_upper(1.0)
         assert fu.rigor == "certified" and fu.value == fu.raw
         assert fu.value == pytest.approx(E2, abs=1e-12)
@@ -148,18 +149,12 @@ class TestBoundSet:
         assert b.h_upper(2, 1.0).value == 2.0
 
     def test_declared_upper_monotone_in_rho(self, example1):
-        b = example1.bounds
+        b = BoundSet(example1)
         values = [b.f_upper(r).value for r in (0.25, 0.5, 1.0, 2.0)]
         assert values == sorted(values)
 
-    def test_missing_without_sampler(self):
-        with pytest.raises(IncompleteBoundsError):
-            BoundSet().f_upper(1.0)
-        with pytest.raises(IncompleteBoundsError):
-            BoundSet(f_upper=parse("1", "bound")).h_upper(1, 1.0)
-
     def test_sampler_fallback_is_heuristic_and_inflated(self, example1):
-        b = BoundSet().with_sampler(example1, m=16, samples=20, seed=0)
+        b = BoundSet(replace(example1, bounds={}), m=16, samples=20, seed=0)
         fu = b.f_upper(1.0)
         fl = b.f_lower(1.0)
         h1 = b.h_upper(1, 1.0)
@@ -172,7 +167,7 @@ class TestBoundSet:
     def test_inflation_widens_negative_estimates(self):
         # f = u - 2 is negative on the whole box at rho = 1, and so is h1
         spec = tiny_spec(f="u - 2", h1="U(1) - 5")
-        b = BoundSet().with_sampler(spec, m=8, samples=10, seed=0)
+        b = BoundSet(spec, m=8, samples=10, seed=0)
         fu, fl, h1 = b.f_upper(1.0), b.f_lower(1.0), b.h_upper(1, 1.0)
         assert fu.raw < 0 and fl.raw < 0 and h1.raw < 0
         assert fu.value > fu.raw and h1.value > h1.raw
@@ -188,18 +183,17 @@ class TestBoundSet:
             return estimate_f_extrema(spec, rho, m)
 
         monkeypatch.setattr(hammcert.bounds, "estimate_f_extrema", counting)
-        base = BoundSet(h1=parse("rho", "bound"), h2=parse("rho", "bound"))
-        check_existence(example1, base.with_sampler(example1, m=8, samples=10, seed=0), 0.5, 1.0)
+        spec = replace(example1, bounds={"h1": parse("rho", "bound"), "h2": parse("rho", "bound")})
+        check_existence(spec, BoundSet(spec, m=8, samples=10, seed=0), 0.5, 1.0)
         assert calls == [1.0, 0.5]  # f_upper at R, then f_lower at r
-        with pytest.raises(IncompleteBoundsError):
-            base.f_upper(1.0)  # with_sampler leaves the original unsampled
 
     def test_mixed_declared_and_sampled(self, example1):
-        b = BoundSet(f_upper=parse("exp(2*rho)", "bound")).with_sampler(example1, m=8, samples=10)
+        b = BoundSet(replace(example1, bounds={"f_upper": parse("exp(2*rho)", "bound")}),
+                     m=8, samples=10)
         assert b.f_upper(1.0).rigor == "certified"
         assert b.f_lower(0.05).rigor == "heuristic"
 
-    def test_negative_declared_bound_rejected(self):
-        b = BoundSet(f_upper=parse("1 - rho", "bound"))
+    def test_negative_declared_bound_rejected(self, example1):
+        b = BoundSet(replace(example1, bounds={"f_upper": parse("1 - rho", "bound")}))
         with pytest.raises(ParameterError):
             b.f_upper(2.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from hammcert.bounds import BoundSet, LinearGrowthWitness
 from hammcert.certificate import check_existence, check_nonexistence
-from hammcert.errors import IncompleteBoundsError, ParameterError
+from hammcert.errors import ParameterError
 from hammcert.expr import parse
 from hammcert.kernel import constant_K, constant_Kstar
 from hammcert.problem import loads_problem
@@ -20,7 +21,7 @@ r_EX1 = 1 / 20
 
 class TestExistenceExample1:
     def test_feasible_point_is_certified(self, example1):
-        cert = check_existence(example1, example1.bounds, r_EX1, R_EX1)
+        cert = check_existence(example1, BoundSet(example1), r_EX1, R_EX1)
         assert cert.lhs_value_branch == pytest.approx(E2 / 20 + 2 / 11 + 2 / 12, abs=1e-9)
         assert cert.lhs_deriv_branch == pytest.approx(E2 / 10 + 2 / 12, abs=1e-9)
         assert cert.lhs_idx0 == 1 / 20  # exact equality, non-strict pass
@@ -31,31 +32,27 @@ class TestExistenceExample1:
 
     def test_lambda_zero_fails_idx0(self, example1):
         spec = example1.with_params(0.0, example1.eta1, example1.eta2)
-        cert = check_existence(spec, example1.bounds, r_EX1, R_EX1)
+        cert = check_existence(spec, BoundSet(example1), r_EX1, R_EX1)
         assert cert.lhs_idx0 == 0.0
         assert cert.verdict == "fail"
 
     def test_doubled_lambda_fails_deriv_branch(self, example1):
         spec = example1.with_params(0.2, example1.eta1, example1.eta2)
-        cert = check_existence(spec, example1.bounds, r_EX1, R_EX1)
+        cert = check_existence(spec, BoundSet(example1), r_EX1, R_EX1)
         assert cert.lhs_deriv_branch == pytest.approx(E2 / 5 + 1 / 6, abs=1e-9)
         assert cert.lhs_deriv_branch > 1.0
         assert cert.verdict == "fail"
 
     def test_bad_radii(self, example1):
         with pytest.raises(ParameterError):
-            check_existence(example1, example1.bounds, 1.0, 0.05)
+            check_existence(example1, BoundSet(example1), 1.0, 0.05)
         with pytest.raises(ParameterError):
-            check_existence(example1, example1.bounds, 0.0, 1.0)
-
-    def test_missing_bounds(self, example1):
-        with pytest.raises(IncompleteBoundsError):
-            check_existence(example1, BoundSet(), r_EX1, R_EX1)
+            check_existence(example1, BoundSet(example1), 0.0, 1.0)
 
 
 class TestRigorPropagation:
     def test_heuristic_bounds_give_heuristic_pass(self, example1):
-        bounds = BoundSet().with_sampler(example1, m=32, samples=50, seed=0)
+        bounds = BoundSet(replace(example1, bounds={}), m=32, samples=50, seed=0)
         # deflated f_lower cannot hit the worked example's equality case at
         # r = 1/20, so certify a slightly smaller inner radius
         cert = check_existence(example1, bounds, 0.04, 1.0)
@@ -63,11 +60,11 @@ class TestRigorPropagation:
         assert cert.rigor == "heuristic"
 
     def test_one_sampled_entry_taints_rigor(self, example1):
-        bounds = BoundSet(
-            f_upper=parse("exp(2*rho)", "bound"),
-            f_lower=parse("1", "bound"),
-            h1=parse("rho + rho^2", "bound"),
-        ).with_sampler(example1, m=16, samples=30, seed=0)
+        bounds = BoundSet(replace(example1, bounds={
+            "f_upper": parse("exp(2*rho)", "bound"),
+            "f_lower": parse("1", "bound"),
+            "h1": parse("rho + rho^2", "bound"),
+        }), m=16, samples=30, seed=0)
         cert = check_existence(example1, bounds, r_EX1, R_EX1)
         assert cert.h2_R.rigor == "heuristic"
         assert cert.rigor == "heuristic"
@@ -77,7 +74,7 @@ class TestRigorPropagation:
         spec = quadrature_spec
         assert constant_K(spec.kernel, spec.grid) == constant_Kstar(spec.kernel, spec.grid) \
             == 0.33333587646484375
-        cert = check_existence(spec, spec.bounds, 0.1000003, 1.0)
+        cert = check_existence(spec, BoundSet(spec), 0.1000003, 1.0)
         assert cert.lhs_idx0 >= cert.r  # passes on the quadrature constants only
         assert {e.rigor for e in (cert.f_upper_R, cert.f_lower_r, cert.h1_R, cert.h2_R)} \
             == {"certified"}
@@ -92,7 +89,7 @@ class TestRigorPropagation:
             text = text.replace(old, new)
         spec = loads_problem(text)
         assert spec.dgamma2_sup < 2.0  # the nodes miss the supremum 2 of 1 + sin(7t)
-        cert = check_existence(spec, spec.bounds, r_EX1, R_EX1)
+        cert = check_existence(spec, BoundSet(spec), r_EX1, R_EX1)
         assert (cert.verdict, cert.rigor) == ("heuristic-pass", "heuristic")
 
 
@@ -101,7 +98,7 @@ class TestExistenceStructure:
            st.floats(min_value=0, max_value=0.2), st.floats(min_value=0.001, max_value=0.1))
     @settings(max_examples=40, deadline=None)
     def test_lhs_monotone_in_parameters(self, example1, lam, eta1, eta2, bump):
-        bounds = example1.bounds
+        bounds = BoundSet(example1)
         base = check_existence(example1.with_params(lam, eta1, eta2), bounds, r_EX1, R_EX1)
         for bumped in ((lam + bump, eta1, eta2), (lam, eta1 + bump, eta2),
                        (lam, eta1, eta2 + bump)):
@@ -119,10 +116,10 @@ class TestExistenceStructure:
             ("f = u", "f = exp(t*(u + v))"), ("lambda = 0", f"lambda = {example1.lam!r}"),
             ("eta1 = 0", f"eta1 = {example1.eta2!r}"), ("eta2 = 0", f"eta2 = {example1.eta1!r}")),
             n=64)
-        swapped_bounds = BoundSet(
-            f_upper=parse("exp(2*rho)", "bound"), f_lower=parse("1", "bound"),
-            h1=parse("rho^3 + rho", "bound"), h2=parse("rho + rho^2", "bound"))
-        orig = check_existence(example1, example1.bounds, r_EX1, R_EX1)
+        swapped_bounds = BoundSet(replace(swapped_spec, bounds={
+            "f_upper": parse("exp(2*rho)", "bound"), "f_lower": parse("1", "bound"),
+            "h1": parse("rho^3 + rho", "bound"), "h2": parse("rho + rho^2", "bound")}))
+        orig = check_existence(example1, BoundSet(example1), r_EX1, R_EX1)
         swap = check_existence(swapped_spec, swapped_bounds, r_EX1, R_EX1)
         assert swap.verdict == orig.verdict
         assert max(swap.lhs_value_branch, swap.lhs_deriv_branch) == pytest.approx(

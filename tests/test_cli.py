@@ -212,6 +212,18 @@ class TestCertifyNonexistence:
     def test_no_witness_exit_2(self, example1_path):
         assert main(["certify-nonexistence", "--problem", example1_path]) == 2
 
+    def test_non_finite_functional_names_its_entry(self, example2_path, tmp_path, capsys):
+        # exp(u(1)^4) overflows once u(1) > 5.2, beyond every sphere the
+        # load samples; the falsifier reaches it first on the ramp 8t.
+        bad = _variant(tmp_path, example2_path, "h1 = U(1/4) * cos(DU(3/4))^2",
+                       "h1 = U(1/4)*exp(U(1)^4)/exp(U(1)^4)")
+        assert main(["validate", "--problem", bad]) == 0
+        capsys.readouterr()
+        assert main(["certify-nonexistence", "--problem", bad]) == 2
+        h1 = "U(1.0/4.0)*exp(U(1.0)^4.0)/exp(U(1.0)^4.0)"
+        assert capsys.readouterr() == ("", f"error: [functionals] h1 = '{h1}': expression "
+                                           f"'{h1}' is non-finite on the ramp rho*t (C1 norm 8)\n")
+
     def test_load_warning_reported(self, example2_path, tmp_path, capsys):
         shifted = _variant(tmp_path, example2_path, "f = u*(2 - t*sin(u*v))",
                            "f = u*(2 - t*sin(u*v)) - 1/100")
@@ -288,6 +300,16 @@ class TestSolve:
                                        if "diverged" in line)
         assert captured.err == ""
 
+    def test_non_finite_f_names_its_entry(self, example2_path, tmp_path, capsys):
+        # f passes the load's [0,1]^3 lattice, and overflows on a start.
+        bad = _variant(tmp_path, example2_path, "f = u*(2 - t*sin(u*v))", "f = exp(exp(exp(t*u)))")
+        assert main(["validate", "--problem", bad]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--problem", bad]) == 2
+        assert capsys.readouterr() == ("", "error: [nonlinearity] f = 'exp(exp(exp(t*u)))': "
+                                           "expression 'exp(exp(exp(t*u)))' is non-finite at "
+                                           "t=0.4375, u=4.375, v=10 in row 3 of a stack of 8\n")
+
     def test_r_without_R_is_usage_error(self, example1_path):
         assert main(["solve", "--problem", example1_path, "--r", "0.05"]) == 2
 
@@ -337,13 +359,14 @@ class TestValidate:
 
     def test_non_finite_functional_names_the_cone_sample(self, example1_path, tmp_path, capsys):
         # exp(1000*u'(3/4)) overflows once u'(3/4) > 0.71, first on the
-        # load-time check's random sample 10, one of those with C1 norm 1
+        # load-time check's ramp with C1 norm 1
         bad = _variant(tmp_path, example1_path, "h1 = U(1/4) + DU(3/4)^2\n",
                        "h1 = U(1/4) + exp(1000*DU(3/4))\n")
         assert main(["validate", "--problem", bad]) == 2
+        h1 = "U(1.0/4.0) + exp(1000.0*DU(3.0/4.0))"
         assert capsys.readouterr().err == (
-            f"error: {bad}: expression 'U(1.0/4.0) + exp(1000.0*DU(3.0/4.0))' is non-finite "
-            "on random cone sample 10 (C1 norm 1)\n")
+            f"error: {bad}: [functionals] h1 = '{h1}': expression '{h1}' is non-finite "
+            "on the ramp rho*t (C1 norm 1)\n")
 
     @pytest.mark.parametrize("argv, old, new, err", [
         # A misspelt bound used to be sampled instead: PASS (heuristic-pass), exit 0.
@@ -376,6 +399,16 @@ class TestValidate:
         assert main(["validate", "--problem", bad]) == 2
         assert capsys.readouterr() == ("", f"error: {bad}: [nonlinearity] f = '1.0/u': "
                                            "expression '1.0/u' is non-finite at t=0, u=0, v=0\n")
+
+    @pytest.mark.parametrize("h2, src", [("1/U(0)", "1.0/U(0.0)"), ("1/U(1)", "1.0/U(1.0)")])
+    def test_functional_infinite_at_zero_fails_the_load(self, example1_path, tmp_path, capsys,
+                                                        h2, src):
+        # Every random cone sample has u(0) > 0; the zero function does not.
+        bad = _variant(tmp_path, example1_path, "h2 = INT(U(s)^3 + DU(s))", f"h2 = {h2}")
+        assert main(["validate", "--problem", bad]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: [functionals] h2 = '{src}': "
+                                           f"expression '{src}' is non-finite on the zero "
+                                           "function (C1 norm 0)\n")
 
     def test_non_finite_gamma_names_its_entry(self, example1_path, tmp_path, capsys):
         bad = _variant(tmp_path, example1_path, "gamma2 = t\n", "gamma2 = 1/t\n")

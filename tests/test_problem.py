@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import hammcert.problem
-from hammcert.bounds import LinearGrowthWitness
-from hammcert.errors import (EvaluationError, IncompleteBoundsError, ParameterError,
-                             ProblemFileError)
+from hammcert.bounds import BoundSet, LinearGrowthWitness
+from hammcert.errors import EvaluationError, ParameterError, ProblemFileError
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, cone_defect,
                            consistency_defect, in_cone, random_cone_function)
 from hammcert.certificate import check_existence
@@ -34,9 +33,9 @@ class TestLoading:
         assert example1.eta2 == pytest.approx(1 / 12)
         assert example1.grid.n == 256
         assert example1.warnings == ()
-        # every slot declared: resolving each needs no sampler
-        b = example1.bounds
-        assert b is not None
+        # every slot declared: each resolves certified, with nothing sampled
+        assert set(example1.bounds) == {"f_upper", "f_lower", "h1", "h2"}
+        b = BoundSet(example1)
         assert {e.rigor for e in (b.f_upper(1.0), b.f_lower(1.0), b.h_upper(1, 1.0),
                                   b.h_upper(2, 1.0))} == {"certified"}
 
@@ -101,7 +100,7 @@ class TestLoading:
         spec = loads_problem("\n".join(lines))
         assert type(spec.kernel) is (FocalKernel if kernel == "focal" else Kernel)
         assert spec.warnings == ()
-        assert spec.bounds.f_lower(1.0).value == 1.0
+        assert BoundSet(spec).f_lower(1.0).value == 1.0
         assert spec.witness == LinearGrowthWitness(tau=3.0, xi1=1.0, xi2=1.0)
 
     @pytest.mark.parametrize("old, new, message", [
@@ -243,8 +242,10 @@ class TestLoading:
     @pytest.mark.parametrize("bounds", ["", "[bounds]\ntau = 1\nxi1 = 1\nxi2 = 1\n"])
     def test_undeclared_bounds_load_empty(self, bounds):
         spec = loads_problem(ZERO_PROBLEM + bounds)
-        with pytest.raises(IncompleteBoundsError, match="no declared f_upper bound"):
-            check_existence(spec, spec.bounds, 0.05, 1.0)
+        assert spec.bounds == {}
+        b = BoundSet(spec, m=8, samples=10)
+        assert {e.rigor for e in (b.f_upper(1.0), b.f_lower(0.05), b.h_upper(1, 1.0),
+                                  b.h_upper(2, 1.0))} == {"heuristic"}
 
     def test_partial_witness_rejected(self):
         text = ZERO_PROBLEM + "\n[bounds]\ntau = 1\n"
@@ -404,8 +405,8 @@ class TestCoefficientConstants:
         copy = replace(example1, gamma1=parse("30", "coefficient"))
         text = open(example1_path, encoding="utf-8").read()
         fresh = loads_problem(text.replace("gamma1 = 1\n", "gamma1 = 30\n"))
-        cert = check_existence(copy, copy.bounds, 0.05, 1.0)
-        assert cert == check_existence(fresh, fresh.bounds, 0.05, 1.0)
+        cert = check_existence(copy, BoundSet(copy), 0.05, 1.0)
+        assert cert == check_existence(fresh, BoundSet(fresh), 0.05, 1.0)
         assert cert.verdict == "fail"
         assert cert.lhs_value_branch == 5.990664926158654
 
@@ -419,8 +420,8 @@ class TestCoefficientConstants:
         text = open(example1_path, encoding="utf-8").read()
         fresh = loads_problem(edited(text, ("gamma2 = t\n", "gamma2 = t^2\n")))
         assert copy.dgamma2_sup == fresh.dgamma2_sup == 2.0
-        cert = check_existence(copy, copy.bounds, 0.05, 1.0)
-        assert cert == check_existence(fresh, fresh.bounds, 0.05, 1.0)
+        cert = check_existence(copy, BoundSet(copy), 0.05, 1.0)
+        assert cert == check_existence(fresh, BoundSet(fresh), 0.05, 1.0)
         assert (cert.verdict, cert.lhs_deriv_branch) == ("fail", 1.0722389432263983)
 
     def test_regridded_copy_reads_the_new_grid(self):

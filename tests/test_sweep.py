@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -31,26 +32,26 @@ class TestAxisValues:
 class TestClassification:
     def test_example1_feasible_cell_is_existence(self, example1):
         cells = run_sweep(example1, [1 / 10], [1 / 11], [1 / 12],
-                          example1.bounds, r=1 / 20, R=1.0)
+                          BoundSet(example1), r=1 / 20, R=1.0)
         assert len(cells) == 1
         assert cells[0].classification == "existence"
         assert cells[0].rigor == "certified"
 
     def test_example2_feasible_cell_is_nonexistence(self, example2):
         cells = run_sweep(example2, [1 / 3], [1 / 4], [1 / 5],
-                          example2.bounds, r=1 / 20, R=1.0, witness=example2.witness)
+                          BoundSet(example2), r=1 / 20, R=1.0, witness=example2.witness)
         assert cells[0].classification == "nonexistence"
         assert cells[0].nonexistence_lhs == pytest.approx(0.95, abs=1e-12)
 
     def test_origin_is_nonexistence(self, example2):
         cells = run_sweep(example2, [0.0], [0.0], [0.0],
-                          example2.bounds, r=1 / 20, R=1.0, witness=example2.witness)
+                          BoundSet(example2), r=1 / 20, R=1.0, witness=example2.witness)
         assert cells[0].classification == "nonexistence"
         assert cells[0].idx0_value == 0.0  # existence cannot hold at lambda = 0
 
     def test_example2_region_matches_inequality(self, example2):
         ax = axis_values(0.0, 1.0, 6)
-        cells = run_sweep(example2, ax, ax, ax, example2.bounds,
+        cells = run_sweep(example2, ax, ax, ax, BoundSet(example2),
                           r=1 / 20, R=1.0, witness=example2.witness)
         assert len(cells) == 216
         assert not conflict_cells(cells)
@@ -60,14 +61,14 @@ class TestClassification:
 
     def test_without_witness_no_nonexistence(self, example2):
         cells = run_sweep(example2, [1 / 3], [1 / 4], [1 / 5],
-                          example2.bounds, r=1 / 20, R=1.0)
+                          BoundSet(example2), r=1 / 20, R=1.0)
         assert cells[0].classification == "both-fail"
         assert cells[0].nonexistence_lhs is None
 
     def test_monotone_along_lambda_ray(self, example1):
         ax = axis_values(0.0, 1.0, 21)
         cells = run_sweep(example1, ax, [1 / 11], [1 / 12],
-                          example1.bounds, r=1 / 20, R=1.0)
+                          BoundSet(example1), r=1 / 20, R=1.0)
         branches = [max(c.value_branch, c.deriv_branch) for c in cells]
         assert branches == sorted(branches)
         exceeded = False
@@ -79,7 +80,7 @@ class TestClassification:
 
     def test_lexicographic_order(self, example1):
         cells = run_sweep(example1, [0.0, 0.1], [0.0, 0.1], [0.0],
-                          example1.bounds, r=1 / 20, R=1.0)
+                          BoundSet(example1), r=1 / 20, R=1.0)
         points = [(c.lam, c.eta1, c.eta2) for c in cells]
         assert points == sorted(points)
 
@@ -113,22 +114,23 @@ class TestScalarReference:
 
     def test_cells_equal_scalar_certificates(self, example1, example2, quadrature_spec):
         cells = self._assert_cells_match(example2, axis_values(0.0, 1.0, 20),
-                                         example2.bounds, example2.witness)
+                                         BoundSet(example2), example2.witness)
         assert {c.classification for c in cells} == {"nonexistence", "both-fail"}
-        sampled = BoundSet().with_sampler(example1, m=16, samples=20, seed=0)
+        sampled = BoundSet(replace(example1, bounds={}), m=16, samples=20, seed=0)
         cells = self._assert_cells_match(example1, axis_values(0.0, 1.0, 8), sampled, None)
         assert {c.rigor for c in cells} == {"heuristic"}
         # declared bounds, but K and K* come from quadrature
         cells = self._assert_cells_match(quadrature_spec, axis_values(0.0, 1.0, 4),
-                                         quadrature_spec.bounds, None)
+                                         BoundSet(quadrature_spec), None)
         assert {c.rigor for c in cells} == {"heuristic"}
 
 
 class TestConflictAlarm:
     def test_inconsistent_declarations_flagged(self, example2):
         # an (incorrect) declared f_lower makes both certificates pass at once
-        bad = BoundSet(f_upper=parse("3*rho", "bound"), f_lower=parse("3", "bound"),
-                       h1=parse("rho", "bound"), h2=parse("rho", "bound"))
+        bad = BoundSet(replace(example2, bounds={
+            "f_upper": parse("3*rho", "bound"), "f_lower": parse("3", "bound"),
+            "h1": parse("rho", "bound"), "h2": parse("rho", "bound")}))
         cells = run_sweep(example2, [0.2], [0.0], [0.0], bad,
                           r=1 / 20, R=1.0, witness=example2.witness)
         assert cells[0].classification == "conflict"
