@@ -68,13 +68,13 @@ class FalsificationResult:
     points_checked: int
 
 
-def estimate_f_extrema(spec, rho: float, m: int = 64) -> tuple[float, float]:
-    """Sampled (max, min) of f over [0,1] x [0,rho]^2.
+def estimate_f_extrema(spec, rho: float, m: int, upward: bool) -> float:
+    """Sampled max of f over [0,1] x [0,rho]^2 if ``upward``, else its min.
 
     An m^3 lattice scan followed by one coordinate refinement pass around
-    the best cell of each extremum.  The max estimate is a *lower* bound of
-    the true max and the min estimate an *upper* bound of the true min:
-    heuristic direction, by construction.
+    the best cell of that extremum only.  The max estimate is a *lower*
+    bound of the true max and the min estimate an *upper* bound of the true
+    min: heuristic direction, by construction.
     """
     if rho <= 0:
         raise ParameterError(f"rho must be positive, got {rho}")
@@ -82,9 +82,8 @@ def estimate_f_extrema(spec, rho: float, m: int = 64) -> tuple[float, float]:
         raise ParameterError(f"lattice size must be at least 2, got {m}")
     axes = (np.linspace(0.0, 1.0, m), np.linspace(0.0, rho, m), np.linspace(0.0, rho, m))
     lo, lo_at, hi, hi_at = lattice_extrema(spec.f, *axes)
-    _, _, near_hi, _ = _local_extrema(spec, axes, hi_at, rho, m)
-    near_lo, _, _, _ = _local_extrema(spec, axes, lo_at, rho, m)
-    return max(hi, near_hi), min(lo, near_lo)
+    near_lo, _, near_hi, _ = _local_extrema(spec, axes, hi_at if upward else lo_at, rho, m)
+    return max(hi, near_hi) if upward else min(lo, near_lo)
 
 
 def _local_extrema(spec, axes, idx, rho, m) -> tuple:
@@ -105,8 +104,8 @@ def sphere_family(spec, rho: float, samples: int, rng: np.random.Generator) -> G
     """A stack of cone functions with C1 norm exactly rho, drawn from the sphere.
 
     The rows are the ramp rho*t, the constant rho (derivative zero, still
-    attains ||u|| = rho), and ``samples`` rescaled random non-decreasing
-    functions.
+    attains ||u|| = rho), and ``samples`` random non-decreasing functions
+    drawn in one batch and each rescaled to norm rho.
     """
     grid = spec.grid
     return GridFunction.stack([GridFunction.ramp(grid, rho), GridFunction.constant(grid, rho),
@@ -197,7 +196,8 @@ def _check_functionals(spec, witness, u: GridFunction) -> Counterexample | None:
 
 def _check_growth_points(spec, witness, pts) -> Counterexample | None:
     t, u, v = pts[:, 0], pts[:, 1], pts[:, 2]
-    fv = np.asarray(eval_nonlinearity(spec.f, t, u, v))
+    with naming_entry("nonlinearity", "f", spec.f):
+        fv = np.asarray(eval_nonlinearity(spec.f, t, u, v))
     bad = (fv < -CONE_TOL) | (fv > witness.tau * u + CONE_TOL)
     if not bad.any():
         return None
@@ -220,10 +220,11 @@ class BoundSet:
     """f_upper, f_lower and H_i of one problem as functions of rho, each tagged with rigor.
 
     A slot that ``spec.bounds`` declares (an expression in rho) is evaluated
-    and certified.  Any other is sampled at each lookup (m^3 lattices for f;
-    ``samples`` cone functions drawn with ``seed`` from the sphere ||u|| = rho
-    for H_i, as its definition prescribes) and comes back heuristic, with
-    the safety factor applied to the raw estimate.
+    and certified.  Any other is sampled at each lookup and comes back
+    heuristic, with the safety factor applied to the raw estimate: f_upper
+    and f_lower by an m^3 lattice refined around the one extremum the slot
+    reads; H_i by ``samples`` cone functions drawn with ``seed`` from the
+    sphere ||u|| = rho, as its definition prescribes.
     """
 
     def __init__(self, spec, m: int = 64, samples: int = 200, seed: int = 0):
@@ -246,7 +247,7 @@ class BoundSet:
             if slot in ("h1", "h2"):
                 raw = estimate_H(self.spec, int(slot[1]), rho, self.samples, self.seed)
             else:
-                raw = estimate_f_extrema(self.spec, rho, self.m)[0 if upward else 1]
+                raw = estimate_f_extrema(self.spec, rho, self.m, upward)
         except EvaluationError as exc:
             raise EvaluationError(f"sampled bound {slot}({rho}): {exc}") from exc
         return BoundEntry(_widened(raw, upward), raw, "heuristic")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ExprError
+from .errors import DomainError, EvaluationError, ExprError
 from .grid import GridFunction, integrate, interp_rows
 
 ROLE_VARS = {
@@ -316,14 +316,15 @@ def parse_entry(section: str, key: str, text: str, role: str) -> Expr:
 @contextmanager
 def naming_entry(section: str, key: str, e: Expr, derived: str = ""):
     """Name the problem-file entry ``[section] key = '<source of e>'``, after
-    ``derived`` for an expression derived from it, in front of an ExprError
-    or EvaluationError the block raises; an EvaluationError keeps its rows."""
+    ``derived`` for an expression derived from it, in front of an ExprError,
+    EvaluationError or DomainError the block raises; an EvaluationError
+    keeps its rows."""
     try:
         yield
-    except (ExprError, EvaluationError) as exc:
+    except (ExprError, EvaluationError, DomainError) as exc:
         where = f"{derived}[{section}] {key} = {to_source(e)!r}: {exc}"
-        raise (ExprError(where) if isinstance(exc, ExprError)
-               else EvaluationError(where, rows=exc.rows)) from exc
+        raise (EvaluationError(where, rows=exc.rows) if isinstance(exc, EvaluationError)
+               else type(exc)(where)) from exc
 
 
 def variables(e: Expr) -> frozenset:

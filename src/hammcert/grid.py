@@ -236,12 +236,14 @@ def random_cone_function(grid: Grid, rng: np.random.Generator, norm=None,
                          count: int | None = None) -> GridFunction:
     """Random non-negative, non-decreasing candidate, or a stack of ``count``.
 
-    Draws a piecewise-linear non-negative derivative from random knots,
-    integrates it for the values, and optionally rescales so the C1 norm
-    equals ``norm`` exactly up to rounding (the sphere used when sampling
-    functional suprema).  A stack draws its rows one after the other, in
-    the order ``count`` single calls would, then integrates and rescales
-    them in one pass; ``norm`` may give one target per row.
+    Each row draws k uniform on {2..6} interior knots, sorted U(0,1), and
+    a piecewise-linear derivative through k+2 Gamma(1.5, 1) values at 0,
+    the knots and 1; its values integrate that from u(0) ~ Gamma(1, 0.5).
+    With ``norm`` (one target, or one per row) each row is rescaled so its
+    C1 norm equals the target up to rounding: the sphere used when sampling
+    functional suprema.  The whole stack takes one block of draws per
+    quantity and one interpolation, so a single draw is row 0 of a stack
+    of one drawn with the same generator.
     """
     rows = 1 if count is None else int(count)
     if rows < 0:
@@ -250,16 +252,24 @@ def random_cone_function(grid: Grid, rng: np.random.Generator, norm=None,
         norm = np.broadcast_to(np.asarray(norm, dtype=float), (rows,))
         if np.any(norm <= 0):
             raise ParameterError(f"target norm must be positive, got {norm[norm <= 0][0]}")
-    dvalues = np.empty((rows, grid.n + 1))
-    u0 = np.empty(rows)
-    for i in range(rows):
-        k = int(rng.integers(2, 7))
-        knot_t = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, size=k)), [1.0]))
-        knot_d = rng.gamma(1.5, 1.0, size=k + 2)
-        dvalues[i] = np.interp(grid.nodes, knot_t, knot_d)
-        u0[i] = rng.gamma(1.0, 0.5)
-    u = GridFunction(grid, u0[:, None] + cumulative_integral(dvalues, grid), dvalues)
-    if norm is not None and rows:
-        # gamma draws are positive, so every row's C1 norm is too
-        u = u.scaled(norm / c1_norm(u))
+    k = rng.integers(2, 7, size=rows)
+    interior = rng.uniform(0.0, 1.0, size=(rows, 6))
+    knot_d = rng.gamma(1.5, 1.0, size=(rows, 8))
+    u0 = rng.gamma(1.0, 0.5, size=rows)
+    # Unused knot slots move to [1.5, 2.5), beyond every node; sorting then
+    # puts row i's knots at 0, its k interior knots, 1, and those slots, in
+    # the order of its slopes knot_d[i].  Row i is shifted by 3i, so one
+    # interpolation on increasing knots serves every row.
+    unused = np.arange(6) >= k[:, None]
+    knot_t = np.sort(np.column_stack((np.zeros(rows), interior + 1.5 * unused, np.ones(rows))))
+    shift = 3.0 * np.arange(rows)[:, None]
+    dvalues = (np.interp(grid.nodes + shift, (knot_t + shift).ravel(), knot_d.ravel()) if rows
+               else np.empty((0, grid.n + 1)))
+    values = u0[:, None] + cumulative_integral(dvalues, grid)
+    if norm is not None:
+        # gamma draws are positive, so the C1 norm is the larger row maximum
+        scale = (norm / np.maximum(values.max(axis=1), dvalues.max(axis=1)))[:, None]
+        values *= scale
+        dvalues *= scale
+    u = GridFunction(grid, values, dvalues)
     return u if count is not None else u[0]

@@ -109,19 +109,16 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction, tol: float = TOL_FIXPOINT,
     return _lockstep(spec, GridFunction.stack([u0]), tol, max_iter)[0]
 
 
-def _start_functions(spec: ProblemSpec, starts: int,
-                     rng: np.random.Generator) -> list[GridFunction]:
+def _start_functions(spec: ProblemSpec, starts: int, rng: np.random.Generator) -> GridFunction:
+    """The stack of starts: zero, log-spaced ramps, then random cone functions
+    with norms 10^U(-2, 1), drawn in one batch."""
     grid = spec.grid
-    out = [GridFunction.zero(grid)]
-    if starts <= 1:
-        return out
-    n_ramps = max(1, (starts - 1) // 2)
-    for rho in np.logspace(-2, 1, n_ramps):
-        out.append(GridFunction.ramp(grid, rho))
-    while len(out) < starts:
-        rho = 10.0 ** rng.uniform(-2, 1)
-        out.append(random_cone_function(grid, rng, norm=rho))
-    return out
+    n_ramps = max(1, (starts - 1) // 2) if starts > 1 else 0
+    n_random = starts - 1 - n_ramps
+    ramps = [GridFunction.ramp(grid, rho) for rho in np.logspace(-2, 1, n_ramps)]
+    norms = 10.0 ** rng.uniform(-2, 1, size=n_random)
+    return GridFunction.stack([GridFunction.zero(grid), *ramps,
+                               random_cone_function(grid, rng, norm=norms, count=n_random)])
 
 
 def multistart_solve(spec: ProblemSpec, starts: int = 8, seed: int = 0,
@@ -137,8 +134,7 @@ def multistart_solve(spec: ProblemSpec, starts: int = 8, seed: int = 0,
     if starts < 1:
         raise ParameterError(f"need at least one start, got {starts}")
     rng = np.random.default_rng(seed)
-    results = _lockstep(spec, GridFunction.stack(_start_functions(spec, starts, rng)),
-                        tol, max_iter)
+    results = _lockstep(spec, _start_functions(spec, starts, rng), tol, max_iter)
     results.sort(key=lambda res: (res.norm, res.status, res.residual))
     kept: list[SolveResult] = []
     for res in results:

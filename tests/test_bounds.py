@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import hammcert.bounds
-from hammcert.bounds import (BoundSet, LinearGrowthWitness, estimate_H,
+from hammcert.bounds import (BoundSet, LinearGrowthWitness, _check_functionals, estimate_H,
                              estimate_f_extrema, falsify_linear_growth,
                              sphere_family)
 from hammcert.certificate import check_existence
 from hammcert.errors import ParameterError
 from hammcert.expr import eval_nonlinearity, parse
-from hammcert.grid import c1_norm, in_cone
+from hammcert.grid import GridFunction, c1_norm, in_cone
 from hammcert.problem import loads_problem
 
 from problem_texts import ZERO_PROBLEM, edited
@@ -25,18 +25,23 @@ def tiny_spec(f="u", h1="U(1)", h2="DU(0)", n=64):
     return loads_problem(text, n=n)
 
 
+def f_extrema(spec, rho, m):
+    """(max, min) of f as estimate_f_extrema samples them, one side at a time."""
+    return estimate_f_extrema(spec, rho, m, True), estimate_f_extrema(spec, rho, m, False)
+
+
 class TestEstimateFExtrema:
     def test_exponential(self, example1):
-        mx, mn = estimate_f_extrema(example1, 1.0, 64)
+        mx, mn = f_extrema(example1, 1.0, 64)
         assert mx == pytest.approx(E2, abs=1e-12)  # corner of the lattice
         assert mn == 1.0  # attained on the whole t=0 face
 
     def test_constant(self):
         spec = tiny_spec(f="2")
-        assert estimate_f_extrema(spec, 1.0, 16) == (2.0, 2.0)
+        assert f_extrema(spec, 1.0, 16) == (2.0, 2.0)
 
     def test_oscillatory_against_dense_scan(self, example2):
-        mx, mn = estimate_f_extrema(example2, 1.0, 64)
+        mx, mn = f_extrema(example2, 1.0, 64)
         assert mx <= 3.0
         assert mn == 0.0
         ax = np.linspace(0, 1, 101)
@@ -48,16 +53,16 @@ class TestEstimateFExtrema:
     def test_monotone_in_lattice_size(self, spec_name, request):
         # the m=5 lattice is a sublattice of the m=9 one
         spec = request.getfixturevalue(spec_name)
-        mx5, mn5 = estimate_f_extrema(spec, 1.0, 5)
-        mx9, mn9 = estimate_f_extrema(spec, 1.0, 9)
+        mx5, mn5 = f_extrema(spec, 1.0, 5)
+        mx9, mn9 = f_extrema(spec, 1.0, 9)
         assert mx9 >= mx5
         assert mn9 <= mn5
 
     def test_bad_arguments(self, example1):
         with pytest.raises(ParameterError):
-            estimate_f_extrema(example1, 0.0, 8)
+            estimate_f_extrema(example1, 0.0, 8, True)
         with pytest.raises(ParameterError):
-            estimate_f_extrema(example1, 1.0, 1)
+            estimate_f_extrema(example1, 1.0, 1, False)
 
 
 class TestEstimateH:
@@ -116,10 +121,21 @@ class TestFalsifyLinearGrowth:
         assert eval_nonlinearity(example1.f, t, u, v) > 3.0 * u
 
     def test_zero_f_with_zero_tau(self):
-        spec = tiny_spec(f="0")
+        # h1 = h2 = U(1) = sup u on the cone, so xi = 1 is a true witness
+        spec = tiny_spec(f="0", h2="U(1)")
         result = falsify_linear_growth(spec, LinearGrowthWitness(0.0, 1.0, 1.0),
                                        budget=512, seed=0)
         assert result.consistent
+
+    def test_derivative_at_zero_exceeds_every_xi(self):
+        # u = t - t^2/2 is in the cone with u'(0) = 1 > 1/2 = sup u, so
+        # h2 = DU(0) has no xi2 <= 1 with h2[u] <= xi2 * sup u
+        spec = tiny_spec(f="0")
+        t = spec.grid.nodes
+        u = GridFunction.stack([GridFunction.ramp(spec.grid, 1.0),
+                                GridFunction(spec.grid, t - t * t / 2, 1 - t)])
+        ce = _check_functionals(spec, LinearGrowthWitness(0.0, 1.0, 1.0), u)
+        assert (ce.kind, ce.point, ce.value, ce.bound) == ("h2", None, 1.0, 0.5)
 
     def test_functional_bound_violation_detected(self, example2):
         # keep example2's f (which satisfies tau=3) but declare xi1 far too small
@@ -178,14 +194,14 @@ class TestBoundSet:
     def test_sampled_once_per_slot_and_rho(self, example1, monkeypatch):
         calls = []
 
-        def counting(spec, rho, m=64):
-            calls.append(rho)
-            return estimate_f_extrema(spec, rho, m)
+        def counting(spec, rho, m, upward):
+            calls.append((rho, upward))
+            return estimate_f_extrema(spec, rho, m, upward)
 
         monkeypatch.setattr(hammcert.bounds, "estimate_f_extrema", counting)
         spec = replace(example1, bounds={"h1": parse("rho", "bound"), "h2": parse("rho", "bound")})
         check_existence(spec, BoundSet(spec, m=8, samples=10, seed=0), 0.5, 1.0)
-        assert calls == [1.0, 0.5]  # f_upper at R, then f_lower at r
+        assert calls == [(1.0, True), (0.5, False)]  # f_upper at R, then f_lower at r
 
     def test_mixed_declared_and_sampled(self, example1):
         b = BoundSet(replace(example1, bounds={"f_upper": parse("exp(2*rho)", "bound")}),

@@ -224,6 +224,18 @@ class TestCertifyNonexistence:
         assert capsys.readouterr() == ("", f"error: [functionals] h1 = '{h1}': expression "
                                            f"'{h1}' is non-finite on the ramp rho*t (C1 norm 8)\n")
 
+    def test_non_finite_f_names_its_entry(self, example2_path, tmp_path, capsys):
+        # exp(u^4) overflows once u > 5.2, beyond the load's [0,1]^3 lattice;
+        # the falsifier's lattice over [0,8]^2 reaches it first.
+        bad = _variant(tmp_path, example2_path, "f = u*(2 - t*sin(u*v))",
+                       "f = u*exp(u^4)/exp(u^4)")
+        assert main(["validate", "--problem", bad]) == 0
+        capsys.readouterr()
+        assert main(["certify-nonexistence", "--problem", bad]) == 2
+        f = "u*exp(u^4.0)/exp(u^4.0)"
+        assert capsys.readouterr() == ("", f"error: [nonlinearity] f = '{f}': expression "
+                                           f"'{f}' is non-finite at t=0, u=5.71429, v=0\n")
+
     def test_load_warning_reported(self, example2_path, tmp_path, capsys):
         shifted = _variant(tmp_path, example2_path, "f = u*(2 - t*sin(u*v))",
                            "f = u*(2 - t*sin(u*v)) - 1/100")
@@ -309,6 +321,16 @@ class TestSolve:
         assert capsys.readouterr() == ("", "error: [nonlinearity] f = 'exp(exp(exp(t*u)))': "
                                            "expression 'exp(exp(exp(t*u)))' is non-finite at "
                                            "t=0.4375, u=4.375, v=10 in row 3 of a stack of 8\n")
+
+    def test_point_outside_the_interval_names_its_entry(self, example1_path, tmp_path, capsys):
+        # u'(0) <= 2 on every cone sample the load takes, so DU(0)/3 stays in
+        # [0,1] there; the ramp-10 start puts it at 10/3.
+        bad = _variant(tmp_path, example1_path, "h1 = U(1/4) + DU(3/4)^2", "h1 = U(DU(0)/3)")
+        assert main(["validate", "--problem", bad]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--problem", bad]) == 2
+        assert capsys.readouterr() == ("", "error: [functionals] h1 = 'U(DU(0.0)/3.0)': "
+                                           "evaluation point 3.3333333333333335 outside [0,1]\n")
 
     def test_r_without_R_is_usage_error(self, example1_path):
         assert main(["solve", "--problem", example1_path, "--r", "0.05"]) == 2
@@ -409,6 +431,13 @@ class TestValidate:
         assert capsys.readouterr() == ("", f"error: {bad}: [functionals] h2 = '{src}': "
                                            f"expression '{src}' is non-finite on the zero "
                                            "function (C1 norm 0)\n")
+
+    def test_point_outside_the_interval_fails_the_load(self, example1_path, tmp_path, capsys):
+        # the ramp 2t on the sphere rho = 2 has u'(0) = 2
+        bad = _variant(tmp_path, example1_path, "h1 = U(1/4) + DU(3/4)^2", "h1 = U(DU(0))")
+        assert main(["validate", "--problem", bad]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: [functionals] h1 = 'U(DU(0.0))': "
+                                           "evaluation point 2.0 outside [0,1]\n")
 
     def test_non_finite_gamma_names_its_entry(self, example1_path, tmp_path, capsys):
         bad = _variant(tmp_path, example1_path, "gamma2 = t\n", "gamma2 = 1/t\n")

@@ -95,7 +95,8 @@ class TestAgainstWholeLattice:
     @pytest.mark.parametrize("rho", [0.01, 1.0, 3.0])
     def test_sampled_f_extrema(self, name, m, rho):
         spec = spec_for(FS[name])
-        assert bits(estimate_f_extrema(spec, rho, m)) == bits(whole_f_extrema(spec, rho, m))
+        sides = tuple(estimate_f_extrema(spec, rho, m, upward) for upward in (True, False))
+        assert bits(sides) == bits(whole_f_extrema(spec, rho, m))
 
 
 def test_signed_zero_minimum_reads_its_first_occurrence():
@@ -156,7 +157,8 @@ def test_lattice_passes_do_not_grow_with_m_cubed(example1):
         validate_spec(example1, m=128)
         _, validate_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        estimate_f_extrema(example1, 1.0, 128)
+        estimate_f_extrema(example1, 1.0, 128, True)
+        estimate_f_extrema(example1, 1.0, 128, False)
         _, extrema_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

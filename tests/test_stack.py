@@ -1,6 +1,7 @@
 """A stack of functions is evaluated in one pass, bit for bit as its rows
-are one at a time: interpolation, functionals, random draws, the
-operator and the Picard iteration."""
+are one at a time: interpolation, functionals, the operator and the
+Picard iteration.  A stack of random cone functions is drawn in one
+batch, each row from the law of a single draw."""
 
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hammcert.errors import EvaluationError, ShapeError
 from hammcert.expr import eval_functional, parse
 from hammcert.grid import (Grid, GridFunction, c1_distance, c1_norm, cone_defect,
-                           in_cone, interp_rows, random_cone_function)
+                           consistency_defect, in_cone, interp_rows, random_cone_function)
 from hammcert.kernel import Kernel
 from hammcert.problem import apply_T, loads_problem
 from hammcert.solver import (DIVERGENCE_CAP, SolveResult, _start_functions,
@@ -107,20 +108,65 @@ class TestFunctionals:
         assert "row" not in str(err.value)
 
 
+def assert_cone_stack(u, n, count, norms):
+    """u is a C-contiguous (count, n+1) stack of consistent cone functions,
+    each with C1 norm norms[i] when norms are given."""
+    assert u.values.shape == u.dvalues.shape == (count, n + 1)
+    assert u.values.flags.c_contiguous and u.dvalues.flags.c_contiguous
+    assert np.all(in_cone(u))
+    # the values integrate the derivative rows, up to the rounding of their sums
+    assert np.all(consistency_defect(u) <= 1e-13 * n * c1_norm(u))
+    if norms is not None:
+        np.testing.assert_allclose(c1_norm(u), norms, rtol=1e-12, atol=0)
+
+
 class TestRandomDraws:
     @given(n=st.integers(2, 64), count=st.integers(0, 6), seed=SEEDS, scaled=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_stack_equals_successive_draws(self, n, count, seed, scaled):
+    def test_stack_contract(self, n, count, seed, scaled):
         g = Grid(n)
         norms = np.random.default_rng(seed + 1).uniform(0.01, 10.0, size=count) if scaled else None
-        stack_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        stack = random_cone_function(g, stack_rng, norm=norms, count=count)
-        assert stack.values.shape == (count, n + 1)
+        stack = random_cone_function(g, np.random.default_rng(seed), norm=norms, count=count)
+        assert_cone_stack(stack, n, count, norms)
+        again = random_cone_function(g, np.random.default_rng(seed), norm=norms, count=count)
+        assert_same(again.values, stack.values)
+        assert_same(again.dvalues, stack.dvalues)
+
+    @pytest.mark.parametrize("norm", [None, 0.3])
+    def test_single_draw_is_a_stack_of_one(self, norm):
+        g = Grid(16)
+        single = random_cone_function(g, np.random.default_rng(5), norm=norm)
+        stack = random_cone_function(g, np.random.default_rng(5), norm=norm, count=1)
+        assert not single.is_stack
+        assert_same(single.values, stack.values[0])
+        assert_same(single.dvalues, stack.dvalues[0])
+
+    def test_empty_stack(self):
+        u = random_cone_function(Grid(8), np.random.default_rng(0), norm=1.0, count=0)
+        assert u.is_stack and u.values.shape == u.dvalues.shape == (0, 9)
+
+    def test_rows_follow_their_knots(self):
+        # the draws in the order the stack takes them: knot counts, interior
+        # knots, knot slopes, u(0); unused knot slots reach no node.  Row i
+        # is interpolated shifted by 3i, which moves its nodes and knots by
+        # at most one rounding of 3*count.
+        n, count = 256, 300
+        shift_error = 2 * np.spacing(3.0 * count)
+        u = random_cone_function(Grid(n), np.random.default_rng(11), count=count)
+        rng = np.random.default_rng(11)
+        k = rng.integers(2, 7, size=count)
+        interior = rng.uniform(0.0, 1.0, size=(count, 6))
+        slopes = rng.gamma(1.5, 1.0, size=(count, 8))
+        u0 = rng.gamma(1.0, 0.5, size=count)
+        assert set(k) == {2, 3, 4, 5, 6}
         for i in range(count):
-            single = random_cone_function(g, single_rng, norm=None if norms is None else norms[i])
-            assert_same(stack.values[i], single.values)
-            assert_same(stack.dvalues[i], single.dvalues)
-        assert stack_rng.bit_generator.state == single_rng.bit_generator.state
+            knots = np.concatenate(([0.0], np.sort(interior[i, :k[i]]), [1.0]))
+            want = np.interp(Grid(n).nodes, knots, slopes[i, :k[i] + 2])
+            steepest = np.max(np.abs(np.diff(slopes[i, :k[i] + 2]) / np.diff(knots)))
+            assert np.all(np.abs(u.dvalues[i] - want) <= shift_error * steepest + 1e-15 * want.max())
+            assert u.dvalues[i, -1] == slopes[i, k[i] + 1]
+        assert_same(u.dvalues[:, 0], slopes[:, 0])
+        assert_same(u.values[:, 0], u0)
 
     def test_row_norms(self):
         u = random_cone_function(Grid(32), np.random.default_rng(0), norm=[0.5, 2.0], count=2)
