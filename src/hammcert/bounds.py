@@ -1,4 +1,4 @@
-"""Certificate inputs: extrema of the nonlinearity and functional suprema.
+"""Certificate inputs, each tagged with its rigor, and the one rigor rule.
 
 The existence certificate needs an upper bound on the max of f over
 [0,1] x [0,rho]^2, a lower bound on its min, and upper bounds on the
@@ -7,6 +7,10 @@ Lattice and sphere sampling bound these extrema from the *wrong* side, so
 sampled values are always labelled heuristic (and nudged by a safety
 factor before use); the certified label is reserved for closed-form bounds
 declared in the problem file, which is how the worked examples supply them.
+BoundSet also resolves the constants K, K*, gamma_i(1), ||gamma_i'|| and
+the growth witness, and BoundSet.rigor is the only rule that turns the
+inputs a certificate used, and the load's failed hypothesis checks, into
+'certified' or 'heuristic'.
 
 The sampled f extrema scan m^3 lattices through expr.lattice_extrema,
 slab by slab along t, so no lattice-sized array is ever built; a sampled
@@ -20,21 +24,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import DomainError, EvaluationError, ParameterError
 from .expr import (Expr, eval_bound, eval_functional, eval_nonlinearity, lattice_extrema,
-                   naming_entry, to_source)
+                   naming_entry, to_source, variables)
 from .grid import CONE_TOL, GridFunction, c1_norm, random_cone_function
+from .kernel import constant_K, constant_Kstar
 
 DEFAULT_INFLATION = 1.05
 
 
 @dataclass(frozen=True)
 class BoundEntry:
-    """One bound value with its raw (pre-inflation) estimate and rigor tag."""
+    """One certificate input: its value, its raw (pre-inflation) estimate,
+    its rigor tag and its name."""
 
     value: float
     raw: float
     rigor: str  # 'certified' | 'heuristic'
+    name: str
+
+
+def _tagged(name: str, value: float, certified: bool) -> BoundEntry:
+    return BoundEntry(value, value, "certified" if certified else "heuristic", name)
 
 
 @dataclass(frozen=True)
@@ -197,7 +208,7 @@ def _check_functionals(spec, witness, u: GridFunction) -> Counterexample | None:
 def _check_growth_points(spec, witness, pts) -> Counterexample | None:
     t, u, v = pts[:, 0], pts[:, 1], pts[:, 2]
     with naming_entry("nonlinearity", "f", spec.f):
-        fv = np.asarray(eval_nonlinearity(spec.f, t, u, v))
+        fv = np.broadcast_to(eval_nonlinearity(spec.f, t, u, v), t.shape)  # f may be constant
     bad = (fv < -CONE_TOL) | (fv > witness.tau * u + CONE_TOL)
     if not bad.any():
         return None
@@ -217,14 +228,16 @@ def _widened(raw: float, upward: bool) -> float:
 
 
 class BoundSet:
-    """f_upper, f_lower and H_i of one problem as functions of rho, each tagged with rigor.
+    """Every certificate input of one problem as a BoundEntry, and the one
+    place its rigor is tagged.
 
-    A slot that ``spec.bounds`` declares (an expression in rho) is evaluated
-    and certified.  Any other is sampled at each lookup and comes back
-    heuristic, with the safety factor applied to the raw estimate: f_upper
-    and f_lower by an m^3 lattice refined around the one extremum the slot
-    reads; H_i by ``samples`` cone functions drawn with ``seed`` from the
-    sphere ||u|| = rho, as its definition prescribes.
+    A bound slot (f_upper, f_lower or H_i, in rho) that ``spec.bounds``
+    declares is certified.  Any other is sampled at each lookup and heuristic,
+    the safety factor applied: f by an m^3 lattice refined around the extremum
+    the slot reads, H_i by ``samples`` cone functions drawn with ``seed`` from
+    the sphere ||u|| = rho.  K and K* are certified iff Kernel.exact; gamma_i(1)
+    and a declared witness are; ||gamma_i'||, a node maximum, is iff gamma_i'
+    is free of t, as only then is it the supremum.
     """
 
     def __init__(self, spec, m: int = 64, samples: int = 200, seed: int = 0):
@@ -237,7 +250,7 @@ class BoundSet:
             raise EvaluationError(f"declared bound {label}({rho}): {exc}") from exc
         if val < 0:
             raise ParameterError(f"declared bound {label}({rho}) = {val} is negative")
-        return BoundEntry(val, val, "certified")
+        return _tagged(f"{label}({rho})", val, True)
 
     def _resolve(self, slot: str, rho: float, upward: bool) -> BoundEntry:
         expr = self.spec.bounds.get(slot)
@@ -245,12 +258,13 @@ class BoundSet:
             return self._declared(expr, rho, slot)
         try:
             if slot in ("h1", "h2"):
-                raw = estimate_H(self.spec, int(slot[1]), rho, self.samples, self.seed)
+                with naming_entry("functionals", slot, getattr(self.spec, slot)):
+                    raw = estimate_H(self.spec, int(slot[1]), rho, self.samples, self.seed)
             else:
                 raw = estimate_f_extrema(self.spec, rho, self.m, upward)
-        except EvaluationError as exc:
-            raise EvaluationError(f"sampled bound {slot}({rho}): {exc}") from exc
-        return BoundEntry(_widened(raw, upward), raw, "heuristic")
+        except (EvaluationError, DomainError) as exc:
+            raise type(exc)(f"sampled bound {slot}({rho}): {exc}") from exc
+        return BoundEntry(_widened(raw, upward), raw, "heuristic", f"{slot}({rho})")
 
     def f_upper(self, rho: float) -> BoundEntry:
         return self._resolve("f_upper", rho, upward=True)
@@ -262,3 +276,25 @@ class BoundSet:
         if i not in (1, 2):
             raise ParameterError(f"functional index must be 1 or 2, got {i}")
         return self._resolve(f"h{i}", rho, upward=True)
+
+    def constants(self) -> tuple[BoundEntry, ...]:
+        """K, K*, gamma_1(1), gamma_2(1), ||gamma_1'|| and ||gamma_2'||."""
+        from .problem import _coefficient_samples  # problem imports this module
+        spec, exact = self.spec, self.spec.kernel.exact
+        g1, g2, dg1, dg2 = _coefficient_samples(spec, spec.grid)
+        return (_tagged("K", constant_K(spec.kernel, spec.grid), exact),
+                _tagged("Kstar", constant_Kstar(spec.kernel, spec.grid), exact),
+                _tagged("gamma1(1)", float(g1[-1]), True), _tagged("gamma2(1)", float(g2[-1]), True),
+                _tagged("sup|gamma1'|", float(np.max(np.abs(dg1))), not variables(spec.dgamma1)),
+                _tagged("sup|gamma2'|", float(np.max(np.abs(dg2))), not variables(spec.dgamma2)))
+
+    def witness(self, w: LinearGrowthWitness) -> tuple[BoundEntry, ...]:
+        return tuple(_tagged(key, getattr(w, key), True) for key in ("tau", "xi1", "xi2"))
+
+    def rigor(self, entries) -> tuple[str, tuple[str, ...]]:
+        """A certificate's rigor from the entries it used and the load checks,
+        and the names that capped it: each entry that is not certified, then
+        each check row that failed."""
+        capped = (tuple(e.name for e in entries if e.rigor != "certified")
+                  + tuple(row.name for row in self.spec.warnings))
+        return ("heuristic" if capped else "certified"), capped

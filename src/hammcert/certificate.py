@@ -10,6 +10,8 @@ Non-existence (only the zero solution): with growth witness (tau, xi_i),
 
     lam*tau*K + sum_i eta_i * xi_i * gamma_i(1) < 1.
 
+Every input comes from bounds.BoundSet, whose rigor rule labels each
+certificate 'certified' or 'heuristic' and names what capped it.
 Comparisons are exact floating comparisons and strictness matters: the
 annulus inequalities are non-strict (the worked feasible point sits
 exactly on the lower equality and must pass), the non-existence one is
@@ -27,8 +29,6 @@ import numpy as np
 
 from .bounds import BoundEntry, BoundSet, LinearGrowthWitness
 from .errors import ParameterError
-from .expr import variables
-from .kernel import constant_K, constant_Kstar
 from .problem import ProblemSpec
 
 
@@ -49,7 +49,8 @@ class ExistenceCertificate:
     upper_margin: float  # R - max(branches)
     lower_margin: float  # lhs_idx0 - r
     passed: bool  # max(branches) <= R and lhs_idx0 >= r
-    rigor: str  # 'certified' | 'heuristic', as _existence_rigor decides
+    rigor: str  # 'certified' | 'heuristic', as BoundSet.rigor decides
+    heuristic_inputs: tuple  # the names that kept rigor from 'certified'
     f_upper_R: BoundEntry
     f_lower_r: BoundEntry
     h1_R: BoundEntry
@@ -60,14 +61,15 @@ class ExistenceCertificate:
         """'certified' | 'heuristic-pass' | 'fail', at one parameter point."""
         if not self.passed:
             return "fail"
-        return "certified" if self.rigor == "certified" else "heuristic-pass"
+        return "heuristic-pass" if self.heuristic_inputs else self.rigor
 
 
 @dataclass(frozen=True)
 class NonexistenceCertificate:
     lhs: float  # or an array of the parameters' shape on a lattice
     witness: LinearGrowthWitness
-    rigor: str  # 'certified' when K is exact, else 'heuristic'
+    rigor: str  # as for ExistenceCertificate
+    heuristic_inputs: tuple
 
     @property
     def passed(self) -> bool:
@@ -86,8 +88,7 @@ def check_radii(r: float, R: float) -> None:
         raise ParameterError(f"outer radius R must be finite, got {R}")
 
 
-def existence_terms(spec: ProblemSpec, bounds: BoundSet, r: float, R: float,
-                    lam, eta1, eta2) -> ExistenceCertificate:
+def existence_terms(bounds: BoundSet, r: float, R: float, lam, eta1, eta2) -> ExistenceCertificate:
     """The annulus certificate at radii 0 < r < R, elementwise in the parameters.
 
     lam, eta1 and eta2 are floats or equal-shape arrays.  Scalar and array
@@ -95,53 +96,36 @@ def existence_terms(spec: ProblemSpec, bounds: BoundSet, r: float, R: float,
     agree bit for bit.
     """
     check_radii(r, R)
-    K = constant_K(spec.kernel, spec.grid)
-    Kstar = constant_Kstar(spec.kernel, spec.grid)
+    constants = bounds.constants()
     entries = (bounds.f_upper(R), bounds.f_lower(r), bounds.h_upper(1, R), bounds.h_upper(2, R))
+    K, Kstar, g1, g2, dg1, dg2 = (e.value for e in constants)
     f_up, f_low, h1, h2 = (e.value for e in entries)
-    value = lam * f_up * K + eta1 * spec.gamma1_at_1 * h1 + eta2 * spec.gamma2_at_1 * h2
-    deriv = lam * f_up * Kstar + eta1 * spec.dgamma1_sup * h1 + eta2 * spec.dgamma2_sup * h2
+    value = lam * f_up * K + eta1 * g1 * h1 + eta2 * g2 * h2
+    deriv = lam * f_up * Kstar + eta1 * dg1 * h1 + eta2 * dg2 * h2
     idx0 = lam * f_low * min(K, Kstar)
     top = np.where(deriv > value, deriv, value)  # picks what max(value, deriv) picks
     return ExistenceCertificate(r, R, K, Kstar, value, deriv, idx0, R - top, idx0 - r,
-                                (top <= R) & (idx0 >= r), _existence_rigor(spec, entries),
-                                *entries)
+                                (top <= R) & (idx0 >= r),
+                                *bounds.rigor(constants + entries), *entries)
 
 
-def _existence_rigor(spec: ProblemSpec, entries) -> str:
-    """'certified' when every bound entry is and every constant is exact,
-    else 'heuristic'.
-
-    K and K* are exact for an exact kernel only (Kernel.exact).
-    ||gamma_i'|| is the maximum over the nodes, which is the supremum when
-    gamma_i' is free of t.
-    """
-    exact = spec.kernel.exact and not variables(spec.dgamma1) and not variables(spec.dgamma2)
-    certified = exact and all(e.rigor == "certified" for e in entries)
-    return "certified" if certified else "heuristic"
-
-
-def nonexistence_terms(spec: ProblemSpec, witness: LinearGrowthWitness,
+def nonexistence_terms(bounds: BoundSet, witness: LinearGrowthWitness,
                        lam, eta1, eta2) -> NonexistenceCertificate:
-    """The linear-growth certificate, elementwise in the parameters.
-
-    The witness is declared and gamma_i(1) is a point sample, so K alone
-    decides the rigor.
-    """
-    K = constant_K(spec.kernel, spec.grid)
-    lhs = (lam * witness.tau * K
-           + eta1 * witness.xi1 * spec.gamma1_at_1
-           + eta2 * witness.xi2 * spec.gamma2_at_1)
-    return NonexistenceCertificate(lhs, witness, "certified" if spec.kernel.exact else "heuristic")
+    """The linear-growth certificate, elementwise in the parameters."""
+    K, _, g1, g2, _, _ = bounds.constants()
+    tau, xi1, xi2 = bounds.witness(witness)
+    lhs = lam * tau.value * K.value + eta1 * xi1.value * g1.value + eta2 * xi2.value * g2.value
+    return NonexistenceCertificate(lhs, witness, *bounds.rigor((K, g1, g2, tau, xi1, xi2)))
 
 
 def check_existence(spec: ProblemSpec, bounds: BoundSet, r: float, R: float) -> ExistenceCertificate:
-    """Evaluate the annulus certificate at radii 0 < r < R."""
-    cert = existence_terms(spec, bounds, r, R, spec.lam, spec.eta1, spec.eta2)
+    """Evaluate the annulus certificate at radii 0 < r < R, at the parameters
+    of ``spec``, with every input and the rigor from ``bounds``."""
+    cert = existence_terms(bounds, r, R, spec.lam, spec.eta1, spec.eta2)
     # np.where made the upper margin and the pass test 0-d
     return replace(cert, upper_margin=float(cert.upper_margin), passed=bool(cert.passed))
 
 
 def check_nonexistence(spec: ProblemSpec, witness: LinearGrowthWitness) -> NonexistenceCertificate:
     """Evaluate the linear-growth certificate; caller vets the witness first."""
-    return nonexistence_terms(spec, witness, spec.lam, spec.eta1, spec.eta2)
+    return nonexistence_terms(BoundSet(spec), witness, spec.lam, spec.eta1, spec.eta2)

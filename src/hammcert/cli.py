@@ -93,6 +93,15 @@ def _table(record: dict, header: str, rows) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
+def _capped(cert) -> str | None:
+    """The record's heuristic_inputs, printed unless None: the entries and
+    failed load checks that kept the certificate from 'certified'."""
+    capped = ", ".join(cert.heuristic_inputs) or None
+    if capped:
+        print(f"  heuristic inputs: {capped}")
+    return capped
+
+
 def _load(args, m: int = 64):
     """The problem file checked on an m^3 lattice, with each hypothesis
     warning of its load on stderr."""
@@ -126,11 +135,13 @@ def _cmd_certify_existence(args) -> int:
     for label, entry in (("f_upper(R)", cert.f_upper_R), ("f_lower(r)", cert.f_lower_r),
                          ("H1(R)", cert.h1_R), ("H2(R)", cert.h2_R)):
         print(f"  {label} = {entry.value!r} [{entry.rigor}; raw {entry.raw!r}]")
+    capped = _capped(cert)
     print(f"  verdict: {'PASS' if cert.passed else 'FAIL'} ({cert.verdict})")
     record = _record(args, spec, {
         "verdict": cert.verdict,
         "passed": cert.passed,
         "rigor": cert.rigor,
+        "heuristic_inputs": capped,
         "r": cert.r,
         "R": cert.R,
         "value_branch": cert.lhs_value_branch,
@@ -193,11 +204,13 @@ def _cmd_certify_nonexistence(args) -> int:
     print(f"  witness: tau={spec.witness.tau!r}, xi1={spec.witness.xi1!r}, xi2={spec.witness.xi2!r}")
     print(f"  falsification: {falsification} ({detail})")
     print(f"  lhs = {cert.lhs!r} (needs < 1, strict); margin = {cert.margin!r}")
+    capped = _capped(cert)
     print(f"  verdict: {'PASS' if cert.passed else 'FAIL'} (rigor: {cert.rigor})")
     record = _record(args, spec, {
         "verdict": "pass" if cert.passed else "fail",
         "passed": cert.passed,
         "rigor": cert.rigor,
+        "heuristic_inputs": capped,
         "lhs": cert.lhs,
         "margin": cert.margin,
         "tau": spec.witness.tau,
@@ -290,7 +303,7 @@ def _cmd_sweep(args) -> int:
     axes = [_parse_axis(getattr(args, dest), name)
             for name, dest in (("lambda", "lam"), ("eta1", "eta1"), ("eta2", "eta2"))]
     bounds = BoundSet(spec, m=args.m, samples=args.samples, seed=args.seed)
-    cells = run_sweep(spec, *axes, bounds, args.r, args.R, witness=witness)
+    cells = run_sweep(bounds, *axes, args.r, args.R, witness=witness)
     record = _record(args, spec, {
         "r": args.r,
         "R": args.R,

@@ -115,11 +115,6 @@ class GridFunction:
             raise TypeError("a single GridFunction has no rows")
         return GridFunction(self.grid, self.values[index], self.dvalues[index])
 
-    def scaled(self, alpha) -> "GridFunction":
-        """alpha * u; for a stack alpha may hold one factor per row."""
-        alpha = np.asarray(alpha, dtype=float)[..., None]
-        return GridFunction(self.grid, alpha * self.values, alpha * self.dvalues)
-
     def __repr__(self) -> str:
         if self.is_stack:
             return f"GridFunction(n={self.grid.n}, rows={self.values.shape[0]})"

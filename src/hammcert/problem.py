@@ -52,14 +52,9 @@ class ProblemSpec:
     # every replace() starts an empty cache and can never see stale samples.
     _coefficient_cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    # gamma_i' (derived from gamma_i), and the certificates' gamma_i(1) (last node)
-    # and ||gamma_i'|| (max over the nodes), come when asked for: no copy goes stale.
+    # gamma_i', derived from gamma_i when asked for: no copy goes stale.
     dgamma1 = property(lambda self: derivative(self.gamma1, "t"))
     dgamma2 = property(lambda self: derivative(self.gamma2, "t"))
-    gamma1_at_1 = property(lambda self: float(_coefficient_samples(self, self.grid)[0][-1]))
-    gamma2_at_1 = property(lambda self: float(_coefficient_samples(self, self.grid)[1][-1]))
-    dgamma1_sup = property(lambda self: float(np.max(np.abs(_coefficient_samples(self, self.grid)[2]))))
-    dgamma2_sup = property(lambda self: float(np.max(np.abs(_coefficient_samples(self, self.grid)[3]))))
     warnings = property(lambda self: tuple(r for r in self.checks if not r.ok))
 
     def with_params(self, lam: float, eta1: float, eta2: float) -> "ProblemSpec":
@@ -145,8 +140,8 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
 
 
 def _coefficient_samples(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, ...]:
-    # Read-only (broadcast) views, shared by apply_T, validate_spec and the
-    # gamma constants on this grid.
+    # Read-only (broadcast) views, shared by apply_T, validate_spec and
+    # BoundSet.constants on this grid.
     # An evaluation error is not cached, so it surfaces on each call.
     samples = spec._coefficient_cache.get(grid)
     if samples is None:

@@ -17,7 +17,6 @@ import numpy as np
 from .bounds import BoundSet, LinearGrowthWitness
 from .certificate import existence_terms, nonexistence_terms
 from .errors import ParameterError
-from .problem import ProblemSpec
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,7 @@ def axis_values(start: float, stop: float, steps: int) -> np.ndarray:
     return np.linspace(float(start), float(stop), steps)
 
 
-def run_sweep(spec: ProblemSpec, lam_values, eta1_values, eta2_values,
-              bounds: BoundSet, r: float, R: float,
+def run_sweep(bounds: BoundSet, lam_values, eta1_values, eta2_values, r: float, R: float,
               witness: LinearGrowthWitness | None = None) -> list[SweepCell]:
     """Evaluate the certificates at every lattice point, in lexicographic order.
 
@@ -59,20 +57,18 @@ def run_sweep(spec: ProblemSpec, lam_values, eta1_values, eta2_values,
     """
     axes = [np.asarray(v, dtype=float) for v in (lam_values, eta1_values, eta2_values)]
     lam, eta1, eta2 = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-    cert = existence_terms(spec, bounds, r, R, lam, eta1, eta2)
-    if witness is None:
-        nonexists = np.zeros(lam.shape, dtype=bool)
-        nonexistence_lhs = [None] * lam.size
-    else:
-        growth = nonexistence_terms(spec, witness, lam, eta1, eta2)
-        nonexists = growth.passed
-        nonexistence_lhs = growth.lhs.tolist()
+    cert = existence_terms(bounds, r, R, lam, eta1, eta2)
+    growth = None if witness is None else nonexistence_terms(bounds, witness, lam, eta1, eta2)
+    nonexists = np.zeros(lam.shape, dtype=bool) if growth is None else growth.passed
     classes = np.select([cert.passed & nonexists, cert.passed, nonexists],
                         ["conflict", "existence", "nonexistence"], "both-fail")
-    return [SweepCell(*row, rigor=cert.rigor) for row in zip(
+    # A non-existence cell carries that certificate's rigor, any other the existence one's.
+    rigor = np.where(classes == "nonexistence", None if growth is None else growth.rigor, cert.rigor)
+    nonexistence_lhs = [None] * lam.size if growth is None else growth.lhs.tolist()
+    return [SweepCell(*row) for row in zip(
         lam.tolist(), eta1.tolist(), eta2.tolist(), classes.tolist(),
         cert.lhs_value_branch.tolist(), cert.lhs_deriv_branch.tolist(), cert.lhs_idx0.tolist(),
-        cert.upper_margin.tolist(), cert.lower_margin.tolist(), nonexistence_lhs)]
+        cert.upper_margin.tolist(), cert.lower_margin.tolist(), nonexistence_lhs, rigor.tolist())]
 
 
 def conflict_cells(cells: list[SweepCell]) -> list[SweepCell]:

@@ -152,8 +152,7 @@ def test_criterion_7_bounds_sanity(example1, example2):
 def test_criterion_8_sweep_reproduction(example2):
     ax = axis_values(0.0, 1.0, 20)
     t0 = time.perf_counter()
-    cells = run_sweep(example2, ax, ax, ax, BoundSet(example2), r=1 / 20, R=1.0,
-                      witness=example2.witness)
+    cells = run_sweep(BoundSet(example2), ax, ax, ax, r=1 / 20, R=1.0, witness=example2.witness)
     elapsed = time.perf_counter() - t0
     assert len(cells) == 8000
     assert not conflict_cells(cells)

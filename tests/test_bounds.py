@@ -209,6 +209,34 @@ class TestBoundSet:
         assert b.f_upper(1.0).rigor == "certified"
         assert b.f_lower(0.05).rigor == "heuristic"
 
+    def test_constants_are_tagged_where_resolved(self, example1, quadrature_spec):
+        def tags(spec):
+            return {e.name: (e.value, e.rigor) for e in BoundSet(spec).constants()}
+
+        assert tags(example1) == {
+            "K": (0.5, "certified"), "Kstar": (1.0, "certified"),
+            "gamma1(1)": (1.0, "certified"), "gamma2(1)": (1.0, "certified"),
+            "sup|gamma1'|": (0.0, "certified"), "sup|gamma2'|": (1.0, "certified")}
+        quadrature = tags(quadrature_spec)
+        assert quadrature["K"] == quadrature["Kstar"] == (0.33333587646484375, "heuristic")
+
+    def test_witness_entries_are_certified(self, example2):
+        entries = BoundSet(example2).witness(LinearGrowthWitness(3.0, 0.5, 0.0))
+        assert [(e.name, e.value, e.rigor) for e in entries] \
+            == [("tau", 3.0, "certified"), ("xi1", 0.5, "certified"), ("xi2", 0.0, "certified")]
+
+    def test_rigor_names_each_capped_entry_then_each_failed_check(self, example1):
+        b = BoundSet(replace(example1, bounds={}), m=8, samples=10)
+        declared = BoundSet(example1)
+        assert b.rigor(declared.constants()) == ("certified", ())
+        assert b.rigor((declared.f_upper(1.0), b.h_upper(2, 1.0), b.f_lower(0.5))) \
+            == ("heuristic", ("h2(1.0)", "f_lower(0.5)"))
+        text = edited(ZERO_PROBLEM, ("gamma2 = t", "gamma2 = t - 1/2"), ("f = u", "f = u - 1"))
+        warned = BoundSet(loads_problem(text))
+        assert warned.rigor(()) == ("heuristic", ("gamma2 >= 0", "f >= 0"))
+        assert warned.rigor(b.constants()[:1] + (b.f_upper(1.0),)) \
+            == ("heuristic", ("f_upper(1.0)", "gamma2 >= 0", "f >= 0"))
+
     def test_negative_declared_bound_rejected(self, example1):
         b = BoundSet(replace(example1, bounds={"f_upper": parse("1 - rho", "bound")}))
         with pytest.raises(ParameterError):

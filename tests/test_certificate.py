@@ -79,6 +79,7 @@ class TestRigorPropagation:
         assert {e.rigor for e in (cert.f_upper_R, cert.f_lower_r, cert.h1_R, cert.h2_R)} \
             == {"certified"}
         assert (cert.verdict, cert.rigor) == ("heuristic-pass", "heuristic")
+        assert cert.heuristic_inputs == ("K", "Kstar")
 
     def test_node_maximum_of_t_dependent_dgamma_is_heuristic(self, example1_path):
         with open(example1_path, encoding="utf-8") as fh:
@@ -88,9 +89,11 @@ class TestRigorPropagation:
             assert old in text
             text = text.replace(old, new)
         spec = loads_problem(text)
-        assert spec.dgamma2_sup < 2.0  # the nodes miss the supremum 2 of 1 + sin(7t)
+        dgamma2_sup = BoundSet(spec).constants()[5]
+        assert dgamma2_sup.value < 2.0  # the nodes miss the supremum 2 of 1 + sin(7t)
         cert = check_existence(spec, BoundSet(spec), r_EX1, R_EX1)
         assert (cert.verdict, cert.rigor) == ("heuristic-pass", "heuristic")
+        assert cert.heuristic_inputs == ("sup|gamma2'|",)
 
 
 class TestExistenceStructure:

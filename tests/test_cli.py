@@ -91,6 +91,8 @@ class TestCertifyExistence:
         record = parse_record(out.read_text())
         assert record["verdict"] == "certified"
         assert record["passed"] is True
+        assert list(record)[4:6] == ["rigor", "heuristic_inputs"]
+        assert record["heuristic_inputs"] is None
         assert record["value_branch"] == pytest.approx(0.7179376534313809, abs=1e-12)
         assert record["deriv_branch"] == pytest.approx(0.9055722765597317, abs=1e-12)
         assert record["idx0_value"] == 0.05
@@ -121,6 +123,36 @@ class TestCertifyExistence:
         record = parse_record(out.read_text())
         assert record["verdict"] == "heuristic-pass"
         assert record["f_upper_R_rigor"] == "heuristic"
+        assert record["heuristic_inputs"] == "f_upper(1.0), f_lower(0.04), h1(1.0), h2(1.0)"
+
+    def test_failed_load_check_caps_the_verdict(self, example1_path, tmp_path, capsys):
+        shifted = _variant(tmp_path, example1_path, "gamma2 = t\n", "gamma2 = t - 1/2\n")
+        out = tmp_path / "cert.rec"
+        rc = main(["certify-existence", "--problem", shifted,
+                   "--r", "0.05", "--R", "0.5", "--out", str(out)])
+        assert rc == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == "warning: gamma2 >= 0: min -0.5 at t=0\n"
+        assert "  heuristic inputs: gamma2 >= 0\n  verdict: PASS (heuristic-pass)\n" in stdout
+        text = out.read_text()
+        record = parse_record(text)
+        assert (record["verdict"], record["rigor"], record["heuristic_inputs"]) \
+            == ("heuristic-pass", "heuristic", "gamma2 >= 0")
+        assert record["lower_margin"] == 0.0
+        assert format_record(record) == text
+
+    def test_sampled_functional_outside_the_interval_names_its_slot(self, example1_path,
+                                                                    tmp_path, capsys):
+        # u'(0) reaches 5 on the ramp of the sphere ||u|| = 5, so DU(0)/3 leaves [0,1]
+        text = pathlib.Path(example1_path).read_text()
+        sampled = tmp_path / "sampled.prob"
+        sampled.write_text(edited(text[:text.index("[bounds]")],
+                                  ("h1 = U(1/4) + DU(3/4)^2", "h1 = U(DU(0)/3)")))
+        assert main(["certify-existence", "--problem", str(sampled),
+                     "--r", "0.05", "--R", "5"]) == 2
+        assert capsys.readouterr() == ("", "error: sampled bound h1(5.0): [functionals] h1 = "
+                                           "'U(DU(0.0)/3.0)': evaluation point "
+                                           "1.6666666666666667 outside [0,1]\n")
 
     def test_bad_radii_exit_2(self, example1_path):
         assert main(["certify-existence", "--problem", example1_path,
@@ -145,8 +177,9 @@ class TestCertifyExistence:
          "at t=0, u=1.5873e+198, v=1.5873e+198"),
         # f_upper declared finite, h1 sampled: DU(3/4)^2 overflows on the sphere.
         ("example1", [("f_upper = exp(2*rho)\n", "f_upper = 1\n"), ("h1 = rho + rho^2\n", "")],
-         "sampled bound h1(1e+200): expression 'U(1.0/4.0) + DU(3.0/4.0)^2.0' is non-finite "
-         "on the ramp rho*t (C1 norm 1e+200)"),
+         "sampled bound h1(1e+200): [functionals] h1 = 'U(1.0/4.0) + DU(3.0/4.0)^2.0': "
+         "expression 'U(1.0/4.0) + DU(3.0/4.0)^2.0' is non-finite on the ramp rho*t "
+         "(C1 norm 1e+200)"),
     ], ids=["f_upper", "h1"])
     def test_non_finite_sampled_bound_names_its_slot(self, tmp_path, source, edits, err, capsys):
         sampled = tmp_path / "sampled.prob"
@@ -180,7 +213,33 @@ class TestCertifyNonexistence:
         record = parse_record(out.read_text())
         assert (record["verdict"], record["lhs"], record["rigor"]) == ("pass", lhs, rigor)
         assert list(record).index("rigor") == list(record).index("passed") + 1
+        assert record["heuristic_inputs"] == (None if rigor == "certified" else "K")
         assert f"verdict: PASS (rigor: {rigor})" in capsys.readouterr().out
+
+    def test_failed_load_check_caps_the_rigor(self, example2_path, tmp_path, capsys):
+        shifted = _variant(tmp_path, example2_path, "gamma2 = t\n", "gamma2 = t - 1/2\n")
+        out = tmp_path / "cert.rec"
+        assert main(["certify-nonexistence", "--problem", shifted, "--out", str(out)]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == "warning: gamma2 >= 0: min -0.5 at t=0\n"
+        assert "  heuristic inputs: gamma2 >= 0\n  verdict: PASS (rigor: heuristic)\n" in stdout
+        text = out.read_text()
+        record = parse_record(text)
+        assert (record["verdict"], record["rigor"], record["heuristic_inputs"]) \
+            == ("pass", "heuristic", "gamma2 >= 0")
+        assert list(record)[4:6] == ["rigor", "heuristic_inputs"]
+        assert format_record(record) == text
+
+    @pytest.mark.parametrize("f, rc, verdict", [("2", 1, "witness-falsified"), ("0", 0, "pass")])
+    def test_constant_f(self, example2_path, tmp_path, capsys, f, rc, verdict):
+        problem = _variant(tmp_path, example2_path, "f = u*(2 - t*sin(u*v))", f"f = {f}")
+        out = tmp_path / "cert.rec"
+        assert main(["certify-nonexistence", "--problem", problem, "--out", str(out)]) == rc
+        record = parse_record(out.read_text())
+        assert record["verdict"] == verdict
+        if rc:
+            assert record["counterexample_kind"] == "f-growth"
+            assert record["counterexample_detail"] == "f(0.0, 0.0, 0.0) = 2 > tau*u = 0"
 
     def test_boundary_point_fails(self, example2_path, tmp_path):
         boundary = _variant(tmp_path, example2_path, "lambda = 1/3", "lambda = 2/3")
@@ -486,6 +545,13 @@ class TestSweepCommand:
                    "--r", "0.05", "--R", "1"])
         assert rc == 0
         assert "lambda,eta1,eta2" in capsys.readouterr().out
+
+    def test_constant_f_falsifies_the_witness(self, example2_path, tmp_path, capsys):
+        problem = _variant(tmp_path, example2_path, "f = u*(2 - t*sin(u*v))", "f = 2")
+        assert main(["sweep", "--problem", problem, "--lambda", "0:1:2", "--eta1", "0:1:2",
+                     "--eta2", "0:1:2", "--r", "0.05", "--R", "1", "--witness"]) == 2
+        assert capsys.readouterr().err == ("error: declared witness falsified: "
+                                           "f(0.0, 0.0, 0.0) = 2 > tau*u = 0\n")
 
     def test_workers_option_is_gone(self, example2_path):
         assert main(["sweep", "--problem", example2_path,

@@ -202,7 +202,7 @@ class TestFunctionals:
         g = Grid(32)
         u = GridFunction(g, rng.random(33), rng.random(33))
         hu = eval_functional(h, u)
-        hau = eval_functional(h, u.scaled(alpha))
+        hau = eval_functional(h, GridFunction(g, alpha * u.values, alpha * u.dvalues))
         assert hau == pytest.approx(alpha * hu, rel=1e-9, abs=1e-12)
 
 

@@ -19,15 +19,20 @@ from hammcert.problem import ProblemSpec, apply_T, load_problem, loads_problem, 
 from grid_checks import consistency_tol
 from problem_texts import ZERO_PROBLEM, edited
 
+def _constant(spec, name):
+    """The value of the certificate constant ``name`` that BoundSet resolves."""
+    return next(e.value for e in BoundSet(spec).constants() if e.name == name)
+
+
 DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "problem-format.md"
 SECTIONS = "kernel, gamma, functionals, nonlinearity, parameters, bounds"
 
 class TestLoading:
     def test_example1_precomputed_fields(self, example1):
-        assert example1.gamma1_at_1 == 1.0
-        assert example1.gamma2_at_1 == 1.0
-        assert example1.dgamma1_sup == 0.0
-        assert example1.dgamma2_sup == 1.0
+        assert _constant(example1, "gamma1(1)") == 1.0
+        assert _constant(example1, "gamma2(1)") == 1.0
+        assert _constant(example1, "sup|gamma1'|") == 0.0
+        assert _constant(example1, "sup|gamma2'|") == 1.0
         assert example1.lam == pytest.approx(0.1)
         assert example1.eta1 == pytest.approx(1 / 11)
         assert example1.eta2 == pytest.approx(1 / 12)
@@ -140,7 +145,7 @@ class TestLoading:
         assert str(exc.value) == (
             "<string>: gamma2' from [gamma] gamma2 = 'abs(t - 1.0/2.0)': "
             "expression '(t - 1.0/2.0)/abs(t - 1.0/2.0)' is non-finite at t=0.5")
-        assert loads_problem(text, n=255).dgamma2_sup == 1.0
+        assert _constant(loads_problem(text, n=255), "sup|gamma2'|") == 1.0
 
     def test_unknown_builtin_kernel(self):
         text = ZERO_PROBLEM.replace("name = focal", "name = dirichlet")
@@ -207,7 +212,7 @@ class TestLoading:
 
         monkeypatch.setattr(hammcert.problem, "eval_coefficient", counting)
         spec = load_problem(example2_path, n=n)
-        assert spec.gamma1_at_1 == 1.0
+        assert _constant(spec, "gamma1(1)") == 1.0
         assert len(calls) == 4
 
     @pytest.mark.parametrize("edits, n, error, message", [
@@ -419,7 +424,7 @@ class TestCoefficientConstants:
         copy = replace(example1, gamma2=parse("t^2", "coefficient"))
         text = open(example1_path, encoding="utf-8").read()
         fresh = loads_problem(edited(text, ("gamma2 = t\n", "gamma2 = t^2\n")))
-        assert copy.dgamma2_sup == fresh.dgamma2_sup == 2.0
+        assert _constant(copy, "sup|gamma2'|") == _constant(fresh, "sup|gamma2'|") == 2.0
         cert = check_existence(copy, BoundSet(copy), 0.05, 1.0)
         assert cert == check_existence(fresh, BoundSet(fresh), 0.05, 1.0)
         assert (cert.verdict, cert.lhs_deriv_branch) == ("fail", 1.0722389432263983)
@@ -428,9 +433,9 @@ class TestCoefficientConstants:
         text = ZERO_PROBLEM.replace("gamma2 = t", "gamma2 = t - cos(7*t)/7")
         fine = loads_problem(text, n=256)
         coarse = loads_problem(text, n=4)
-        assert fine.dgamma2_sup == pytest.approx(1.99993, abs=1e-5)
-        assert replace(fine, grid=Grid(4)).dgamma2_sup == coarse.dgamma2_sup
-        assert coarse.dgamma2_sup == pytest.approx(1.98399, abs=1e-5)
+        assert _constant(fine, "sup|gamma2'|") == pytest.approx(1.99993, abs=1e-5)
+        assert _constant(replace(fine, grid=Grid(4)), "sup|gamma2'|") == _constant(coarse, "sup|gamma2'|")
+        assert _constant(coarse, "sup|gamma2'|") == pytest.approx(1.98399, abs=1e-5)
 
     def test_direct_construction(self):
         spec = ProblemSpec(
@@ -438,14 +443,14 @@ class TestCoefficientConstants:
             gamma2=parse("t", "coefficient"), h1=parse("U(1)", "functional"),
             h2=parse("DU(0)", "functional"), f=parse("u", "nonlinearity"),
             lam=0.1, eta1=0.0, eta2=0.0, grid=Grid(8))
-        assert (spec.gamma1_at_1, spec.gamma2_at_1) == (1.0, 1.0)
-        assert (spec.dgamma1_sup, spec.dgamma2_sup) == (0.0, 1.0)
+        assert (_constant(spec, "gamma1(1)"), _constant(spec, "gamma2(1)")) == (1.0, 1.0)
+        assert (_constant(spec, "sup|gamma1'|"), _constant(spec, "sup|gamma2'|")) == (0.0, 1.0)
 
     def test_gamma_error_surfaces_on_every_read(self):
         spec = nan_at_zero_spec()  # each read of a constant fails
         for _ in range(2):
             with pytest.raises(EvaluationError):
-                spec.gamma1_at_1
+                _constant(spec, "gamma1(1)")
 
 
 class TestAssembly:
@@ -453,7 +458,7 @@ class TestAssembly:
         text = edited(ZERO_PROBLEM, ("f = u", "f = u + v"), ("lambda = 0", "lambda = 0.1"))
         spec = loads_problem(text, n=32)
         assert spec.grid == Grid(32)
-        assert spec.gamma2_at_1 == 1.0
+        assert _constant(spec, "gamma2(1)") == 1.0
 
     def test_negative_eta(self):
         with pytest.raises(ParameterError):
