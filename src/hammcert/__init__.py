@@ -12,11 +12,10 @@ from .errors import (CheckResult, DomainError, EvaluationError, ExprError,
                      HammcertError, ParameterError, ProblemFileError, ShapeError)
 from .expr import parse, to_source
 from .grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm,
-                   consistency_defect, integrate, integrate_tail, random_cone_function)
+                   consistency_defect, integrate, random_cone_function)
 from .kernel import FocalKernel, Kernel, constant_K, constant_Kstar, kernel_from_exprs
 from .problem import ProblemSpec, apply_T, load_problem, loads_problem, validate_spec
-from .solver import (SolveResult, VerificationReport, multistart_solve,
-                     picard_solve, verify_solution)
+from .solver import SolveResult, multistart_solve
 from .sweep import SweepCell, axis_values, run_sweep
 
 __version__ = "0.1.0"
@@ -27,10 +26,10 @@ __all__ = [
     "FalsificationResult", "FocalKernel", "Grid", "GridFunction",
     "HammcertError", "Kernel", "LinearGrowthWitness", "NonexistenceCertificate",
     "ParameterError", "ProblemFileError", "ProblemSpec", "ShapeError", "SolveResult", "SweepCell",
-    "VerificationReport", "apply_T", "axis_values", "c1_distance", "c1_norm",
+    "apply_T", "axis_values", "c1_distance", "c1_norm",
     "check_existence", "check_nonexistence", "consistency_defect",
     "constant_K", "constant_Kstar", "estimate_H", "estimate_f_extrema",
-    "falsify_linear_growth", "integrate", "integrate_tail", "kernel_from_exprs", "load_problem", "loads_problem",
-    "multistart_solve", "parse", "picard_solve", "random_cone_function",
-    "run_sweep", "to_source", "validate_spec", "verify_solution",
+    "falsify_linear_growth", "integrate", "kernel_from_exprs", "load_problem", "loads_problem",
+    "multistart_solve", "parse", "random_cone_function",
+    "run_sweep", "to_source", "validate_spec",
 ]

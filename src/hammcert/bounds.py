@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, ParameterError
 from .expr import (Expr, eval_bound, eval_functional, eval_nonlinearity, lattice_extrema,
-                   naming_entry, to_source, variables)
+                   naming_entry, variables)
 from .grid import CONE_TOL, GridFunction, c1_norm, random_cone_function
 from .kernel import constant_K, constant_Kstar
 
@@ -138,14 +138,15 @@ def estimate_H(spec, i: int, rho: float, samples: int = 200, seed: int = 0) -> f
 def functional_on_samples(h: Expr, u: GridFunction, fixed: tuple) -> np.ndarray:
     """eval_functional(h, u) on a stack of cone samples: the rows ``fixed``
     names, then random cone samples 0, 1, ...  A non-finite value names the
-    first sample it occurs on and that sample's C1 norm."""
+    first sample it occurs on and that sample's C1 norm; every caller names
+    the entry of h in front, under naming_entry."""
     try:
         return eval_functional(h, u)
     except EvaluationError as exc:
         row = exc.rows[0]
         which = fixed[row] if row < len(fixed) else f"random cone sample {row - len(fixed)}"
-        raise EvaluationError(f"expression '{to_source(h)}' is non-finite on {which} "
-                              f"(C1 norm {c1_norm(u[row]):.6g})", rows=exc.rows) from exc
+        raise EvaluationError(f"non-finite on {which} (C1 norm {c1_norm(u[row]):.6g})",
+                              rows=exc.rows) from exc
 
 
 def falsify_linear_growth(spec, witness: LinearGrowthWitness, budget: int = 4096,

@@ -153,13 +153,15 @@ def interp_rows(samples: np.ndarray, grid: Grid, a) -> np.ndarray:
     ``a`` has shape (1, m), the same m points for every row, or (k, m).
     The arithmetic is np.interp's: slope*(a - t_j) + y_j, the value from
     the right node when that is NaN, and the node sample itself at every
-    node, 1 included.  Run it under np.errstate(all="ignore").
+    node, 1 included.  A point outside [0,1], NaN included, is a
+    DomainError.  Run it under np.errstate(all="ignore").
     """
     a = np.asarray(a, dtype=float)
-    if (a < 0.0).any() or (a > 1.0).any():
-        raise DomainError(f"evaluation point {a[(a < 0.0) | (a > 1.0)][0]} outside [0,1]")
+    inside = (a >= 0.0) & (a <= 1.0)
+    if not inside.all():
+        raise DomainError(f"evaluation point {a[~inside][0]} outside [0,1]")
     nodes = grid.nodes
-    # a >= 0 (or NaN) puts j in [0, n]; a = 1 uses the last interval.
+    # a in [0,1] puts j in [0, n]; a = 1 uses the last interval.
     j = np.minimum(nodes.searchsorted(a, side="right") - 1, grid.n - 1)
     if j.shape[0] == 1:  # take() keeps the gathered rows C-contiguous
         y0, y1 = samples.take(j[0], axis=1), samples.take(j[0] + 1, axis=1)
@@ -182,23 +184,13 @@ def _check_samples(samples, grid: Grid) -> np.ndarray:
     return samples
 
 
-def integrate_tail(samples, grid: Grid, j: int):
-    """Composite trapezoid value of the integral over [t_j, 1]; one per row
+def integrate(samples, grid: Grid):
+    """Composite trapezoid value of the integral over [0,1]; one per row
     of a (k, n+1) stack, whose rows must be C-contiguous to round as a
     single function's sum does."""
     samples = _check_samples(samples, grid)
-    if not 0 <= j <= grid.n:
-        raise ShapeError(f"node index {j} out of range for {grid!r}")
-    if j == grid.n:
-        return 0.0 if samples.ndim == 1 else np.zeros(samples.shape[0])
-    seg = samples[..., j:]
-    out = grid.h * (np.sum(seg, axis=-1) - 0.5 * (seg[..., 0] + seg[..., -1]))
+    out = grid.h * (np.sum(samples, axis=-1) - 0.5 * (samples[..., 0] + samples[..., -1]))
     return float(out) if out.ndim == 0 else out
-
-
-def integrate(samples, grid: Grid):
-    """Composite trapezoid value of the integral over [0,1]."""
-    return integrate_tail(samples, grid, 0)
 
 
 def cumulative_integral(samples, grid: Grid) -> np.ndarray:
@@ -227,26 +219,24 @@ def consistency_defect(u: GridFunction):
     return _first_max(np.max(np.abs(u.values - rebuilt), axis=-1))
 
 
-def random_cone_function(grid: Grid, rng: np.random.Generator, norm=None,
-                         count: int | None = None) -> GridFunction:
-    """Random non-negative, non-decreasing candidate, or a stack of ``count``.
+def random_cone_function(grid: Grid, rng: np.random.Generator, norm,
+                         count: int) -> GridFunction:
+    """A stack of ``count`` random non-negative, non-decreasing candidates
+    with C1 norms ``norm`` (one target, or one per row).
 
     Each row draws k uniform on {2..6} interior knots, sorted U(0,1), and
     a piecewise-linear derivative through k+2 Gamma(1.5, 1) values at 0,
     the knots and 1; its values integrate that from u(0) ~ Gamma(1, 0.5).
-    With ``norm`` (one target, or one per row) each row is rescaled so its
-    C1 norm equals the target up to rounding: the sphere used when sampling
-    functional suprema.  The whole stack takes one block of draws per
-    quantity and one interpolation, so a single draw is row 0 of a stack
-    of one drawn with the same generator.
+    Each row is then rescaled so its C1 norm equals its target up to
+    rounding: the sphere used when sampling functional suprema.  The whole
+    stack takes one block of draws per quantity and one interpolation.
     """
-    rows = 1 if count is None else int(count)
+    rows = int(count)
     if rows < 0:
         raise ParameterError(f"need a non-negative number of functions, got {count}")
-    if norm is not None:
-        norm = np.broadcast_to(np.asarray(norm, dtype=float), (rows,))
-        if np.any(norm <= 0):
-            raise ParameterError(f"target norm must be positive, got {norm[norm <= 0][0]}")
+    norm = np.broadcast_to(np.asarray(norm, dtype=float), (rows,))
+    if np.any(norm <= 0):
+        raise ParameterError(f"target norm must be positive, got {norm[norm <= 0][0]}")
     k = rng.integers(2, 7, size=rows)
     interior = rng.uniform(0.0, 1.0, size=(rows, 6))
     knot_d = rng.gamma(1.5, 1.0, size=(rows, 8))
@@ -261,10 +251,8 @@ def random_cone_function(grid: Grid, rng: np.random.Generator, norm=None,
     dvalues = (np.interp(grid.nodes + shift, (knot_t + shift).ravel(), knot_d.ravel()) if rows
                else np.empty((0, grid.n + 1)))
     values = u0[:, None] + cumulative_integral(dvalues, grid)
-    if norm is not None:
-        # gamma draws are positive, so the C1 norm is the larger row maximum
-        scale = (norm / np.maximum(values.max(axis=1), dvalues.max(axis=1)))[:, None]
-        values *= scale
-        dvalues *= scale
-    u = GridFunction(grid, values, dvalues)
-    return u if count is not None else u[0]
+    # gamma draws are positive, so the C1 norm is the larger row maximum
+    scale = (norm / np.maximum(values.max(axis=1), dvalues.max(axis=1)))[:, None]
+    values *= scale
+    dvalues *= scale
+    return GridFunction(grid, values, dvalues)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .grid import (CONE_TOL, GridFunction, c1_distance, c1_norm, cone_defect,
-                   consistency_defect, in_cone, random_cone_function)
+from .grid import (CONE_TOL, GridFunction, c1_distance, c1_norm, cone_defect, in_cone,
+                   random_cone_function)
 from .problem import ProblemSpec, apply_T
 
 TOL_FIXPOINT = 1e-10
@@ -96,19 +96,6 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float,
     return results
 
 
-def picard_solve(spec: ProblemSpec, u0: GridFunction, tol: float = TOL_FIXPOINT,
-                 max_iter: int = MAX_ITERATIONS) -> SolveResult:
-    """Iterate u <- Tu from a cone start until the residual drops below tol.
-
-    The reported residual is c1_norm(u - Tu) for the exact iterate
-    returned, so an independent re-check reproduces it.  An evaluation
-    overflow on a later iterate (e.g. an exponential nonlinearity fed a
-    runaway iterate) counts as divergence; an error on the very first
-    application is a problem with the start and propagates.
-    """
-    return _lockstep(spec, GridFunction.stack([u0]), tol, max_iter)[0]
-
-
 def _start_functions(spec: ProblemSpec, starts: int, rng: np.random.Generator) -> GridFunction:
     """The stack of starts: zero, log-spaced ramps, then random cone functions
     with norms 10^U(-2, 1), drawn in one batch."""
@@ -144,23 +131,3 @@ def multistart_solve(spec: ProblemSpec, starts: int = 8, seed: int = 0,
             continue
         kept.append(res)
     return kept
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    residual: float
-    norm: float
-    cone_ok: bool
-    cone_defect: float
-    consistency_defect: float
-
-
-def verify_solution(spec: ProblemSpec, u: GridFunction) -> VerificationReport:
-    """Independent re-check of a candidate: residual, norm, cone, consistency."""
-    return VerificationReport(
-        residual=c1_distance(u, apply_T(spec, u)),
-        norm=c1_norm(u),
-        cone_ok=in_cone(u),
-        cone_defect=cone_defect(u),
-        consistency_defect=consistency_defect(u),
-    )

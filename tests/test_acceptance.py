@@ -123,7 +123,7 @@ def test_criterion_6_cone_invariance(which, request):
     tol = consistency_tol(spec.grid.n)
     worst_cone, worst_consist = 0.0, 0.0
     for _ in range(200):
-        u = random_cone_function(spec.grid, rng, norm=float(rng.uniform(0.02, 1.0)))
+        u = random_cone_function(spec.grid, rng, norm=float(rng.uniform(0.02, 1.0)), count=1)[0]
         w = apply_T(spec, u)
         worst_cone = max(worst_cone, cone_defect(w))
         worst_consist = max(worst_consist, consistency_defect(w))

@@ -178,8 +178,7 @@ class TestCertifyExistence:
         # f_upper declared finite, h1 sampled: DU(3/4)^2 overflows on the sphere.
         ("example1", [("f_upper = exp(2*rho)\n", "f_upper = 1\n"), ("h1 = rho + rho^2\n", "")],
          "sampled bound h1(1e+200): [functionals] h1 = 'U(1.0/4.0) + DU(3.0/4.0)^2.0': "
-         "expression 'U(1.0/4.0) + DU(3.0/4.0)^2.0' is non-finite on the ramp rho*t "
-         "(C1 norm 1e+200)"),
+         "non-finite on the ramp rho*t (C1 norm 1e+200)"),
     ], ids=["f_upper", "h1"])
     def test_non_finite_sampled_bound_names_its_slot(self, tmp_path, source, edits, err, capsys):
         sampled = tmp_path / "sampled.prob"
@@ -280,8 +279,8 @@ class TestCertifyNonexistence:
         capsys.readouterr()
         assert main(["certify-nonexistence", "--problem", bad]) == 2
         h1 = "U(1.0/4.0)*exp(U(1.0)^4.0)/exp(U(1.0)^4.0)"
-        assert capsys.readouterr() == ("", f"error: [functionals] h1 = '{h1}': expression "
-                                           f"'{h1}' is non-finite on the ramp rho*t (C1 norm 8)\n")
+        assert capsys.readouterr() == ("", f"error: [functionals] h1 = '{h1}': "
+                                           "non-finite on the ramp rho*t (C1 norm 8)\n")
 
     def test_non_finite_f_names_its_entry(self, example2_path, tmp_path, capsys):
         # exp(u^4) overflows once u > 5.2, beyond the load's [0,1]^3 lattice;
@@ -446,7 +445,7 @@ class TestValidate:
         assert main(["validate", "--problem", bad]) == 2
         h1 = "U(1.0/4.0) + exp(1000.0*DU(3.0/4.0))"
         assert capsys.readouterr().err == (
-            f"error: {bad}: [functionals] h1 = '{h1}': expression '{h1}' is non-finite "
+            f"error: {bad}: [functionals] h1 = '{h1}': non-finite "
             "on the ramp rho*t (C1 norm 1)\n")
 
     @pytest.mark.parametrize("argv, old, new, err", [
@@ -488,8 +487,14 @@ class TestValidate:
         bad = _variant(tmp_path, example1_path, "h2 = INT(U(s)^3 + DU(s))", f"h2 = {h2}")
         assert main(["validate", "--problem", bad]) == 2
         assert capsys.readouterr() == ("", f"error: {bad}: [functionals] h2 = '{src}': "
-                                           f"expression '{src}' is non-finite on the zero "
-                                           "function (C1 norm 0)\n")
+                                           "non-finite on the zero function (C1 norm 0)\n")
+
+    def test_nan_point_fails_the_load(self, example1_path, tmp_path, capsys):
+        # 0/0 is NaN on every sample; the zero function comes first
+        bad = _variant(tmp_path, example1_path, "h1 = U(1/4) + DU(3/4)^2", "h1 = U(0/0)")
+        assert main(["validate", "--problem", bad]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: [functionals] h1 = 'U(0.0/0.0)': "
+                                           "evaluation point nan outside [0,1]\n")
 
     def test_point_outside_the_interval_fails_the_load(self, example1_path, tmp_path, capsys):
         # the ramp 2t on the sphere rho = 2 has u'(0) = 2

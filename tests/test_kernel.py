@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hammcert.errors import EvaluationError, ShapeError
 from hammcert.expr import eval_kernel_expr, parse
-from hammcert.grid import Grid, integrate_tail
+from hammcert.grid import Grid, cumulative_integral
 from hammcert.kernel import (FocalKernel, Kernel, check_kernel_hypotheses,
                              constant_K, constant_Kstar, kernel_from_exprs)
 
@@ -89,7 +89,8 @@ class TestRows:
         F = np.exp(g.nodes)
         drows = focal.integrals(g, F)[1]
         for j in (0, 7, 16, 32):
-            assert drows[j] == pytest.approx(integrate_tail(F, g, j), abs=1e-14)
+            tail = g.h * (F[j:].sum() - 0.5 * (F[j] + F[-1])) if j < g.n else 0.0
+            assert drows[j] == pytest.approx(tail, abs=1e-14)
 
     def test_focal_rows_nondecreasing_in_t(self, focal):
         g = Grid(32)
@@ -108,13 +109,14 @@ class TestRows:
                 assert rows[j] >= 0.0
                 assert drows[j] >= 0.0
 
-    def test_shape_and_index_errors(self, focal):
-        # the focal derivative row is the tail integral, which checks both
+    def test_shape_and_index_errors(self):
+        # the focal derivative row is the rise of the trapezoid
+        # antiderivative, which checks the shape of one row or a stack
         g = Grid(8)
         with pytest.raises(ShapeError):
-            integrate_tail(np.ones(8), g, 0)
+            cumulative_integral(np.ones(8), g)
         with pytest.raises(ShapeError):
-            integrate_tail(np.ones(9), g, 9)
+            cumulative_integral(np.ones((2, 10)), g)
 
 
 class TestIntegrals:

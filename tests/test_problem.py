@@ -313,7 +313,7 @@ class TestApplyT:
     @pytest.mark.parametrize("seed", range(10))
     def test_cone_and_consistency_preserved_random(self, example1, seed):
         rng = np.random.default_rng(seed)
-        u = random_cone_function(example1.grid, rng, norm=float(rng.uniform(0.05, 1.0)))
+        u = random_cone_function(example1.grid, rng, norm=float(rng.uniform(0.05, 1.0)), count=1)[0]
         w = apply_T(example1, u)
         assert cone_defect(w) <= CONE_TOL
         assert consistency_defect(w) <= consistency_tol(example1.grid.n)
@@ -367,7 +367,7 @@ class TestApplyTReference:
     def test_focal_matches_dense_reference(self, name, seed, request):
         spec = request.getfixturevalue(name)
         rng = np.random.default_rng(seed)
-        u = random_cone_function(spec.grid, rng, norm=float(rng.uniform(0.05, 1.0)))
+        u = random_cone_function(spec.grid, rng, norm=float(rng.uniform(0.05, 1.0)), count=1)[0]
         w = apply_T(spec, u)
         values, dvalues = _dense_T(spec, u)
         assert np.max(np.abs(w.values - values)) <= 1e-14
@@ -380,7 +380,7 @@ class TestApplyTReference:
         step = Kernel(k=lambda t, s: np.minimum(s, t),
                       dk=lambda t, s: np.minimum(1.0, np.maximum(0.0, (s - t) * 1e9)))
         custom = replace(spec, kernel=step)
-        u = random_cone_function(spec.grid, np.random.default_rng(4), norm=0.5)
+        u = random_cone_function(spec.grid, np.random.default_rng(4), norm=0.5, count=1)[0]
         w = apply_T(custom, u)
         values, dvalues = _dense_T(custom, u)
         assert np.array_equal(w.values, values)

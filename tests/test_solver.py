@@ -2,16 +2,28 @@ import numpy as np
 import pytest
 
 from hammcert.errors import ParameterError
-from hammcert.grid import CONE_TOL, Grid, GridFunction, c1_norm, in_cone
+from hammcert.grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm, consistency_defect,
+                           in_cone)
 from hammcert.problem import apply_T, load_problem
-from hammcert.solver import TOL_FIXPOINT, multistart_solve, picard_solve, verify_solution
+from hammcert.solver import MAX_ITERATIONS, TOL_FIXPOINT, _lockstep, multistart_solve
 
 from grid_checks import consistency_tol, monotone_defect
 
 
+def solve_from_zero(spec, tol=TOL_FIXPOINT, max_iter=MAX_ITERATIONS):
+    """Picard from the zero function: the only start of a one-start solve."""
+    [res] = multistart_solve(spec, starts=1, tol=tol, max_iter=max_iter)
+    return res
+
+
+def solve_from(spec, u0):
+    """Picard from the cone function u0, as a stack of one."""
+    return _lockstep(spec, GridFunction.stack([u0]), TOL_FIXPOINT, MAX_ITERATIONS)[0]
+
+
 class TestPicard:
     def test_example2_zero_is_fixed_point(self, example2):
-        res = picard_solve(example2, GridFunction.zero(example2.grid))
+        res = solve_from_zero(example2)
         assert res.converged
         assert res.iterations == 1
         assert res.norm == 0.0 and res.residual == 0.0
@@ -19,11 +31,11 @@ class TestPicard:
 
     def test_zero_parameters_converge_immediately(self, example1):
         spec = example1.with_params(0.0, 0.0, 0.0)
-        res = picard_solve(spec, GridFunction.zero(spec.grid))
+        res = solve_from_zero(spec)
         assert res.converged and res.iterations == 1 and res.norm == 0.0
 
     def test_example1_nontrivial_solution(self, example1):
-        res = picard_solve(example1, GridFunction.zero(example1.grid))
+        res = solve_from_zero(example1)
         assert res.converged
         assert res.residual <= 1e-10
         assert res.cone_ok
@@ -31,15 +43,14 @@ class TestPicard:
 
     def test_matches_finer_grid_reference(self, example1, example1_path):
         fine = load_problem(example1_path, n=1000)
-        ref = picard_solve(fine, GridFunction.zero(fine.grid), tol=1e-12)
-        res = picard_solve(example1, GridFunction.zero(example1.grid))
+        ref = solve_from_zero(fine, tol=1e-12)
+        res = solve_from_zero(example1)
         assert ref.converged
         assert res.norm == pytest.approx(ref.norm, abs=1e-6)
 
     def test_reported_residual_is_reproducible(self, example1):
-        res = picard_solve(example1, GridFunction.zero(example1.grid))
-        report = verify_solution(example1, res.u)
-        assert abs(report.residual - res.residual) <= 1e-12
+        res = solve_from_zero(example1)
+        assert abs(c1_distance(res.u, apply_T(example1, res.u)) - res.residual) <= 1e-12
 
     def test_iterates_stay_monotone_and_in_cone(self, example1):
         u = GridFunction.zero(example1.grid)
@@ -52,7 +63,7 @@ class TestPicard:
         norms = {}
         for n in (128, 256, 512):
             spec = load_problem(example1_path, n=n)
-            res = picard_solve(spec, GridFunction.zero(spec.grid), tol=1e-12)
+            res = solve_from_zero(spec, tol=1e-12)
             assert res.converged
             norms[n] = res.norm
         d1 = abs(norms[128] - norms[256])
@@ -63,12 +74,12 @@ class TestPicard:
         g = example1.grid
         bad = GridFunction(g, -np.ones(g.n + 1), np.zeros(g.n + 1))
         with pytest.raises(ParameterError):
-            picard_solve(example1, bad)
+            solve_from(example1, bad)
 
     def test_bad_tolerance(self, example1):
         for tol in (0.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError):
-                picard_solve(example1, GridFunction.zero(example1.grid), tol=tol)
+                solve_from_zero(example1, tol=tol)
             with pytest.raises(ParameterError):
                 multistart_solve(example1, starts=2, tol=tol)
 
@@ -77,17 +88,17 @@ class TestPicard:
         with pytest.raises(ParameterError, match="iteration cap must be at least 1"):
             multistart_solve(example1, starts=2, max_iter=max_iter)
         with pytest.raises(ParameterError, match="iteration cap must be at least 1"):
-            picard_solve(example1, GridFunction.zero(example1.grid), max_iter=max_iter)
+            solve_from_zero(example1, max_iter=max_iter)
 
     def test_max_iterations_status(self, example1):
-        res = picard_solve(example1, GridFunction.zero(example1.grid), max_iter=3)
+        res = solve_from_zero(example1, max_iter=3)
         assert res.status == "max-iterations"
         assert res.iterations == 3
         assert res.residual > 1e-10
 
     def test_divergence_from_large_start(self, example1):
         # the exponential nonlinearity blows up from far outside the annulus
-        res = picard_solve(example1, GridFunction.ramp(example1.grid, 10.0))
+        res = solve_from(example1, GridFunction.ramp(example1.grid, 10.0))
         assert res.status == "diverged"
 
 
@@ -134,19 +145,22 @@ class TestMultistart:
 
 
 class TestVerifySolution:
+    """A solve's result re-checked on its own u, with the grid functions
+    the solver reports through: residual, norm, cone and consistency."""
+
     def test_converged_solution_report(self, example1):
-        res = picard_solve(example1, GridFunction.zero(example1.grid))
-        report = verify_solution(example1, res.u)
-        assert report.residual <= TOL_FIXPOINT
-        assert report.cone_ok
-        assert 1 / 20 <= report.norm <= 1.0
-        assert report.consistency_defect <= consistency_tol(example1.grid.n)
+        res = solve_from_zero(example1)
+        assert c1_distance(res.u, apply_T(example1, res.u)) == res.residual <= TOL_FIXPOINT
+        assert res.cone_ok and in_cone(res.u)
+        assert c1_norm(res.u) == res.norm and 1 / 20 <= res.norm <= 1.0
+        assert consistency_defect(res.u) <= consistency_tol(example1.grid.n)
 
     def test_zero_is_not_a_fixed_point_of_example1(self, example1):
-        report = verify_solution(example1, GridFunction.zero(example1.grid))
-        assert report.residual > 0.01  # T0 has derivative lam at t=0
+        zero = GridFunction.zero(example1.grid)
+        assert c1_distance(zero, apply_T(example1, zero)) > 0.01  # T0 has derivative lam at t=0
 
     def test_zero_on_zero_problem(self, example1):
         spec = example1.with_params(0.0, 0.0, 0.0)
-        report = verify_solution(spec, GridFunction.zero(spec.grid))
-        assert report.residual == 0.0
+        res = solve_from_zero(spec)
+        assert res.residual == c1_distance(res.u, apply_T(spec, res.u)) == 0.0
+        assert res.norm == 0.0 and res.cone_ok
