@@ -31,6 +31,9 @@ from .grid import CONE_TOL, GridFunction, c1_norm, random_cone_function
 from .kernel import constant_K, constant_Kstar
 
 DEFAULT_INFLATION = 1.05
+# The one sampling budget of BoundSet: the lattice size for f, cone functions per H_i.
+LATTICE_M = 64
+CONE_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -234,15 +237,15 @@ class BoundSet:
 
     A bound slot (f_upper, f_lower or H_i, in rho) that ``spec.bounds``
     declares is certified.  Any other is sampled at each lookup and heuristic,
-    the safety factor applied: f by an m^3 lattice refined around the extremum
-    the slot reads, H_i by ``samples`` cone functions drawn with ``seed`` from
-    the sphere ||u|| = rho.  K and K* are certified iff Kernel.exact; gamma_i(1)
-    and a declared witness are; ||gamma_i'||, a node maximum, is iff gamma_i'
-    is free of t, as only then is it the supremum.
+    the safety factor applied: f by a LATTICE_M^3 lattice refined around the
+    extremum the slot reads, H_i by CONE_SAMPLES cone functions drawn with
+    ``seed`` from the sphere ||u|| = rho.  K and K* are certified iff
+    Kernel.exact; gamma_i(1) and a declared witness are; ||gamma_i'||, a node
+    maximum, is iff gamma_i' is free of t, as only then is it the supremum.
     """
 
-    def __init__(self, spec, m: int = 64, samples: int = 200, seed: int = 0):
-        self.spec, self.m, self.samples, self.seed = spec, m, samples, seed
+    def __init__(self, spec, seed: int = 0):
+        self.spec, self.seed = spec, seed
 
     def _declared(self, expr: Expr, rho: float, label: str) -> BoundEntry:
         try:
@@ -260,9 +263,9 @@ class BoundSet:
         try:
             if slot in ("h1", "h2"):
                 with naming_entry("functionals", slot, getattr(self.spec, slot)):
-                    raw = estimate_H(self.spec, int(slot[1]), rho, self.samples, self.seed)
+                    raw = estimate_H(self.spec, int(slot[1]), rho, CONE_SAMPLES, self.seed)
             else:
-                raw = estimate_f_extrema(self.spec, rho, self.m, upward)
+                raw = estimate_f_extrema(self.spec, rho, LATTICE_M, upward)
         except (EvaluationError, DomainError) as exc:
             raise type(exc)(f"sampled bound {slot}({rho}): {exc}") from exc
         return BoundEntry(_widened(raw, upward), raw, "heuristic", f"{slot}({rho})")

@@ -88,6 +88,7 @@ def check_radii(r: float, R: float) -> None:
         raise ParameterError(f"outer radius R must be finite, got {R}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing side fails, silently
 def existence_terms(bounds: BoundSet, r: float, R: float, lam, eta1, eta2) -> ExistenceCertificate:
     """The annulus certificate at radii 0 < r < R, elementwise in the parameters.
 
@@ -109,6 +110,7 @@ def existence_terms(bounds: BoundSet, r: float, R: float, lam, eta1, eta2) -> Ex
                                 *bounds.rigor(constants + entries), *entries)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nonexistence_terms(bounds: BoundSet, witness: LinearGrowthWitness,
                        lam, eta1, eta2) -> NonexistenceCertificate:
     """The linear-growth certificate, elementwise in the parameters."""

@@ -123,8 +123,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_certify_existence(args) -> int:
     spec = _load(args)
-    cert = check_existence(spec, BoundSet(spec, m=args.m, samples=args.samples, seed=args.seed),
-                           args.r, args.R)
+    cert = check_existence(spec, BoundSet(spec, seed=args.seed), args.r, args.R)
     print(f"existence certificate for {args.problem}")
     print(f"  parameters: lambda={spec.lam!r}, eta1={spec.eta1!r}, eta2={spec.eta2!r}")
     print(f"  annulus: r={cert.r!r}, R={cert.R!r}; kernel constants K={cert.K!r}, K*={cert.Kstar!r}")
@@ -168,25 +167,19 @@ def _cmd_certify_existence(args) -> int:
 
 
 def _falsify_witness(spec, args):
-    """The falsifier's result on the file's growth witness, or None when
-    --skip-falsification trusts it; a file without a witness is an error."""
+    """The falsifier's result on the file's growth witness; a file without a
+    witness is an error."""
     if spec.witness is None:
         raise ParameterError(
             f"{args.problem} declares no growth witness (tau, xi1, xi2 in [bounds])"
         )
-    if args.skip_falsification:
-        return None
-    return falsify_linear_growth(spec, spec.witness, budget=args.budget, seed=args.seed)
+    return falsify_linear_growth(spec, spec.witness, seed=args.seed)
 
 
 def _cmd_certify_nonexistence(args) -> int:
     spec = _load(args)
     result = _falsify_witness(spec, args)
-    if result is None:
-        falsification, detail = "skipped", "user forced skip"
-    elif result.consistent:
-        falsification, detail = "consistent", f"{result.points_checked} samples found no violation"
-    else:
+    if not result.consistent:
         ce = result.counterexample
         print(f"witness falsified after {result.points_checked} samples: {ce.detail}")
         record = _record(args, spec, {
@@ -202,7 +195,7 @@ def _cmd_certify_nonexistence(args) -> int:
     print(f"non-existence certificate for {args.problem}")
     print(f"  parameters: lambda={spec.lam!r}, eta1={spec.eta1!r}, eta2={spec.eta2!r}")
     print(f"  witness: tau={spec.witness.tau!r}, xi1={spec.witness.xi1!r}, xi2={spec.witness.xi2!r}")
-    print(f"  falsification: {falsification} ({detail})")
+    print(f"  falsification: consistent ({result.points_checked} samples found no violation)")
     print(f"  lhs = {cert.lhs!r} (needs < 1, strict); margin = {cert.margin!r}")
     capped = _capped(cert)
     print(f"  verdict: {'PASS' if cert.passed else 'FAIL'} (rigor: {cert.rigor})")
@@ -216,7 +209,7 @@ def _cmd_certify_nonexistence(args) -> int:
         "tau": spec.witness.tau,
         "xi1": spec.witness.xi1,
         "xi2": spec.witness.xi2,
-        "falsification": falsification,
+        "falsification": "consistent",
         "lambda": spec.lam,
         "eta1": spec.eta1,
         "eta2": spec.eta2,
@@ -297,13 +290,12 @@ def _cmd_sweep(args) -> int:
     witness = None
     if args.witness:
         result = _falsify_witness(spec, args)
-        if result is not None and not result.consistent:
+        if not result.consistent:
             raise ParameterError(f"declared witness falsified: {result.counterexample.detail}")
         witness = spec.witness
     axes = [_parse_axis(getattr(args, dest), name)
             for name, dest in (("lambda", "lam"), ("eta1", "eta1"), ("eta2", "eta2"))]
-    bounds = BoundSet(spec, m=args.m, samples=args.samples, seed=args.seed)
-    cells = run_sweep(bounds, *axes, args.r, args.R, witness=witness)
+    cells = run_sweep(BoundSet(spec, seed=args.seed), *axes, args.r, args.R, witness=witness)
     record = _record(args, spec, {
         "r": args.r,
         "R": args.R,
@@ -368,19 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="grid subintervals (default 256, at least 2)")
     common.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="seed for randomized sampling (default 0)")
-    lattice = argparse.ArgumentParser(add_help=False)
-    lattice.add_argument("--m", type=_int_at_least(2), default=64,
-                         help="lattice size for sampled checks/bounds (at least 2)")
-    samples = argparse.ArgumentParser(add_help=False)
-    samples.add_argument("--samples", type=_int_at_least(0), default=200,
-                         help="cone samples for functional bounds")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="write the machine-readable record/table here")
-    falsification = argparse.ArgumentParser(add_help=False)
-    falsification.add_argument("--budget", type=_int_at_least(1), default=4096,
-                               help="witness falsification sample budget")
-    falsification.add_argument("--skip-falsification", action="store_true",
-                               help="trust the declared witness without sampling")
 
     parser = argparse.ArgumentParser(
         prog="hammcert",
@@ -397,15 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     # validate's checks use a fixed seed; it keeps --seed so one argv shape
     # serves every command.
-    command("validate", _cmd_validate, [common, lattice],
-            "run the sampled hypothesis checks on a problem file")
+    p = command("validate", _cmd_validate, [common],
+                "run the sampled hypothesis checks on a problem file")
+    p.add_argument("--m", type=_int_at_least(2), default=64,
+                   help="lattice size of the checks (default 64, at least 2)")
 
-    p = command("certify-existence", _cmd_certify_existence, [common, lattice, samples, out],
+    p = command("certify-existence", _cmd_certify_existence, [common, out],
                 "evaluate the annulus existence certificate")
     p.add_argument("--r", type=float, required=True, help="inner radius (0 < r < R)")
     p.add_argument("--R", type=float, required=True, help="outer radius")
 
-    command("certify-nonexistence", _cmd_certify_nonexistence, [common, out, falsification],
+    command("certify-nonexistence", _cmd_certify_nonexistence, [common, out],
             "evaluate the linear-growth certificate")
 
     p = command("solve", _cmd_solve, [common, out],
@@ -419,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=_int_at_least(1), default=10000,
                    help="iteration cap per start")
 
-    p = command("sweep", _cmd_sweep, [common, lattice, samples, out, falsification],
+    p = command("sweep", _cmd_sweep, [common, out],
                 "classify a parameter box by certificate")
     p.add_argument("--lambda", dest="lam", required=True, metavar="A:B:K",
                    help="lambda axis as start:stop:steps")

@@ -57,9 +57,6 @@ class ProblemSpec:
     dgamma2 = property(lambda self: derivative(self.gamma2, "t"))
     warnings = property(lambda self: tuple(r for r in self.checks if not r.ok))
 
-    def with_params(self, lam: float, eta1: float, eta2: float) -> "ProblemSpec":
-        return replace(self, lam=lam, eta1=eta1, eta2=eta2)
-
 
 def validate_spec(spec: ProblemSpec, m: int = 64) -> list[CheckResult]:
     """All sampled hypothesis checks, pass rows included (the validate table)."""

@@ -42,6 +42,7 @@ def _result(status: str, u: GridFunction, iterations: int, residual: float) -> S
     return SolveResult(status, u, iterations, float(residual), c1_norm(u), in_cone(u))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing row diverges, silently
 def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float,
               max_iter: int) -> list[SolveResult]:
     """Picard from every row of the stack at once, one result per row.

@@ -8,6 +8,7 @@ arithmetic against independently computed values.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,8 @@ def test_criterion_3_example2_nonexistence_certificate(example2):
     cert = check_nonexistence(example2, example2.witness)
     assert cert.lhs == pytest.approx(0.95, abs=1e-12)
     assert cert.passed
-    boundary = check_nonexistence(example2.with_params(2 / 3, 0.0, 0.0), example2.witness)
+    boundary = check_nonexistence(replace(example2, lam=2 / 3, eta1=0.0, eta2=0.0),
+                                  example2.witness)
     assert boundary.lhs == 1.0
     assert not boundary.passed, "lhs == 1 must fail the strict comparison"
     _report(3, f"lhs {cert.lhs!r} passes, boundary lhs 1.0 fails strictly")

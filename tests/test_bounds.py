@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import hammcert.bounds
-from hammcert.bounds import (BoundSet, LinearGrowthWitness, _check_functionals, estimate_H,
-                             estimate_f_extrema, falsify_linear_growth,
+from hammcert.bounds import (CONE_SAMPLES, BoundSet, LinearGrowthWitness, _check_functionals,
+                             estimate_H, estimate_f_extrema, falsify_linear_growth,
                              sphere_family)
 from hammcert.certificate import check_existence
 from hammcert.errors import ParameterError
@@ -170,7 +170,7 @@ class TestBoundSet:
         assert values == sorted(values)
 
     def test_sampler_fallback_is_heuristic_and_inflated(self, example1):
-        b = BoundSet(replace(example1, bounds={}), m=16, samples=20, seed=0)
+        b = BoundSet(replace(example1, bounds={}))
         fu = b.f_upper(1.0)
         fl = b.f_lower(1.0)
         h1 = b.h_upper(1, 1.0)
@@ -178,12 +178,12 @@ class TestBoundSet:
         assert fu.value == pytest.approx(fu.raw * 1.05)
         assert fl.value == pytest.approx(fl.raw * 0.95)
         assert fu.value >= fl.value
-        assert h1.raw == estimate_H(example1, 1, 1.0, samples=20, seed=0)
+        assert h1.raw == estimate_H(example1, 1, 1.0, samples=CONE_SAMPLES, seed=0)
 
     def test_inflation_widens_negative_estimates(self):
         # f = u - 2 is negative on the whole box at rho = 1, and so is h1
         spec = tiny_spec(f="u - 2", h1="U(1) - 5")
-        b = BoundSet(spec, m=8, samples=10, seed=0)
+        b = BoundSet(spec)
         fu, fl, h1 = b.f_upper(1.0), b.f_lower(1.0), b.h_upper(1, 1.0)
         assert fu.raw < 0 and fl.raw < 0 and h1.raw < 0
         assert fu.value > fu.raw and h1.value > h1.raw
@@ -200,12 +200,11 @@ class TestBoundSet:
 
         monkeypatch.setattr(hammcert.bounds, "estimate_f_extrema", counting)
         spec = replace(example1, bounds={"h1": parse("rho", "bound"), "h2": parse("rho", "bound")})
-        check_existence(spec, BoundSet(spec, m=8, samples=10, seed=0), 0.5, 1.0)
+        check_existence(spec, BoundSet(spec), 0.5, 1.0)
         assert calls == [(1.0, True), (0.5, False)]  # f_upper at R, then f_lower at r
 
     def test_mixed_declared_and_sampled(self, example1):
-        b = BoundSet(replace(example1, bounds={"f_upper": parse("exp(2*rho)", "bound")}),
-                     m=8, samples=10)
+        b = BoundSet(replace(example1, bounds={"f_upper": parse("exp(2*rho)", "bound")}))
         assert b.f_upper(1.0).rigor == "certified"
         assert b.f_lower(0.05).rigor == "heuristic"
 
@@ -226,7 +225,7 @@ class TestBoundSet:
             == [("tau", 3.0, "certified"), ("xi1", 0.5, "certified"), ("xi2", 0.0, "certified")]
 
     def test_rigor_names_each_capped_entry_then_each_failed_check(self, example1):
-        b = BoundSet(replace(example1, bounds={}), m=8, samples=10)
+        b = BoundSet(replace(example1, bounds={}))
         declared = BoundSet(example1)
         assert b.rigor(declared.constants()) == ("certified", ())
         assert b.rigor((declared.f_upper(1.0), b.h_upper(2, 1.0), b.f_lower(0.5))) \

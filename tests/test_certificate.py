@@ -31,13 +31,13 @@ class TestExistenceExample1:
         assert cert.upper_margin == pytest.approx(1.0 - (E2 / 10 + 2 / 12), abs=1e-9)
 
     def test_lambda_zero_fails_idx0(self, example1):
-        spec = example1.with_params(0.0, example1.eta1, example1.eta2)
+        spec = replace(example1, lam=0.0)
         cert = check_existence(spec, BoundSet(example1), r_EX1, R_EX1)
         assert cert.lhs_idx0 == 0.0
         assert cert.verdict == "fail"
 
     def test_doubled_lambda_fails_deriv_branch(self, example1):
-        spec = example1.with_params(0.2, example1.eta1, example1.eta2)
+        spec = replace(example1, lam=0.2)
         cert = check_existence(spec, BoundSet(example1), r_EX1, R_EX1)
         assert cert.lhs_deriv_branch == pytest.approx(E2 / 5 + 1 / 6, abs=1e-9)
         assert cert.lhs_deriv_branch > 1.0
@@ -52,7 +52,7 @@ class TestExistenceExample1:
 
 class TestRigorPropagation:
     def test_heuristic_bounds_give_heuristic_pass(self, example1):
-        bounds = BoundSet(replace(example1, bounds={}), m=32, samples=50, seed=0)
+        bounds = BoundSet(replace(example1, bounds={}))
         # deflated f_lower cannot hit the worked example's equality case at
         # r = 1/20, so certify a slightly smaller inner radius
         cert = check_existence(example1, bounds, 0.04, 1.0)
@@ -64,7 +64,7 @@ class TestRigorPropagation:
             "f_upper": parse("exp(2*rho)", "bound"),
             "f_lower": parse("1", "bound"),
             "h1": parse("rho + rho^2", "bound"),
-        }), m=16, samples=30, seed=0)
+        }))
         cert = check_existence(example1, bounds, r_EX1, R_EX1)
         assert cert.h2_R.rigor == "heuristic"
         assert cert.rigor == "heuristic"
@@ -102,10 +102,11 @@ class TestExistenceStructure:
     @settings(max_examples=40, deadline=None)
     def test_lhs_monotone_in_parameters(self, example1, lam, eta1, eta2, bump):
         bounds = BoundSet(example1)
-        base = check_existence(example1.with_params(lam, eta1, eta2), bounds, r_EX1, R_EX1)
-        for bumped in ((lam + bump, eta1, eta2), (lam, eta1 + bump, eta2),
-                       (lam, eta1, eta2 + bump)):
-            more = check_existence(example1.with_params(*bumped), bounds, r_EX1, R_EX1)
+        spec = replace(example1, lam=lam, eta1=eta1, eta2=eta2)
+        base = check_existence(spec, bounds, r_EX1, R_EX1)
+        for bumped in (replace(spec, lam=lam + bump), replace(spec, eta1=eta1 + bump),
+                       replace(spec, eta2=eta2 + bump)):
+            more = check_existence(bumped, bounds, r_EX1, R_EX1)
             assert more.lhs_value_branch >= base.lhs_value_branch
             assert more.lhs_deriv_branch >= base.lhs_deriv_branch
             assert more.lhs_idx0 >= base.lhs_idx0
@@ -138,11 +139,13 @@ class TestNonexistence:
         assert cert.margin == pytest.approx(0.05, abs=1e-12)
 
     def test_all_zero_parameters_pass(self, example2):
-        cert = check_nonexistence(example2.with_params(0.0, 0.0, 0.0), example2.witness)
+        cert = check_nonexistence(replace(example2, lam=0.0, eta1=0.0, eta2=0.0),
+                                  example2.witness)
         assert cert.lhs == 0.0 and cert.passed
 
     def test_boundary_is_strict(self, example2):
-        cert = check_nonexistence(example2.with_params(2 / 3, 0.0, 0.0), example2.witness)
+        cert = check_nonexistence(replace(example2, lam=2 / 3, eta1=0.0, eta2=0.0),
+                                  example2.witness)
         assert cert.lhs == 1.0  # exactly on the boundary
         assert not cert.passed
 
@@ -151,6 +154,7 @@ class TestNonexistence:
     @settings(max_examples=40, deadline=None)
     def test_lhs_monotone(self, example2, lam, eta1, bump):
         w = example2.witness
-        base = check_nonexistence(example2.with_params(lam, eta1, 0.1), w)
-        assert check_nonexistence(example2.with_params(lam + bump, eta1, 0.1), w).lhs >= base.lhs
-        assert check_nonexistence(example2.with_params(lam, eta1 + bump, 0.1), w).lhs >= base.lhs
+        spec = replace(example2, lam=lam, eta1=eta1, eta2=0.1)
+        base = check_nonexistence(spec, w)
+        assert check_nonexistence(replace(spec, lam=lam + bump), w).lhs >= base.lhs
+        assert check_nonexistence(replace(spec, eta1=eta1 + bump), w).lhs >= base.lhs

@@ -248,7 +248,7 @@ class TestLoading:
     def test_undeclared_bounds_load_empty(self, bounds):
         spec = loads_problem(ZERO_PROBLEM + bounds)
         assert spec.bounds == {}
-        b = BoundSet(spec, m=8, samples=10)
+        b = BoundSet(spec)
         assert {e.rigor for e in (b.f_upper(1.0), b.f_lower(0.05), b.h_upper(1, 1.0),
                                   b.h_upper(2, 1.0))} == {"heuristic"}
 
@@ -257,8 +257,8 @@ class TestLoading:
         with pytest.raises(ProblemFileError, match="tau"):
             loads_problem(text)
 
-    def test_with_params_shares_kernel(self, example1):
-        other = example1.with_params(0.2, 0.0, 0.0)
+    def test_parameter_copy_shares_kernel(self, example1):
+        other = replace(example1, lam=0.2, eta1=0.0, eta2=0.0)
         assert other.kernel is example1.kernel
         assert other.lam == 0.2
         assert example1.lam == pytest.approx(0.1)
@@ -320,8 +320,8 @@ class TestApplyT:
 
     def test_monotone_in_lambda(self, example1):
         u = GridFunction.ramp(example1.grid, 0.5)
-        w_small = apply_T(example1.with_params(0.05, example1.eta1, example1.eta2), u)
-        w_large = apply_T(example1.with_params(0.15, example1.eta1, example1.eta2), u)
+        w_small = apply_T(replace(example1, lam=0.05), u)
+        w_large = apply_T(replace(example1, lam=0.15), u)
         assert np.all(w_large.values >= w_small.values - 1e-15)
         assert np.all(w_large.dvalues >= w_small.dvalues - 1e-15)
 

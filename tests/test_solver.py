@@ -1,7 +1,11 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hammcert.errors import ParameterError
+from hammcert.expr import parse
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm, consistency_defect,
                            in_cone)
 from hammcert.problem import apply_T, load_problem
@@ -30,7 +34,7 @@ class TestPicard:
         assert res.cone_ok
 
     def test_zero_parameters_converge_immediately(self, example1):
-        spec = example1.with_params(0.0, 0.0, 0.0)
+        spec = replace(example1, lam=0.0, eta1=0.0, eta2=0.0)
         res = solve_from_zero(spec)
         assert res.converged and res.iterations == 1 and res.norm == 0.0
 
@@ -130,10 +134,18 @@ class TestMultistart:
                [(r.status, r.norm, r.residual) for r in b]
 
     def test_zero_spec_collapses_to_single_result(self, example1):
-        spec = example1.with_params(0.0, 0.0, 0.0)
+        spec = replace(example1, lam=0.0, eta1=0.0, eta2=0.0)
         results = multistart_solve(spec, starts=5, seed=0)
         assert len(results) == 1
         assert results[0].converged and results[0].norm == 0.0
+
+    def test_overflow_diverges_without_a_warning(self, example1):
+        # eta1*h1 overflows in the first application, in every start
+        spec = replace(example1, eta1=1e300, h1=parse("U(1/4) + 1e300", "functional"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = multistart_solve(spec, starts=3, seed=0)
+        assert [(r.status, r.norm, r.iterations) for r in results] == [("diverged", np.inf, 1)] * 3
 
     def test_needs_at_least_one_start(self, example1):
         with pytest.raises(ParameterError):
@@ -160,7 +172,7 @@ class TestVerifySolution:
         assert c1_distance(zero, apply_T(example1, zero)) > 0.01  # T0 has derivative lam at t=0
 
     def test_zero_on_zero_problem(self, example1):
-        spec = example1.with_params(0.0, 0.0, 0.0)
+        spec = replace(example1, lam=0.0, eta1=0.0, eta2=0.0)
         res = solve_from_zero(spec)
         assert res.residual == c1_distance(res.u, apply_T(spec, res.u)) == 0.0
         assert res.norm == 0.0 and res.cone_ok

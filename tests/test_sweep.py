@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from itertools import product
 
@@ -77,6 +78,17 @@ class TestClassification:
             if exceeded:
                 assert b > 1.0  # once past R, never back below
 
+    def test_overflowing_cells_fail_without_a_warning(self, example1, example2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # eta1*gamma1(1)*H1(100) = 1e306 * 10100 and lambda*tau*K = 1e308 * 3 / 2
+            upper = run_sweep(BoundSet(example1), [0.1], [0.0, 1e306], [0.0], r=0.05, R=100.0)
+            growth = run_sweep(BoundSet(example2), [1e308], [0.0], [0.0], r=0.05, R=1.0,
+                               witness=example2.witness)
+        assert [c.classification for c in upper] == ["both-fail"] * 2
+        assert upper[1].value_branch == np.inf
+        assert (growth[0].classification, growth[0].nonexistence_lhs) == ("both-fail", np.inf)
+
     def test_lexicographic_order(self, example1):
         cells = run_sweep(BoundSet(example1), [0.0, 0.1], [0.0, 0.1], [0.0], r=1 / 20, R=1.0)
         points = [(c.lam, c.eta1, c.eta2) for c in cells]
@@ -93,7 +105,7 @@ class TestScalarReference:
         points = [(float(a), float(b), float(c)) for a, b, c in product(ax, ax, ax)]
         assert len(cells) == len(points)
         for cell, (lam, eta1, eta2) in zip(cells, points):
-            local = spec.with_params(lam, eta1, eta2)
+            local = replace(spec, lam=lam, eta1=eta1, eta2=eta2)
             ec = check_existence(local, bounds, r, R)
             nc = None if witness is None else check_nonexistence(local, witness)
             exists, nonexists = ec.passed, nc is not None and nc.passed
@@ -116,8 +128,9 @@ class TestScalarReference:
         cells = self._assert_cells_match(example2, axis_values(0.0, 1.0, 20),
                                          BoundSet(example2), example2.witness)
         assert {c.classification for c in cells} == {"nonexistence", "both-fail"}
-        sampled = BoundSet(replace(example1, bounds={}), m=16, samples=20, seed=0)
-        cells = self._assert_cells_match(example1, axis_values(0.0, 1.0, 8), sampled, None)
+        # each scalar certificate samples its bounds again, so fewer cells
+        sampled = BoundSet(replace(example1, bounds={}))
+        cells = self._assert_cells_match(example1, axis_values(0.0, 1.0, 4), sampled, None)
         assert {c.rigor for c in cells} == {"heuristic"}
         # declared bounds, but K and K* come from quadrature
         cells = self._assert_cells_match(quadrature_spec, axis_values(0.0, 1.0, 4),
@@ -127,8 +140,8 @@ class TestScalarReference:
     def test_witness_only_copy_certifies_its_nonexistence_cells(self, example2):
         # every bound sampled, the witness declared: a non-existence cell is
         # as certified as certify-nonexistence at its point
-        sampled = BoundSet(replace(example2, bounds={}), m=16, samples=20, seed=0)
-        cells = self._assert_cells_match(example2, axis_values(0.0, 1.0, 6), sampled,
+        sampled = BoundSet(replace(example2, bounds={}))
+        cells = self._assert_cells_match(example2, axis_values(0.0, 1.0, 4), sampled,
                                          example2.witness)
         assert {(c.classification, c.rigor) for c in cells} \
             == {("nonexistence", "certified"), ("both-fail", "heuristic")}
