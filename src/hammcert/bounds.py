@@ -8,11 +8,11 @@ sampled values are always labelled heuristic (and nudged by a safety
 factor before use); the certified label is reserved for closed-form bounds
 declared in the problem file, which is how the worked examples supply them.
 BoundSet also resolves the constants K, K*, gamma_i(1), ||gamma_i'|| and
-the growth witness, and BoundSet.rigor is the only rule that turns the
-inputs a certificate used, and the load's failed hypothesis checks, into
-'certified' or 'heuristic'.
+the growth witness, and BoundSet.rigor is the only rule that names what
+caps a certificate: the inputs it used that are not certified, and the
+load's failed hypothesis checks.
 
-The sampled f extrema scan m^3 lattices through expr.lattice_extrema,
+The sampled f extrema scan LATTICE_M^3 lattices through expr.lattice_extrema,
 slab by slab along t, so no lattice-sized array is ever built; a sampled
 bound that is not finite names its slot and radius, and the lattice point
 or the cone sample where it overflowed.
@@ -31,9 +31,10 @@ from .grid import CONE_TOL, GridFunction, c1_norm, random_cone_function
 from .kernel import constant_K, constant_Kstar
 
 DEFAULT_INFLATION = 1.05
-# The one sampling budget of BoundSet: the lattice size for f, cone functions per H_i.
+# The one sampling budget: lattice size for f, cone functions per H_i, falsifier points.
 LATTICE_M = 64
 CONE_SAMPLES = 200
+FALSIFY_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -82,31 +83,29 @@ class FalsificationResult:
     points_checked: int
 
 
-def estimate_f_extrema(spec, rho: float, m: int, upward: bool) -> float:
+def estimate_f_extrema(spec, rho: float, upward: bool) -> float:
     """Sampled max of f over [0,1] x [0,rho]^2 if ``upward``, else its min.
 
-    An m^3 lattice scan followed by one coordinate refinement pass around
-    the best cell of that extremum only.  The max estimate is a *lower*
-    bound of the true max and the min estimate an *upper* bound of the true
-    min: heuristic direction, by construction.
+    A LATTICE_M^3 lattice scan followed by one coordinate refinement pass
+    around the best cell of that extremum only.  The max estimate is a
+    *lower* bound of the true max and the min estimate an *upper* bound of
+    the true min: heuristic direction, by construction.
     """
     if rho <= 0:
         raise ParameterError(f"rho must be positive, got {rho}")
-    if m < 2:
-        raise ParameterError(f"lattice size must be at least 2, got {m}")
-    axes = (np.linspace(0.0, 1.0, m), np.linspace(0.0, rho, m), np.linspace(0.0, rho, m))
+    axes = [np.linspace(0.0, end, LATTICE_M) for end in (1.0, rho, rho)]
     lo, lo_at, hi, hi_at = lattice_extrema(spec.f, *axes)
-    near_lo, _, near_hi, _ = _local_extrema(spec, axes, hi_at if upward else lo_at, rho, m)
+    near_lo, _, near_hi, _ = _local_extrema(spec, axes, hi_at if upward else lo_at, rho)
     return max(hi, near_hi) if upward else min(lo, near_lo)
 
 
-def _local_extrema(spec, axes, idx, rho, m) -> tuple:
-    """lattice_extrema of f on the m^3 lattice spanning the lattice cells
-    around index ``idx`` of ``axes``, clipped to [0,1] x [0,rho]^2."""
+def _local_extrema(spec, axes, idx, rho) -> tuple:
+    """lattice_extrema of f on the LATTICE_M^3 lattice spanning the lattice
+    cells around index ``idx`` of ``axes``, clipped to [0,1] x [0,rho]^2."""
     local = []
     for axis, i, hi in zip(axes, idx, (1.0, rho, rho)):
-        cell = hi / (m - 1)
-        local.append(np.linspace(max(0.0, axis[i] - cell), min(hi, axis[i] + cell), m))
+        cell = hi / (LATTICE_M - 1)
+        local.append(np.linspace(max(0.0, axis[i] - cell), min(hi, axis[i] + cell), LATTICE_M))
     return lattice_extrema(spec.f, *local)
 
 
@@ -126,15 +125,15 @@ def sphere_family(spec, rho: float, samples: int, rng: np.random.Generator) -> G
                                random_cone_function(grid, rng, norm=rho, count=samples)])
 
 
-def estimate_H(spec, i: int, rho: float, samples: int = 200, seed: int = 0) -> float:
-    """Heuristic sup of h_i over the sphere of cone functions with norm rho."""
+def estimate_H(spec, i: int, rho: float, seed: int) -> float:
+    """Heuristic sup of h_i over CONE_SAMPLES cone functions with norm rho."""
     if i not in (1, 2):
         raise ParameterError(f"functional index must be 1 or 2, got {i}")
     if rho <= 0:
         raise ParameterError(f"rho must be positive, got {rho}")
     h = spec.h1 if i == 1 else spec.h2
     rng = np.random.default_rng([seed, i])
-    values = functional_on_samples(h, sphere_family(spec, rho, samples, rng), SPHERE_FIXED)
+    values = functional_on_samples(h, sphere_family(spec, rho, CONE_SAMPLES, rng), SPHERE_FIXED)
     return float(values[np.argmax(values)])  # the first maximum, as max() picks
 
 
@@ -152,22 +151,19 @@ def functional_on_samples(h: Expr, u: GridFunction, fixed: tuple) -> np.ndarray:
                               rows=exc.rows) from exc
 
 
-def falsify_linear_growth(spec, witness: LinearGrowthWitness, budget: int = 4096,
-                          seed: int = 0) -> FalsificationResult:
+def falsify_linear_growth(spec, witness: LinearGrowthWitness, seed: int) -> FalsificationResult:
     """Try to refute 0 <= f <= tau*u and h_i[u] <= xi_i * sup|u|.
 
     Samples lattices plus random points over expanding boxes [0, 2^k]^2 in
-    (u,v), and random cone functions on matching spheres, until the point
-    budget runs out or a violation turns up.  Returns the first violating
-    point found (deterministic for a fixed seed).
+    (u,v), and random cone functions on matching spheres, until
+    FALSIFY_POINTS points are checked or a violation turns up.  Returns the
+    first violating point found (deterministic for a fixed seed).
     """
-    if budget < 1:
-        raise ParameterError(f"budget must be at least 1, got {budget}")
     rng = np.random.default_rng(seed)
     m = 8
     checked = 0
     k = 0
-    while checked < budget:
+    while checked < FALSIFY_POINTS:
         rho = 2.0**k
         t_ax = np.linspace(0.0, 1.0, m)
         u_ax = np.linspace(0.0, rho, m)
@@ -263,9 +259,9 @@ class BoundSet:
         try:
             if slot in ("h1", "h2"):
                 with naming_entry("functionals", slot, getattr(self.spec, slot)):
-                    raw = estimate_H(self.spec, int(slot[1]), rho, CONE_SAMPLES, self.seed)
+                    raw = estimate_H(self.spec, int(slot[1]), rho, self.seed)
             else:
-                raw = estimate_f_extrema(self.spec, rho, LATTICE_M, upward)
+                raw = estimate_f_extrema(self.spec, rho, upward)
         except (EvaluationError, DomainError) as exc:
             raise type(exc)(f"sampled bound {slot}({rho}): {exc}") from exc
         return BoundEntry(_widened(raw, upward), raw, "heuristic", f"{slot}({rho})")
@@ -283,9 +279,8 @@ class BoundSet:
 
     def constants(self) -> tuple[BoundEntry, ...]:
         """K, K*, gamma_1(1), gamma_2(1), ||gamma_1'|| and ||gamma_2'||."""
-        from .problem import _coefficient_samples  # problem imports this module
         spec, exact = self.spec, self.spec.kernel.exact
-        g1, g2, dg1, dg2 = _coefficient_samples(spec, spec.grid)
+        g1, g2, dg1, dg2 = spec.coefficients(spec.grid)
         return (_tagged("K", constant_K(spec.kernel, spec.grid), exact),
                 _tagged("Kstar", constant_Kstar(spec.kernel, spec.grid), exact),
                 _tagged("gamma1(1)", float(g1[-1]), True), _tagged("gamma2(1)", float(g2[-1]), True),
@@ -295,10 +290,9 @@ class BoundSet:
     def witness(self, w: LinearGrowthWitness) -> tuple[BoundEntry, ...]:
         return tuple(_tagged(key, getattr(w, key), True) for key in ("tau", "xi1", "xi2"))
 
-    def rigor(self, entries) -> tuple[str, tuple[str, ...]]:
-        """A certificate's rigor from the entries it used and the load checks,
-        and the names that capped it: each entry that is not certified, then
-        each check row that failed."""
-        capped = (tuple(e.name for e in entries if e.rigor != "certified")
-                  + tuple(row.name for row in self.spec.warnings))
-        return ("heuristic" if capped else "certified"), capped
+    def rigor(self, entries) -> tuple[str, ...]:
+        """The names that cap the rigor of a certificate built from
+        ``entries``: each entry that is not certified, then each load check
+        that failed.  The certificate is 'certified' iff there are none."""
+        return (tuple(e.name for e in entries if e.rigor != "certified")
+                + tuple(row.name for row in self.spec.warnings))

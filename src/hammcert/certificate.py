@@ -10,8 +10,8 @@ Non-existence (only the zero solution): with growth witness (tau, xi_i),
 
     lam*tau*K + sum_i eta_i * xi_i * gamma_i(1) < 1.
 
-Every input comes from bounds.BoundSet, whose rigor rule labels each
-certificate 'certified' or 'heuristic' and names what capped it.
+Every input comes from bounds.BoundSet, whose rigor rule names what
+capped each certificate; a certificate is 'certified' iff it names nothing.
 Comparisons are exact floating comparisons and strictness matters: the
 annulus inequalities are non-strict (the worked feasible point sits
 exactly on the lower equality and must pass), the non-existence one is
@@ -31,6 +31,10 @@ from .bounds import BoundEntry, BoundSet, LinearGrowthWitness
 from .errors import ParameterError
 from .problem import ProblemSpec
 
+# A certificate's rigor: 'heuristic' exactly when BoundSet.rigor named an
+# input or a failed load check that capped it, else 'certified'.
+_RIGOR = property(lambda self: "heuristic" if self.heuristic_inputs else "certified")
+
 
 @dataclass(frozen=True)
 class ExistenceCertificate:
@@ -49,27 +53,27 @@ class ExistenceCertificate:
     upper_margin: float  # R - max(branches)
     lower_margin: float  # lhs_idx0 - r
     passed: bool  # max(branches) <= R and lhs_idx0 >= r
-    rigor: str  # 'certified' | 'heuristic', as BoundSet.rigor decides
     heuristic_inputs: tuple  # the names that kept rigor from 'certified'
     f_upper_R: BoundEntry
     f_lower_r: BoundEntry
     h1_R: BoundEntry
     h2_R: BoundEntry
+    rigor = _RIGOR
 
     @property
     def verdict(self) -> str:
         """'certified' | 'heuristic-pass' | 'fail', at one parameter point."""
         if not self.passed:
             return "fail"
-        return "heuristic-pass" if self.heuristic_inputs else self.rigor
+        return "heuristic-pass" if self.heuristic_inputs else "certified"
 
 
 @dataclass(frozen=True)
 class NonexistenceCertificate:
     lhs: float  # or an array of the parameters' shape on a lattice
     witness: LinearGrowthWitness
-    rigor: str  # as for ExistenceCertificate
-    heuristic_inputs: tuple
+    heuristic_inputs: tuple  # as for ExistenceCertificate
+    rigor = _RIGOR
 
     @property
     def passed(self) -> bool:
@@ -107,7 +111,7 @@ def existence_terms(bounds: BoundSet, r: float, R: float, lam, eta1, eta2) -> Ex
     top = np.where(deriv > value, deriv, value)  # picks what max(value, deriv) picks
     return ExistenceCertificate(r, R, K, Kstar, value, deriv, idx0, R - top, idx0 - r,
                                 (top <= R) & (idx0 >= r),
-                                *bounds.rigor(constants + entries), *entries)
+                                bounds.rigor(constants + entries), *entries)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -117,7 +121,7 @@ def nonexistence_terms(bounds: BoundSet, witness: LinearGrowthWitness,
     K, _, g1, g2, _, _ = bounds.constants()
     tau, xi1, xi2 = bounds.witness(witness)
     lhs = lam * tau.value * K.value + eta1 * xi1.value * g1.value + eta2 * xi2.value * g2.value
-    return NonexistenceCertificate(lhs, witness, *bounds.rigor((K, g1, g2, tau, xi1, xi2)))
+    return NonexistenceCertificate(lhs, witness, bounds.rigor((K, g1, g2, tau, xi1, xi2)))
 
 
 def check_existence(spec: ProblemSpec, bounds: BoundSet, r: float, R: float) -> ExistenceCertificate:

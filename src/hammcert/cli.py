@@ -102,18 +102,17 @@ def _capped(cert) -> str | None:
     return capped
 
 
-def _load(args, m: int = 64):
-    """The problem file checked on an m^3 lattice, with each hypothesis
-    warning of its load on stderr."""
-    spec = load_problem(args.problem, n=args.n, m=m)
+def _load(args):
+    """The problem file, with each hypothesis warning of its load on stderr."""
+    spec = load_problem(args.problem, n=args.n)
     for warn in spec.warnings:
         print(f"warning: {warn.name}: {warn.detail}", file=sys.stderr)
     return spec
 
 
 def _cmd_validate(args) -> int:
-    # The load's checks at --m feed both the stderr warnings and the table.
-    spec = _load(args, m=args.m)
+    # The load's checks feed both the stderr warnings and the table.
+    spec = _load(args)
     width = max(len(r.name) for r in spec.checks)
     for res in spec.checks:
         print(f"{res.name:<{width}}  {res.status.upper():4}  {res.detail}")
@@ -378,10 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # validate's checks use a fixed seed; it keeps --seed so one argv shape
     # serves every command.
-    p = command("validate", _cmd_validate, [common],
-                "run the sampled hypothesis checks on a problem file")
-    p.add_argument("--m", type=_int_at_least(2), default=64,
-                   help="lattice size of the checks (default 64, at least 2)")
+    command("validate", _cmd_validate, [common],
+            "run the sampled hypothesis checks on a problem file")
 
     p = command("certify-existence", _cmd_certify_existence, [common, out],
                 "evaluate the annulus existence certificate")

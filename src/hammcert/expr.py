@@ -27,9 +27,10 @@ body over s in [0,1] with U(s), DU(s) available inside.  INT does not nest.
 Evaluation is numpy-vectorised; non-finite results raise EvaluationError.
 
 lattice_extrema scans a nonlinearity over a t x u x v lattice without
-building it: slab by slab along t, at most LATTICE_SLAB points at a time,
-with the subexpressions that do not read t evaluated once on a (u, v)
-plane.  It returns what argmin and argmax on the whole array would.
+building it: slab by slab along t, whole (u, v) planes of at most
+LATTICE_SLAB points at a time (one plane if a plane is larger), with the
+subexpressions that do not read t evaluated once on the (u, v) plane.  It
+returns what argmin and argmax on the whole array would.
 """
 
 from __future__ import annotations
@@ -511,7 +512,7 @@ def eval_nonlinearity(e: Expr, t, u, v, rows: int | None = None):
 
 
 # The most lattice points lattice_extrema evaluates at once (unless a single
-# v-row is longer): 2^14 points keep each temporary at 128 KiB.
+# t-plane is larger): 2^14 points keep each temporary at 128 KiB.
 LATTICE_SLAB = 1 << 14
 
 
@@ -521,32 +522,28 @@ def lattice_extrema(e: Expr, t, u, v) -> tuple[float, tuple, float, tuple]:
     Each extremum is the value at the index numpy's argmin or argmax gives
     on the whole (len(t), len(u), len(v)) array: its first occurrence in C
     order.  That array is never built: f is evaluated slab by slab along
-    t, at most LATTICE_SLAB points at a time (a t-plane larger than that is
-    split along u).  The subexpressions of f that do not read t are
+    t, as many whole t-planes at a time as fit in LATTICE_SLAB points, and
+    at least one.  The subexpressions of f that do not read t are
     evaluated once, on the (u, v) plane.  The slabs run in C order, so a
     non-finite value raises the EvaluationError the whole lattice would.
     """
     free: dict = {}
     core = _hoist_t_free(e, free)
     dt = max(1, LATTICE_SLAB // (len(u) * len(v)))
-    du = len(u) if dt > 1 else max(1, LATTICE_SLAB // len(v))
     lo = hi = None  # (value, index) so far; a later slab must be strictly better
     with np.errstate(all="ignore"):
         plane = {"u": u[None, :, None], "v": v[None, None, :]}
         parts = {name: _eval(part, plane, None) for name, part in free.items()}
         for i in range(0, len(t), dt):
-            for j in range(0, len(u), du):
-                cols = slice(j, j + du)
-                env = {"t": t[i:i + dt, None, None], "u": u[None, cols, None], "v": plane["v"]}
-                known = {name: p[:, cols] if p.shape[1] > 1 else p for name, p in parts.items()}
-                vals = np.atleast_3d(_eval(core, {**env, **known}, None))
-                if not np.isfinite(vals).all():
-                    raise _non_finite_error(e, env, vals, None)
-                kmin, kmax = int(vals.argmin()), int(vals.argmax())
-                if lo is None or vals.flat[kmin] < lo[0]:
-                    lo = _lattice_point(vals, kmin, i, j)
-                if hi is None or vals.flat[kmax] > hi[0]:
-                    hi = _lattice_point(vals, kmax, i, j)
+            env = {"t": t[i:i + dt, None, None], **plane}
+            vals = np.atleast_3d(_eval(core, {**env, **parts}, None))
+            if not np.isfinite(vals).all():
+                raise _non_finite_error(e, env, vals, None)
+            kmin, kmax = int(vals.argmin()), int(vals.argmax())
+            if lo is None or vals.flat[kmin] < lo[0]:
+                lo = _lattice_point(vals, kmin, i)
+            if hi is None or vals.flat[kmax] > hi[0]:
+                hi = _lattice_point(vals, kmax, i)
     return (*lo, *hi)
 
 
@@ -569,11 +566,12 @@ def _hoist_t_free(e: Expr, free: dict) -> Expr:
     return e
 
 
-def _lattice_point(vals: np.ndarray, k: int, i: int, j: int) -> tuple[float, tuple]:
-    """(value, lattice index) of flat index k of the slab with corner (i, j, 0);
-    a size-1 axis of the slab (f does not read that variable) reads index 0."""
+def _lattice_point(vals: np.ndarray, k: int, i: int) -> tuple[float, tuple]:
+    """(value, lattice index) of flat index k of the slab that starts at
+    t-plane i; a size-1 axis of the slab (f does not read that variable)
+    reads index 0."""
     a, b, c = np.unravel_index(k, vals.shape)
-    return float(vals.flat[k]), (i + int(a), j + int(b), int(c))
+    return float(vals.flat[k]), (i + int(a), int(b), int(c))
 
 
 def eval_coefficient(e: Expr, t):

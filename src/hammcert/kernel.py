@@ -191,7 +191,7 @@ def constant_Kstar(kernel: Kernel, grid: Grid) -> float:
     return float(np.max(kernel._grid_data(grid, "Kstar_rows")))
 
 
-def check_kernel_hypotheses(kernel: Kernel, m: int = 64) -> list[CheckResult]:
+def check_kernel_hypotheses(kernel: Kernel, m: int) -> list[CheckResult]:
     """Sampled falsification of the signs of k and dk on an m x m lattice.
 
     These are warnings, not proofs: the lattice can refute the standing

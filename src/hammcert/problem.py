@@ -7,7 +7,7 @@ parameters, and the operator
 whose derivative row swaps in dk = dk/dt and gamma_i'.  Both are derived
 from k and gamma_i; only the built-in focal kernel writes its dk out.
 Problems are declared in a flat INI-style file (see docs/problem-format.md).
-The loader samples the standing hypotheses at the lattice size it is given
+The loader samples the standing hypotheses on LATTICE_M-point lattices
 and keeps the whole table as ``ProblemSpec.checks``: a sign violation of the
 sampled data is a failed row, listed again in ``warnings``; bad parameters,
 unknown sections or keys and non-finite samples are errors.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import SPHERE_FIXED, LinearGrowthWitness, functional_on_samples
+from .bounds import LATTICE_M, SPHERE_FIXED, LinearGrowthWitness, functional_on_samples
 from .errors import CheckResult, ParameterError, ProblemFileError
 from .expr import (Expr, derivative, eval_coefficient, eval_constant, eval_functional,
                    eval_nonlinearity, lattice_extrema, naming_entry, parse, parse_entry)
@@ -57,27 +57,42 @@ class ProblemSpec:
     dgamma2 = property(lambda self: derivative(self.gamma2, "t"))
     warnings = property(lambda self: tuple(r for r in self.checks if not r.ok))
 
+    def coefficients(self, grid: Grid) -> tuple[np.ndarray, ...]:
+        """gamma1, gamma2, gamma1' and gamma2' on the nodes of ``grid``, as
+        read-only (broadcast) views shared by every caller on that grid.
+        An evaluation error is not cached, so it surfaces on each call."""
+        samples = self._coefficient_cache.get(grid)
+        if samples is None:
+            t = grid.nodes
+            samples = []
+            for prime in (False, True):
+                for key in ("gamma1", "gamma2"):
+                    gamma = getattr(self, key)
+                    with naming_entry("gamma", key, gamma, derived=f"{key}' from " if prime else ""):
+                        vals = eval_coefficient(derivative(gamma, "t") if prime else gamma, t)
+                    samples.append(np.broadcast_to(np.asarray(vals), t.shape))
+            samples = self._coefficient_cache[grid] = tuple(samples)
+        return samples
 
-def validate_spec(spec: ProblemSpec, m: int = 64) -> list[CheckResult]:
+
+def validate_spec(spec: ProblemSpec) -> list[CheckResult]:
     """All sampled hypothesis checks, pass rows included (the validate table)."""
-    if m < 2:
-        raise ParameterError(f"lattice size must be at least 2, got {m}")
-    results = check_kernel_hypotheses(spec.kernel, m=m)
+    results = check_kernel_hypotheses(spec.kernel, LATTICE_M)
     for label, vals in zip(("gamma1 >= 0", "gamma2 >= 0", "gamma1' >= 0", "gamma2' >= 0"),
-                           _coefficient_samples(spec, spec.grid)):
+                           spec.coefficients(spec.grid)):
         results.append(sign_check(label, float(vals.min()), (int(vals.argmin()),),
                                   {"t": spec.grid.nodes}, "on grid nodes"))
-    results.append(_check_f_sign(spec, m))
+    results.append(_check_f_sign(spec))
     results.append(_check_functional_boundedness(spec))
     return results
 
 
-def _check_f_sign(spec: ProblemSpec, m: int) -> CheckResult:
-    ax = np.linspace(0.0, 1.0, m)
+def _check_f_sign(spec: ProblemSpec) -> CheckResult:
+    ax = np.linspace(0.0, 1.0, LATTICE_M)
     with naming_entry("nonlinearity", "f", spec.f):
         worst, at, _, _ = lattice_extrema(spec.f, ax, ax, ax)
     return sign_check("f >= 0", worst, at, {"t": ax, "u": ax, "v": ax},
-                      f"on {m}^3 lattice over [0,1]^3")
+                      f"on {LATTICE_M}^3 lattice over [0,1]^3")
 
 
 def _check_functional_boundedness(spec: ProblemSpec) -> CheckResult:
@@ -129,29 +144,11 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
         h1v = np.asarray(eval_functional(spec.h1, u))[..., None]
     with naming_entry("functionals", "h2", spec.h2):
         h2v = np.asarray(eval_functional(spec.h2, u))[..., None]
-    g1, g2, dg1, dg2 = _coefficient_samples(spec, grid)
+    g1, g2, dg1, dg2 = spec.coefficients(grid)
     integral, dintegral = spec.kernel.integrals(grid, np.broadcast_to(fvals, uc.shape))
     values = spec.eta1 * g1 * h1v + spec.eta2 * g2 * h2v + spec.lam * integral
     dvalues = spec.eta1 * dg1 * h1v + spec.eta2 * dg2 * h2v + spec.lam * dintegral
     return GridFunction(grid, values, dvalues)
-
-
-def _coefficient_samples(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, ...]:
-    # Read-only (broadcast) views, shared by apply_T, validate_spec and
-    # BoundSet.constants on this grid.
-    # An evaluation error is not cached, so it surfaces on each call.
-    samples = spec._coefficient_cache.get(grid)
-    if samples is None:
-        t = grid.nodes
-        samples = []
-        for prime in (False, True):  # gamma1, gamma2, then gamma1', gamma2'
-            for key in ("gamma1", "gamma2"):
-                gamma = getattr(spec, key)
-                with naming_entry("gamma", key, gamma, derived=f"{key}' from " if prime else ""):
-                    vals = eval_coefficient(derivative(gamma, "t") if prime else gamma, t)
-                samples.append(np.broadcast_to(np.asarray(vals), t.shape))
-        samples = spec._coefficient_cache[grid] = tuple(samples)
-    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +172,8 @@ _KEYS = {"kernel": _KERNEL_KEYS, **{section: tuple(key for key, _ in entries)
          "bounds": _BOUND_KEYS + _WITNESS_KEYS}
 
 
-def load_problem(path: str, n: int = 256, m: int = 64) -> ProblemSpec:
-    """Read a problem file (format in docs/problem-format.md), checked on an
-    m^3 lattice."""
+def load_problem(path: str, n: int = 256) -> ProblemSpec:
+    """Read a problem file (format in docs/problem-format.md)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -185,15 +181,15 @@ def load_problem(path: str, n: int = 256, m: int = 64) -> ProblemSpec:
         raise ProblemFileError(f"cannot read problem file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ProblemFileError(f"{path}: {exc}") from exc
-    return _spec_from_text(text, path, n, m)
+    return _spec_from_text(text, path, n)
 
 
-def loads_problem(text: str, n: int = 256, m: int = 64) -> ProblemSpec:
+def loads_problem(text: str, n: int = 256) -> ProblemSpec:
     """Parse a problem declaration from a string (tests, docs examples)."""
-    return _spec_from_text(text, "<string>", n, m)
+    return _spec_from_text(text, "<string>", n)
 
 
-def _spec_from_text(text: str, path, n: int, m: int) -> ProblemSpec:
+def _spec_from_text(text: str, path, n: int) -> ProblemSpec:
     """The spec a problem text declares.  The first fault in load order wins
     (docs/problem-format.md), and every error names the file first."""
     # An inline comment starts at a '#' or ';' after whitespace; no
@@ -226,7 +222,7 @@ def _spec_from_text(text: str, path, n: int, m: int) -> ProblemSpec:
                  for key, role in entries}
         spec = ProblemSpec(kernel=kernel, **exprs, lam=lam, eta1=eta1, eta2=eta2,
                            grid=Grid(n), bounds=bounds, witness=witness)
-        checked = replace(spec, checks=tuple(validate_spec(spec, m=m)))
+        checked = replace(spec, checks=tuple(validate_spec(spec)))
         # Same gamma and grid, so the samples validation drew stay valid.
         checked._coefficient_cache.update(spec._coefficient_cache)
         return checked

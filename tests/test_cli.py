@@ -430,19 +430,16 @@ class TestValidate:
         original = hammcert.problem.validate_spec
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("m"))
+            calls.append(args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(hammcert.problem, "validate_spec", counting)
-        assert main(["validate", "--problem", example1_path, "--m", "8"]) == 0
-        assert calls == [8]
+        assert main(["validate", "--problem", example1_path]) == 0
+        assert len(calls) == 1
 
     def test_warnings_match_table(self, zero_problem, tmp_path, capsys):
-        # f dips below zero between the 8^3 lattice points only, so a pass
-        # at m = 64 would warn about f where the --m 8 table does not
         bad = _variant(tmp_path, zero_problem, "gamma2 = t", "gamma2 = -t")
-        bad = _variant(tmp_path, bad, "f = u", "f = (u - 1/14)^2 - 1/10000")
-        assert main(["validate", "--problem", bad, "--m", "8"]) == 1
+        assert main(["validate", "--problem", bad]) == 1
         captured = capsys.readouterr()
         warned = [line.removeprefix("warning: ").split(": ", 1)
                   for line in captured.err.splitlines()]
@@ -453,7 +450,7 @@ class TestValidate:
 
     def test_evaluation_error_names_file(self, zero_problem, tmp_path, capsys):
         bad = _variant(tmp_path, zero_problem, "f = u", "f = 1/u")
-        assert main(["validate", "--problem", bad, "--m", "8"]) == 2
+        assert main(["validate", "--problem", bad]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_non_finite_functional_names_the_cone_sample(self, example1_path, tmp_path, capsys):
@@ -617,11 +614,6 @@ class TestNumericOptions:
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"hammcert validate: error: argument --n: must be at least 2, got {n}")
 
-    @pytest.mark.parametrize("m", ["1", "0", "-4"])
-    def test_lattice_size_at_least_two(self, example1_path, m, capsys):
-        assert main(["validate", "--problem", example1_path, "--m", m]) == 2
-        assert "argument --m: must be at least 2" in capsys.readouterr().err
-
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_iteration_cap_at_least_one(self, example2_path, cap, capsys):
         assert main(["solve", "--problem", example2_path, "--n", "16", "--max-iter", cap]) == 2
@@ -643,10 +635,6 @@ class TestNumericOptions:
         assert rc == 2
         assert capsys.readouterr().err == "error: outer radius R must be finite, got inf\n"
 
-    def test_non_integer_lattice_size(self, example1_path, capsys):
-        assert main(["validate", "--problem", example1_path, "--m", "x"]) == 2
-        assert "invalid int value: 'x'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["validate"],
         ["certify-existence", "--r", "0.05", "--R", "1"],
@@ -663,7 +651,7 @@ class TestNumericOptions:
 class TestOptionSurface:
     # Each subcommand declares exactly the flags its handler reads.
     FLAGS = {
-        "validate": ["--problem", "--n", "--seed", "--m"],
+        "validate": ["--problem", "--n", "--seed"],
         "certify-existence": ["--problem", "--n", "--seed", "--out", "--r", "--R"],
         "certify-nonexistence": ["--problem", "--n", "--seed", "--out"],
         "solve": ["--problem", "--n", "--seed", "--out", "--r", "--R", "--starts", "--tol",
@@ -694,6 +682,7 @@ class TestOptionSurface:
         ["solve", "--samples", "3"],
         ["certify-nonexistence", "--m", "8"],
         ["validate", "--out", "x"],
+        ["validate", "--m", "200"],
         ["solve", "--star", "2"],
         ["certify-existence", "--m", "8"],
         ["certify-existence", "--samples", "3"],

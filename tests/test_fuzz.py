@@ -5,10 +5,15 @@ A hypothesis strategy writes problem files from the grammar of
 docs/problem-format.md: f of depth up to 3 over t, u, v with every
 operator and function, h_i from U(a), DU(a) and INT(body), constants
 from 1e-300 to 9e300, a focal or custom kernel, and optional [bounds]
-and witness.  Each file goes through all five commands in-process at
-a small grid.  On exit 2 the last stderr line is an `error:` line (or the
-sweep's `CONFLICT:` line), and every --out record round-trips through
-parse_record and format_record.
+and witness; half the files with a witness clip f and h_i under it, so
+that the witness holds.  Each file goes through all five commands
+in-process at a small grid.  On exit 2 the last stderr line is an `error:`
+line (or the sweep's `CONFLICT:` line), and every --out record round-trips
+through parse_record and format_record.  A scalar certificate equals its
+sweep cell: a one-cell sweep at the parameters of a certify-existence
+record writes its branches, idx0 value and rigor as that record does,
+and, with a witness the falsifier does not refute, the lhs of
+certify-nonexistence.
 """
 
 import contextlib
@@ -26,6 +31,8 @@ NUMBERS = st.one_of(
     st.floats(0.0, 100.0).map(repr),
 )
 LEAF_CONSTANTS = st.one_of(NUMBERS, st.sampled_from(["e", "pi"]))
+# Small parameters half the time, so that some non-existence certificates pass.
+PARAMETERS = st.one_of(st.sampled_from(["0", "1/100", "1/10"]), NUMBERS)
 
 
 def expressions(leaves, depth: int):
@@ -68,15 +75,19 @@ BOUNDS = expressions(_vars("rho"), 2)
 
 @st.composite
 def problem_files(draw) -> str:
-    lines = ["[kernel]", draw(KERNELS),
-             "[gamma]", f"gamma1 = {draw(COEFFICIENTS)}", f"gamma2 = {draw(COEFFICIENTS)}",
-             "[functionals]", f"h1 = {draw(FUNCTIONALS)}", f"h2 = {draw(FUNCTIONALS)}",
-             "[nonlinearity]", f"f = {draw(NONLINEARITIES)}",
-             "[parameters]", *(f"{key} = {draw(NUMBERS)}" for key in ("lambda", "eta1", "eta2"))]
+    f, h1, h2 = draw(NONLINEARITIES), draw(FUNCTIONALS), draw(FUNCTIONALS)
+    gammas = [f"gamma{i} = {draw(COEFFICIENTS)}" for i in (1, 2)]
     bounds = [f"{slot} = {draw(BOUNDS)}" for slot in ("f_upper", "f_lower", "h1", "h2")
               if draw(st.booleans())]
     if draw(st.booleans()):
-        bounds += [f"{key} = {draw(NUMBERS)}" for key in ("tau", "xi1", "xi2")]
+        tau, xi1, xi2 = (draw(NUMBERS) for _ in range(3))
+        bounds += [f"tau = {tau}", f"xi1 = {xi1}", f"xi2 = {xi2}"]
+        if draw(st.booleans()):  # clipped under the witness, which then holds
+            f = f"min(max({f}, 0), {tau}*u)"
+            h1, h2 = (f"min(max({h}, 0), {xi}*U(1))" for h, xi in ((h1, xi1), (h2, xi2)))
+    lines = ["[kernel]", draw(KERNELS), "[gamma]", *gammas,
+             "[functionals]", f"h1 = {h1}", f"h2 = {h2}", "[nonlinearity]", f"f = {f}",
+             "[parameters]", *(f"{key} = {draw(PARAMETERS)}" for key in ("lambda", "eta1", "eta2"))]
     if bounds:
         lines += ["[bounds]", *bounds]
     return "\n".join(lines) + "\n"
@@ -91,6 +102,11 @@ COMMANDS = (
     ["sweep", *SMALL, "--lambda", "0:1:2", "--eta1", "0:1:2", "--eta2", "0:1:2",
      "--r", "0.05", "--R", "1"],
 )
+
+
+def _fields(text: str) -> dict:
+    """The key=value lines of a record, values as written."""
+    return dict(line.split("=", 1) for line in text.splitlines())
 
 
 def _record_text(text: str) -> str:
@@ -108,12 +124,12 @@ def test_every_command_ends_with_an_exit_code(tmp_path_factory, text, witness):
     work = tmp_path_factory.mktemp("fuzz")
     problem, out = work / "problem.prob", work / "out.rec"
     problem.write_text(text)
-    for argv in COMMANDS:
+
+    def run(argv):
+        """The exit code and the --out file's text (None if none was written)."""
         argv = [*argv, "--problem", str(problem)]
         if argv[0] != "validate":
             argv += ["--out", str(out)]
-        if argv[0] == "sweep" and witness:
-            argv.append("--witness")
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv)
@@ -122,9 +138,39 @@ def test_every_command_ends_with_an_exit_code(tmp_path_factory, text, witness):
             last = stderr.getvalue().splitlines()[-1]
             allowed = ("error:", "CONFLICT:") if argv[0] == "sweep" else ("error:",)
             assert last.startswith(allowed), (argv, text, last)
-        if out.exists():
-            written = out.read_text()
-            out.unlink()
-            record = parse_record(written)
-            assert record["command"] == argv[0]
-            assert format_record(record) == _record_text(written), (argv, text)
+        if not out.exists():
+            return code, None
+        written = out.read_text()
+        out.unlink()
+        record = parse_record(written)
+        assert record["command"] == argv[0]
+        assert format_record(record) == _record_text(written), (argv, text)
+        return code, written
+
+    records = {}
+    for argv in COMMANDS:
+        _, records[argv[0]] = run([*argv, "--witness"] if argv[0] == "sweep" and witness else argv)
+    if records["certify-existence"] is None:
+        return
+    # The scalar certificates against the one-cell sweep at their parameters.
+    existence = _fields(records["certify-existence"])
+    growth = {} if records["certify-nonexistence"] is None \
+        else _fields(records["certify-nonexistence"])
+    cell_argv = ["sweep", *SMALL, "--r", "0.05", "--R", "1"]
+    for key in ("lambda", "eta1", "eta2"):
+        cell_argv += [f"--{key}", f"{existence[key]}:{existence[key]}:1"]
+    if growth.get("falsification") == "consistent":
+        cell_argv.append("--witness")
+    code, table = run(cell_argv)
+    if code == 2:
+        return
+    header, row = table.splitlines()[-2:]
+    cell = dict(zip(header.split(","), row.split(",")))
+    expected = existence["rigor"]
+    if "--witness" in cell_argv:
+        assert cell["nonexistence_lhs"] == growth["lhs"], (text, cell, growth)
+        if cell["classification"] == "nonexistence":
+            expected = growth["rigor"]
+    assert (cell["value_branch"], cell["deriv_branch"], cell["idx0"], cell["rigor"]) \
+        == (existence["value_branch"], existence["deriv_branch"], existence["idx0_value"],
+            expected), (text, cell, existence)

@@ -147,11 +147,11 @@ class TestIntegrals:
 
 class TestHypothesisChecks:
     def test_focal_passes(self, focal):
-        results = check_kernel_hypotheses(focal)
+        results = check_kernel_hypotheses(focal, 64)
         assert [r.name for r in results] == ["kernel k >= 0", "kernel dk >= 0"]
         assert all(r.ok for r in results)
 
     def test_negative_kernel_warns(self):
         k = kernel_from_exprs("t - s")
-        results = check_kernel_hypotheses(k)
+        results = check_kernel_hypotheses(k, 64)
         assert any(r.name == "kernel k >= 0" and not r.ok for r in results)

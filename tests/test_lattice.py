@@ -3,7 +3,9 @@
 The reference builds the full (m, m, m) array with plain numpy, as the
 lattice checks did before they were split into slabs, and every result is
 compared bit for bit: extrema, their indices, the f >= 0 check record,
-the sampled f extrema and the message of a non-finite value.
+the sampled f extrema and the message of a non-finite value.  The f >= 0
+check and the sampled extrema scan LATTICE_M-point axes; their comparisons
+set LATTICE_M to each size in SIZES, so that every slab layout is checked.
 """
 
 import tracemalloc
@@ -12,12 +14,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hammcert.bounds
 import hammcert.expr
+import hammcert.problem
 from hammcert.bounds import estimate_f_extrema
 from hammcert.errors import CheckResult, EvaluationError
 from hammcert.expr import LATTICE_SLAB, eval_nonlinearity, lattice_extrema, parse
 from hammcert.grid import CONE_TOL
-from hammcert.problem import _check_f_sign, loads_problem, validate_spec
+from hammcert.problem import _check_f_sign, loads_problem
 
 from problem_texts import ZERO_PROBLEM
 
@@ -30,8 +34,8 @@ FS = {
     "v-only": "sin(7*v)",  # a part without t that is not a whole plane
     "constant": "2",
 }
-# 2 fits one slab; 63, 65 and 100 end in a partial slab; 130 splits each
-# t-plane along u, since 130^2 > LATTICE_SLAB, and its last u-slab is partial.
+# 2 fits one slab; 63, 65 and 100 end in a partial slab; at 130 a t-plane
+# holds more than LATTICE_SLAB points, so each slab is one whole t-plane.
 SIZES = (2, 63, 65, 100, 130)
 
 
@@ -88,14 +92,16 @@ class TestAgainstWholeLattice:
         axes = (np.linspace(0.0, 1.0, m), np.linspace(0.0, 0.7, m), np.linspace(0.0, 0.7, m))
         assert bits(lattice_extrema(f, *axes)) == bits(whole_extrema(f, *axes))
 
-    def test_f_sign_check(self, name, m):
+    def test_f_sign_check(self, name, m, monkeypatch):
         spec = spec_for(FS[name])
-        assert _check_f_sign(spec, m) == whole_f_check(spec, m)
+        monkeypatch.setattr(hammcert.problem, "LATTICE_M", m)
+        assert _check_f_sign(spec) == whole_f_check(spec, m)
 
     @pytest.mark.parametrize("rho", [0.01, 1.0, 3.0])
-    def test_sampled_f_extrema(self, name, m, rho):
+    def test_sampled_f_extrema(self, name, m, rho, monkeypatch):
         spec = spec_for(FS[name])
-        sides = tuple(estimate_f_extrema(spec, rho, m, upward) for upward in (True, False))
+        monkeypatch.setattr(hammcert.bounds, "LATTICE_M", m)
+        sides = tuple(estimate_f_extrema(spec, rho, upward) for upward in (True, False))
         assert bits(sides) == bits(whole_f_extrema(spec, rho, m))
 
 
@@ -103,7 +109,7 @@ def test_signed_zero_minimum_reads_its_first_occurrence():
     # -u*(t - 1) is +0.0 on u = 0 for t < 1 and -0.0 on the plane t = 1.
     # The value reported is the one at the first minimum in C order; a
     # whole-array min() reduction may return either zero.
-    result = _check_f_sign(spec_for("-u*(t - 1)"), 64)
+    result = _check_f_sign(spec_for("-u*(t - 1)"))
     assert result == CheckResult("f >= 0", "pass", "min 0 on 64^3 lattice over [0,1]^3")
 
 
@@ -132,7 +138,7 @@ def test_non_finite_inside_a_plane():
 
 
 def test_slabs_hold_at_most_lattice_slab_points(monkeypatch):
-    # 200^2 > LATTICE_SLAB, so each t-plane is split along u.
+    # 64^2 points fit LATTICE_SLAB four times: four t-planes per slab.
     f = spec_for("u*(2 - t*sin(u*v))").f
     sizes = {"slab": [], "plane": []}
     original = hammcert.expr._eval
@@ -143,24 +149,20 @@ def test_slabs_hold_at_most_lattice_slab_points(monkeypatch):
         return out
 
     monkeypatch.setattr(hammcert.expr, "_eval", recording)
-    ax = np.linspace(0.0, 1.0, 200)
+    ax = np.linspace(0.0, 1.0, 64)
     lattice_extrema(f, ax, ax, ax)
-    assert max(sizes["slab"]) <= LATTICE_SLAB
-    assert max(sizes["plane"]) == 200**2  # sin(u*v), evaluated once
+    assert max(sizes["slab"]) == LATTICE_SLAB
+    assert max(sizes["plane"]) == 64**2  # sin(u*v), evaluated once
 
 
-def test_lattice_passes_do_not_grow_with_m_cubed(example1):
-    # The whole 128^3 lattice is 16 MiB per array; the scans peaked at 32
-    # and 65 MiB when they built it.
+def test_lattice_passes_do_not_grow_with_m_cubed():
+    # The whole 200^3 lattice is 61 MiB per array; one t-plane is 312 KiB.
+    f = spec_for("exp(t*(u + v))").f
+    ax = np.linspace(0.0, 1.0, 200)
     tracemalloc.start()
     try:
-        validate_spec(example1, m=128)
-        _, validate_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        estimate_f_extrema(example1, 1.0, 128, True)
-        estimate_f_extrema(example1, 1.0, 128, False)
-        _, extrema_peak = tracemalloc.get_traced_memory()
+        lattice_extrema(f, ax, ax, ax)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert validate_peak < 4 * 2**20
-    assert extrema_peak < 4 * 2**20
+    assert peak < 4 * 2**20

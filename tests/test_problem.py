@@ -194,10 +194,10 @@ class TestLoading:
 
     def test_sign_pass_reports_the_minimum(self):
         spec = loads_problem(ZERO_PROBLEM.replace("name = focal", "k = t*s"))
-        details = {r.name: r.detail for r in validate_spec(spec, m=8)}
-        assert details["kernel k >= 0"] == "min 0 on 8x8 lattice"
+        details = {r.name: r.detail for r in validate_spec(spec)}
+        assert details["kernel k >= 0"] == "min 0 on 64x64 lattice"
         assert details["gamma2' >= 0"] == "min 1 on grid nodes"
-        assert details["f >= 0"] == "min 0 on 8^3 lattice over [0,1]^3"
+        assert details["f >= 0"] == "min 0 on 64^3 lattice over [0,1]^3"
 
     def test_load_keeps_the_validation_samples(self, example2_path, monkeypatch):
         # Validation samples gamma_i and gamma_i' on the nodes once; the
@@ -272,20 +272,14 @@ class TestValidateSpec:
         assert names == ["kernel k >= 0", "kernel dk >= 0", "gamma1 >= 0", "gamma2 >= 0",
                          "gamma1' >= 0", "gamma2' >= 0", "f >= 0", "functionals >= 0 and bounded"]
 
-    @pytest.mark.parametrize("m", [1, 0])
-    def test_lattice_needs_two_points(self, example1, m):
-        with pytest.raises(ParameterError, match="at least 2"):
-            validate_spec(example1, m=m)
-
     def test_load_keeps_the_checks_at_its_lattice(self):
-        # f dips below zero between the 8^3 lattice points only
+        # f dips below zero only near u = 1/14, where the 64^3 lattice has a point
         text = edited(ZERO_PROBLEM, ("gamma2 = t", "gamma2 = -t"),
                       ("f = u", "f = (u - 1/14)^2 - 1/10000"))
-        spec = loads_problem(text, m=8)
-        assert list(spec.checks) == validate_spec(spec, m=8)
+        spec = loads_problem(text)
+        assert list(spec.checks) == validate_spec(spec)
         assert spec.warnings == tuple(r for r in spec.checks if not r.ok)
-        assert [r.name for r in spec.warnings] == ["gamma2 >= 0", "gamma2' >= 0"]
-        assert "f >= 0" in [r.name for r in loads_problem(text).warnings]  # m = 64
+        assert [r.name for r in spec.warnings] == ["gamma2 >= 0", "gamma2' >= 0", "f >= 0"]
 
     def test_copy_keeps_the_checks_as_loaded(self, example1):
         copy = replace(example1, gamma1=parse("-1", "coefficient"))
