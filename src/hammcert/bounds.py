@@ -256,12 +256,12 @@ class BoundSet:
         expr = self.spec.bounds.get(slot)
         if expr is not None:
             return self._declared(expr, rho, slot)
+        functional = slot in ("h1", "h2")
+        section, key = ("functionals", slot) if functional else ("nonlinearity", "f")
         try:
-            if slot in ("h1", "h2"):
-                with naming_entry("functionals", slot, getattr(self.spec, slot)):
-                    raw = estimate_H(self.spec, int(slot[1]), rho, self.seed)
-            else:
-                raw = estimate_f_extrema(self.spec, rho, upward)
+            with naming_entry(section, key, getattr(self.spec, key)):
+                raw = (estimate_H(self.spec, int(slot[1]), rho, self.seed) if functional
+                       else estimate_f_extrema(self.spec, rho, upward))
         except (EvaluationError, DomainError) as exc:
             raise type(exc)(f"sampled bound {slot}({rho}): {exc}") from exc
         return BoundEntry(_widened(raw, upward), raw, "heuristic", f"{slot}({rho})")

@@ -16,7 +16,7 @@ from .bounds import BoundSet, falsify_linear_growth
 from .certificate import check_existence, check_nonexistence, check_radii
 from .errors import HammcertError, ParameterError
 from .problem import load_problem
-from .solver import multistart_solve
+from .solver import MAX_ITERATIONS, STARTS, TOL_FIXPOINT, multistart_solve
 from .sweep import axis_values, conflict_cells, run_sweep
 
 # ---------------------------------------------------------------------------
@@ -229,8 +229,7 @@ def _cmd_solve(args) -> int:
     spec = _load(args)
     r, R = _annulus_args(args)
     started = time.perf_counter()
-    results = multistart_solve(spec, starts=args.starts, seed=args.seed,
-                               tol=args.tol, max_iter=args.max_iter)
+    results = multistart_solve(spec, args.starts, args.tol, args.max_iter)
     elapsed = time.perf_counter() - started
 
     def inside(res) -> bool | None:  # r <= norm <= R; None without --r/--R
@@ -375,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    # validate's checks use a fixed seed; it keeps --seed so one argv shape
-    # serves every command.
+    # validate's checks use a fixed seed and solve's starts use none; both
+    # keep --seed so one argv shape serves every command.
     command("validate", _cmd_validate, [common],
             "run the sampled hypothesis checks on a problem file")
 
@@ -392,12 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
                 "locate fixed points by multistart Picard iteration")
     p.add_argument("--r", type=float, default=None, help="inner radius of the target annulus")
     p.add_argument("--R", type=float, default=None, help="outer radius of the target annulus")
-    p.add_argument("--starts", type=_int_at_least(1), default=8,
-                   help="number of starts (default 8)")
-    p.add_argument("--tol", type=_finite_positive, default=1e-10,
-                   help="fixed point tolerance in C1 norm")
-    p.add_argument("--max-iter", type=_int_at_least(1), default=10000,
-                   help="iteration cap per start")
+    p.add_argument("--starts", type=_int_at_least(1), default=STARTS,
+                   help="number of starts: zero, then log-spaced ramps (default %(default)s)")
+    p.add_argument("--tol", type=_finite_positive, default=TOL_FIXPOINT,
+                   help="fixed point tolerance in C1 norm (default %(default)s)")
+    p.add_argument("--max-iter", type=_int_at_least(1), default=MAX_ITERATIONS,
+                   help="iteration cap per start (default %(default)s)")
 
     p = command("sweep", _cmd_sweep, [common, out],
                 "classify a parameter box by certificate")

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .grid import (CONE_TOL, GridFunction, c1_distance, c1_norm, cone_defect, in_cone,
-                   random_cone_function)
+from .grid import CONE_TOL, GridFunction, c1_distance, c1_norm, cone_defect, in_cone
 from .problem import ProblemSpec, apply_T
 
+STARTS = 8
 TOL_FIXPOINT = 1e-10
 MAX_ITERATIONS = 10_000
 DIVERGENCE_CAP = 1e8
@@ -97,32 +97,26 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float,
     return results
 
 
-def _start_functions(spec: ProblemSpec, starts: int, rng: np.random.Generator) -> GridFunction:
-    """The stack of starts: zero, log-spaced ramps, then random cone functions
-    with norms 10^U(-2, 1), drawn in one batch."""
+def _start_functions(spec: ProblemSpec, starts: int) -> GridFunction:
+    """The stack of starts: zero, then starts - 1 ramps with norms 10^-2 .. 10."""
     grid = spec.grid
-    n_ramps = max(1, (starts - 1) // 2) if starts > 1 else 0
-    n_random = starts - 1 - n_ramps
-    ramps = [GridFunction.ramp(grid, rho) for rho in np.logspace(-2, 1, n_ramps)]
-    norms = 10.0 ** rng.uniform(-2, 1, size=n_random)
-    return GridFunction.stack([GridFunction.zero(grid), *ramps,
-                               random_cone_function(grid, rng, norm=norms, count=n_random)])
+    return GridFunction.stack([GridFunction.zero(grid),
+                               *(GridFunction.ramp(grid, rho)
+                                 for rho in np.logspace(-2, 1, starts - 1))])
 
 
-def multistart_solve(spec: ProblemSpec, starts: int = 8, seed: int = 0,
-                     tol: float = TOL_FIXPOINT,
-                     max_iter: int = MAX_ITERATIONS) -> list[SolveResult]:
-    """Picard from the zero start, log-spaced ramps, and random cone starts.
+def multistart_solve(spec: ProblemSpec, starts: int, tol: float,
+                     max_iter: int) -> list[SolveResult]:
+    """Picard from the zero start and log-spaced ramps.
 
     All starts iterate in lockstep as one stack, each with the result it
     would reach alone.  Converged results within c1 distance 10*tol of an
     already kept one are dropped as numerical twins.  Output is sorted by
-    norm, so the aggregation order does not depend on scheduling.
+    norm.
     """
     if starts < 1:
         raise ParameterError(f"need at least one start, got {starts}")
-    rng = np.random.default_rng(seed)
-    results = _lockstep(spec, _start_functions(spec, starts, rng), tol, max_iter)
+    results = _lockstep(spec, _start_functions(spec, starts), tol, max_iter)
     results.sort(key=lambda res: (res.norm, res.status, res.residual))
     kept: list[SolveResult] = []
     for res in results:

@@ -21,7 +21,7 @@ from hammcert.grid import (CONE_TOL, Grid, cone_defect, consistency_defect,
                            random_cone_function)
 from hammcert.kernel import FocalKernel, constant_K, constant_Kstar
 from hammcert.problem import apply_T
-from hammcert.solver import multistart_solve
+from hammcert.solver import MAX_ITERATIONS, TOL_FIXPOINT, multistart_solve
 from hammcert.sweep import axis_values, conflict_cells, run_sweep
 
 from grid_checks import consistency_tol
@@ -82,7 +82,7 @@ def test_criterion_3_example2_nonexistence_certificate(example2):
 def test_criterion_4_solver_corroborates_existence(example1):
     assert example1.grid.n == 256
     t0 = time.perf_counter()
-    results = multistart_solve(example1, starts=8, seed=0)
+    results = multistart_solve(example1, 8, TOL_FIXPOINT, MAX_ITERATIONS)
     elapsed = time.perf_counter() - t0
     good = [res for res in results if res.converged and res.residual <= 1e-10
             and res.cone_ok and 1 / 20 <= res.norm <= 1.0]
@@ -103,7 +103,7 @@ def test_criterion_4_solver_corroborates_existence(example1):
 
 def test_criterion_5_solver_corroborates_nonexistence(example2):
     t0 = time.perf_counter()
-    results = multistart_solve(example2, starts=50, seed=0)
+    results = multistart_solve(example2, 50, TOL_FIXPOINT, MAX_ITERATIONS)
     elapsed = time.perf_counter() - t0
     assert results, "multistart returned nothing"
     assert all(res.converged for res in results), \

@@ -173,8 +173,8 @@ class TestCertifyExistence:
         # overflows at the lattice point the whole-lattice scan names.
         ("example2", [(f"{line}\n", "") for line in
                       ("f_upper = 3*rho", "f_lower = 0", "h1 = rho", "h2 = rho")],
-         "sampled bound f_upper(1e+200): expression 'u*(2.0 - t*sin(u*v))' is non-finite "
-         "at t=0, u=1.5873e+198, v=1.5873e+198"),
+         "sampled bound f_upper(1e+200): [nonlinearity] f = 'u*(2.0 - t*sin(u*v))': "
+         "expression 'u*(2.0 - t*sin(u*v))' is non-finite at t=0, u=1.5873e+198, v=1.5873e+198"),
         # f_upper declared finite, h1 sampled: DU(3/4)^2 overflows on the sphere.
         ("example1", [("f_upper = exp(2*rho)\n", "f_upper = 1\n"), ("h1 = rho + rho^2\n", "")],
          "sampled bound h1(1e+200): [functionals] h1 = 'U(1.0/4.0) + DU(3.0/4.0)^2.0': "
@@ -327,6 +327,21 @@ class TestSolve:
         assert captured.err == ""
         assert captured.out.count("diverged       norm=inf") == 8
 
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_record_depends_only_on_the_file_and_the_argv(self, name, tmp_path):
+        # The starts are the zero function and log-spaced ramps: --seed
+        # changes the seed= line alone, and elapsed_s= is a wall time.
+        files = []
+        for seed in range(4):
+            out = tmp_path / f"sol{seed}.csv"
+            assert main(["solve", "--problem", str(PROBLEMS / f"{name}.prob"),
+                         "--seed", str(seed), "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            assert f"# seed={seed}" in lines
+            files.append([line for line in lines
+                          if not line.startswith(("# seed=", "# elapsed_s="))])
+        assert files[1:] == files[:1] * 3
+
     def test_zero_problem_converges_to_zero(self, zero_problem, tmp_path):
         out = tmp_path / "sol.csv"
         rc = main(["solve", "--problem", zero_problem, "--out", str(out)])
@@ -352,19 +367,20 @@ class TestSolve:
         assert isinstance(record["elapsed_s"], float) and record["elapsed_s"] > 0
 
     @pytest.mark.parametrize("radii, columns, in_annulus, rc", [
-        ([], ["-", "-"], None, 0),
-        (["--r", "0.05", "--R", "1"], ["yes", "no"], True, 0),
-        (["--r", "0.2", "--R", "1"], ["no", "no"], "absent", 1),
+        ([], ["-", "-", "-"], None, 0),
+        (["--r", "0.05", "--R", "1"], ["yes", "no", "no"], True, 0),
+        (["--r", "0.2", "--R", "1"], ["no", "no", "no"], "absent", 1),
     ])
     def test_annulus_column_and_selection(self, example1_path, tmp_path, capsys,
                                           radii, columns, in_annulus, rc):
-        # example1 at the defaults: one converged row (norm 0.1094) and one
-        # diverged row; every row, the diverged one too, is judged r <= norm <= R.
+        # example1 at the defaults: one converged row (norm 0.1094) and two
+        # diverged rows, from the ramps of norm 10^0.5 and 10; every row, the
+        # diverged ones too, is judged r <= norm <= R.
         out = tmp_path / "sol.csv"
         assert main(["solve", "--problem", example1_path, *radii, "--out", str(out)]) == rc
         rows = [line.split() for line in capsys.readouterr().out.splitlines()
                 if line.startswith("  ")]
-        assert [row[0] for row in rows] == ["converged", "diverged"]
+        assert [row[0] for row in rows] == ["converged", "diverged", "diverged"]
         assert [row[-1] for row in rows] == [f"annulus={c}" for c in columns]
         record = parse_record(out.read_text())
         assert record["found"] is (rc == 0)
@@ -397,17 +413,18 @@ class TestSolve:
         assert main(["solve", "--problem", bad]) == 2
         assert capsys.readouterr() == ("", "error: [nonlinearity] f = 'exp(exp(exp(t*u)))': "
                                            "expression 'exp(exp(exp(t*u)))' is non-finite at "
-                                           "t=0.4375, u=4.375, v=10 in row 3 of a stack of 8\n")
+                                           "t=0.773438, u=2.44582, v=3.16228 "
+                                           "in row 6 of a stack of 8\n")
 
     def test_point_outside_the_interval_names_its_entry(self, example1_path, tmp_path, capsys):
         # u'(0) <= 2 on every cone sample the load takes, so DU(0)/3 stays in
-        # [0,1] there; the ramp-10 start puts it at 10/3.
+        # [0,1] there; the ramp start of norm 10^0.5 puts it at 1.054.
         bad = _variant(tmp_path, example1_path, "h1 = U(1/4) + DU(3/4)^2", "h1 = U(DU(0)/3)")
         assert main(["validate", "--problem", bad]) == 0
         capsys.readouterr()
         assert main(["solve", "--problem", bad]) == 2
         assert capsys.readouterr() == ("", "error: [functionals] h1 = 'U(DU(0.0)/3.0)': "
-                                           "evaluation point 3.3333333333333335 outside [0,1]\n")
+                                           "evaluation point 1.0540925533894598 outside [0,1]\n")
 
     def test_r_without_R_is_usage_error(self, example1_path):
         assert main(["solve", "--problem", example1_path, "--r", "0.05"]) == 2

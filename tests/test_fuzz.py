@@ -7,13 +7,14 @@ operator and function, h_i from U(a), DU(a) and INT(body), constants
 from 1e-300 to 9e300, a focal or custom kernel, and optional [bounds]
 and witness; half the files with a witness clip f and h_i under it, so
 that the witness holds.  Each file goes through all five commands
-in-process at a small grid.  On exit 2 the last stderr line is an `error:`
-line (or the sweep's `CONFLICT:` line), and every --out record round-trips
-through parse_record and format_record.  A scalar certificate equals its
-sweep cell: a one-cell sweep at the parameters of a certify-existence
-record writes its branches, idx0 value and rigor as that record does,
-and, with a witness the falsifier does not refute, the lhs of
-certify-nonexistence.
+in-process at a small grid.  On exit 2 the last stderr line is an
+`error:` line (or the sweep's `CONFLICT:` line), and every --out record
+round-trips through parse_record and format_record.  A solve at two
+seeds writes the same --out file but for its seed= and elapsed_s= lines.
+A scalar certificate equals its sweep cell: a one-cell sweep at the
+parameters of a certify-existence record writes its branches, idx0 value
+and rigor as that record does, and, with a witness the falsifier does
+not refute, the lhs of certify-nonexistence.
 """
 
 import contextlib
@@ -104,6 +105,15 @@ COMMANDS = (
 )
 
 
+SOLVE_PAIR = ["solve", *SMALL, "--starts", "4", "--max-iter", "50"]
+
+
+def _without_seed_and_time(written: str | None) -> list[str] | None:
+    """The lines of an --out file but its seed= and elapsed_s= record lines."""
+    return None if written is None else [
+        line for line in written.splitlines() if not line.startswith(("# seed=", "# elapsed_s="))]
+
+
 def _fields(text: str) -> dict:
     """The key=value lines of a record, values as written."""
     return dict(line.split("=", 1) for line in text.splitlines())
@@ -150,6 +160,11 @@ def test_every_command_ends_with_an_exit_code(tmp_path_factory, text, witness):
     records = {}
     for argv in COMMANDS:
         _, records[argv[0]] = run([*argv, "--witness"] if argv[0] == "sweep" and witness else argv)
+    # solve depends only on the file and the argv: --seed changes the
+    # seed= line alone, and elapsed_s= is a wall time.
+    solves = [run([*SOLVE_PAIR, "--seed", seed]) for seed in ("0", "1")]
+    assert [(code, _without_seed_and_time(written)) for code, written in solves[1:]] \
+        == [(code, _without_seed_and_time(written)) for code, written in solves[:1]], text
     if records["certify-existence"] is None:
         return
     # The scalar certificates against the one-cell sweep at their parameters.

@@ -16,7 +16,7 @@ from grid_checks import consistency_tol, monotone_defect
 
 def solve_from_zero(spec, tol=TOL_FIXPOINT, max_iter=MAX_ITERATIONS):
     """Picard from the zero function: the only start of a one-start solve."""
-    [res] = multistart_solve(spec, starts=1, tol=tol, max_iter=max_iter)
+    [res] = multistart_solve(spec, 1, tol, max_iter)
     return res
 
 
@@ -85,12 +85,12 @@ class TestPicard:
             with pytest.raises(ParameterError):
                 solve_from_zero(example1, tol=tol)
             with pytest.raises(ParameterError):
-                multistart_solve(example1, starts=2, tol=tol)
+                multistart_solve(example1, 2, tol, MAX_ITERATIONS)
 
     @pytest.mark.parametrize("max_iter", [0, -5])
     def test_iteration_cap_at_least_one(self, example1, max_iter):
         with pytest.raises(ParameterError, match="iteration cap must be at least 1"):
-            multistart_solve(example1, starts=2, max_iter=max_iter)
+            multistart_solve(example1, 2, TOL_FIXPOINT, max_iter)
         with pytest.raises(ParameterError, match="iteration cap must be at least 1"):
             solve_from_zero(example1, max_iter=max_iter)
 
@@ -108,18 +108,18 @@ class TestPicard:
 
 class TestMultistart:
     def test_example1_finds_annulus_solution(self, example1):
-        results = multistart_solve(example1, starts=8, seed=0)
+        results = multistart_solve(example1, 8, TOL_FIXPOINT, MAX_ITERATIONS)
         good = [r for r in results if r.converged and 1 / 20 <= r.norm <= 1.0]
         assert good
         assert all(r.cone_ok for r in good)
 
     def test_example2_only_trivial(self, example2):
-        results = multistart_solve(example2, starts=10, seed=1)
+        results = multistart_solve(example2, 10, TOL_FIXPOINT, MAX_ITERATIONS)
         assert all(r.converged for r in results)
         assert all(r.norm <= 1e-8 for r in results)
 
     def test_sorted_and_deduplicated(self, example1):
-        results = multistart_solve(example1, starts=12, seed=0)
+        results = multistart_solve(example1, 12, TOL_FIXPOINT, MAX_ITERATIONS)
         norms = [r.norm for r in results]
         assert norms == sorted(norms)
         converged = [r for r in results if r.converged]
@@ -128,14 +128,14 @@ class TestMultistart:
                 assert abs(a.norm - b.norm) >= 10 * 1e-10
 
     def test_deterministic(self, example2):
-        a = multistart_solve(example2, starts=6, seed=42)
-        b = multistart_solve(example2, starts=6, seed=42)
+        a = multistart_solve(example2, 6, TOL_FIXPOINT, MAX_ITERATIONS)
+        b = multistart_solve(example2, 6, TOL_FIXPOINT, MAX_ITERATIONS)
         assert [(r.status, r.norm, r.residual) for r in a] == \
                [(r.status, r.norm, r.residual) for r in b]
 
     def test_zero_spec_collapses_to_single_result(self, example1):
         spec = replace(example1, lam=0.0, eta1=0.0, eta2=0.0)
-        results = multistart_solve(spec, starts=5, seed=0)
+        results = multistart_solve(spec, 5, TOL_FIXPOINT, MAX_ITERATIONS)
         assert len(results) == 1
         assert results[0].converged and results[0].norm == 0.0
 
@@ -144,15 +144,16 @@ class TestMultistart:
         spec = replace(example1, eta1=1e300, h1=parse("U(1/4) + 1e300", "functional"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = multistart_solve(spec, starts=3, seed=0)
+            results = multistart_solve(spec, 3, TOL_FIXPOINT, MAX_ITERATIONS)
         assert [(r.status, r.norm, r.iterations) for r in results] == [("diverged", np.inf, 1)] * 3
 
     def test_needs_at_least_one_start(self, example1):
         with pytest.raises(ParameterError):
-            multistart_solve(example1, starts=0)
+            multistart_solve(example1, 0, TOL_FIXPOINT, MAX_ITERATIONS)
 
     def test_grid_override(self, example1_path):
-        results = multistart_solve(load_problem(example1_path, n=64), starts=1, seed=0)
+        results = multistart_solve(load_problem(example1_path, n=64), 1, TOL_FIXPOINT,
+                                   MAX_ITERATIONS)
         assert results[0].u.grid == Grid(64)
 
 
