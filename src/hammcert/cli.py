@@ -15,7 +15,7 @@ import time
 from .bounds import BoundSet, falsify_linear_growth
 from .certificate import check_existence, check_nonexistence, check_radii
 from .errors import HammcertError, ParameterError
-from .problem import load_problem
+from .problem import GRID_N, load_problem
 from .solver import MAX_ITERATIONS, STARTS, TOL_FIXPOINT, multistart_solve
 from .sweep import axis_values, conflict_cells, run_sweep
 
@@ -100,6 +100,10 @@ def _capped(cert) -> str | None:
     if capped:
         print(f"  heuristic inputs: {capped}")
     return capped
+
+
+def _count(k: int, noun: str) -> str:
+    return f"{k} {noun}{'' if k == 1 else 's'}"
 
 
 def _load(args):
@@ -229,14 +233,16 @@ def _cmd_solve(args) -> int:
     spec = _load(args)
     r, R = _annulus_args(args)
     started = time.perf_counter()
-    results = multistart_solve(spec, args.starts, args.tol, args.max_iter)
+    results = multistart_solve(spec, STARTS, TOL_FIXPOINT, MAX_ITERATIONS)
     elapsed = time.perf_counter() - started
+    converged = sum(1 for x in results if x.converged)
+    failed = len(results) - converged  # diverged or stopped at the cap
 
     def inside(res) -> bool | None:  # r <= norm <= R; None without --r/--R
         return None if r is None else r <= res.norm <= R
 
-    print(f"solve {args.problem}: {len(results)} distinct results "
-          f"from {args.starts} starts in {elapsed:.2f}s")
+    print(f"solve {args.problem}: {_count(converged, 'distinct solution')} and "
+          f"{_count(failed, 'failed start')} from {STARTS} starts in {elapsed:.2f}s")
     for res in results:
         annulus = {None: "-", True: "yes", False: "no"}[inside(res)]
         print(f"  {res.status:<14} norm={res.norm:<12.6g} residual={res.residual:<10.3g} "
@@ -245,13 +251,13 @@ def _cmd_solve(args) -> int:
     candidates = [x for x in results if x.converged and inside(x) is not False]
     best = max(candidates, key=lambda x: x.norm) if candidates else None
     record = _record(args, spec, {
-        "starts": args.starts,
-        "results": len(results),
-        "converged": sum(1 for x in results if x.converged),
+        "starts": STARTS,
+        "failed_starts": failed,
+        "converged": converged,
         "found": best is not None,
         "r": r,
         "R": R,
-        "tol": args.tol,
+        "tol": TOL_FIXPOINT,
         "elapsed_s": elapsed,
     })
     if best is not None:
@@ -339,23 +345,14 @@ def _int_at_least(low: int):
     return parse
 
 
-def _finite_positive(text: str) -> float:
-    value = float(text)
-    if not 0 < value < float("inf"):  # nan fails both comparisons
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
-    return value
-
-
-_finite_positive.__name__ = "float"
-
-
 def build_parser() -> argparse.ArgumentParser:
-    # Flag groups as parent parsers: each subcommand declares exactly the
-    # flags its handler reads, and no parser takes a flag's prefix for it.
+    # Flag groups as parent parsers: each subcommand declares the flags its
+    # handler reads, but validate and solve also accept --seed and ignore it;
+    # no parser takes a flag's prefix for it.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--problem", required=True, help="path to the problem file")
-    common.add_argument("--n", type=_int_at_least(2), default=256,
-                        help="grid subintervals (default 256, at least 2)")
+    common.add_argument("--n", type=_int_at_least(2), default=GRID_N,
+                        help="grid subintervals (default %(default)s, at least 2)")
     common.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="seed for randomized sampling (default 0)")
     out = argparse.ArgumentParser(add_help=False)
@@ -391,12 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "locate fixed points by multistart Picard iteration")
     p.add_argument("--r", type=float, default=None, help="inner radius of the target annulus")
     p.add_argument("--R", type=float, default=None, help="outer radius of the target annulus")
-    p.add_argument("--starts", type=_int_at_least(1), default=STARTS,
-                   help="number of starts: zero, then log-spaced ramps (default %(default)s)")
-    p.add_argument("--tol", type=_finite_positive, default=TOL_FIXPOINT,
-                   help="fixed point tolerance in C1 norm (default %(default)s)")
-    p.add_argument("--max-iter", type=_int_at_least(1), default=MAX_ITERATIONS,
-                   help="iteration cap per start (default %(default)s)")
 
     p = command("sweep", _cmd_sweep, [common, out],
                 "classify a parameter box by certificate")

@@ -319,13 +319,21 @@ def naming_entry(section: str, key: str, e: Expr, derived: str = ""):
     """Name the problem-file entry ``[section] key = '<source of e>'``, after
     ``derived`` for an expression derived from it, in front of an ExprError,
     EvaluationError or DomainError the block raises; an EvaluationError
-    keeps its rows."""
+    keeps its rows (see named_error)."""
     try:
         yield
     except (ExprError, EvaluationError, DomainError) as exc:
-        where = f"{derived}[{section}] {key} = {to_source(e)!r}: {exc}"
-        raise (EvaluationError(where, rows=exc.rows) if isinstance(exc, EvaluationError)
-               else type(exc)(where)) from exc
+        where = f"{derived}[{section}] {key} = {to_source(e)!r}"
+        raise (named_error(exc, where, None if derived else e) if isinstance(exc, EvaluationError)
+               else type(exc)(f"{where}: {exc}")) from exc
+
+
+def named_error(exc: EvaluationError, where: str, own: Expr | None) -> EvaluationError:
+    """exc after ``where``, the problem-file entry it came from, rows kept.
+    ``own`` is the entry's expression (None when the failed one is derived
+    from it), so a non-finite value of it is named once, by the entry."""
+    said = str(exc) if own is None else str(exc).removeprefix(f"expression '{to_source(own)}' is ")
+    return EvaluationError(f"{where}: {said}", rows=exc.rows)
 
 
 def variables(e: Expr) -> frozenset:
@@ -482,7 +490,8 @@ def _non_finite_error(e: Expr, env: dict, out: np.ndarray, rows: int | None) -> 
     bad = ~np.isfinite(np.broadcast_to(out, shape))
     idx = np.unravel_index(int(np.argmax(bad)), shape)
     parts = [f"{name}={float(np.broadcast_to(v, shape)[idx]):.6g}" for name, v in env.items()]
-    message = f"expression '{to_source(e)}' is non-finite at {', '.join(parts) or '(no variables)'}"
+    at = f" at {', '.join(parts)}" if parts else ""
+    message = f"expression '{to_source(e)}' is non-finite{at}"
     failed = None
     if rows is not None:
         failed = tuple(np.flatnonzero(bad.reshape(rows, -1).any(axis=1)).tolist())

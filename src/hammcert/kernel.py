@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CheckResult, EvaluationError, ExprError
-from .expr import derivative, eval_kernel_expr, parse_entry
+from .expr import derivative, eval_kernel_expr, named_error, parse_entry
 from .grid import Grid, cumulative_integral, integrate, sign_check
 
 
@@ -168,16 +168,17 @@ def kernel_from_exprs(k_src: str) -> Kernel:
         dk_ast = derivative(k_ast, "t")
     except ExprError as exc:
         raise ExprError(f"dk from {entry}: {exc}") from exc
-    return Kernel(k=_named(k_ast, entry), dk=_named(dk_ast, f"dk from {entry}"))
+    return Kernel(k=_named(k_ast, entry, False), dk=_named(dk_ast, f"dk from {entry}", True))
 
 
-def _named(e, where: str):
-    """e as a function of (t, s) whose evaluation errors start with ``where``."""
+def _named(e, where: str, derived: bool):
+    """e as a function of (t, s) whose evaluation errors start with ``where``,
+    the entry e is, or is ``derived`` from."""
     def fn(t, s):
         try:
             return eval_kernel_expr(e, t, s)
         except EvaluationError as exc:
-            raise EvaluationError(f"{where}: {exc}") from exc
+            raise named_error(exc, where, None if derived else e) from exc
     return fn
 
 

@@ -21,12 +21,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import LATTICE_M, SPHERE_FIXED, LinearGrowthWitness, functional_on_samples
-from .errors import CheckResult, ParameterError, ProblemFileError
+from .errors import CheckResult, EvaluationError, ParameterError, ProblemFileError
 from .expr import (Expr, derivative, eval_coefficient, eval_constant, eval_functional,
-                   eval_nonlinearity, lattice_extrema, naming_entry, parse, parse_entry)
+                   eval_nonlinearity, lattice_extrema, named_error, naming_entry, parse,
+                   parse_entry)
 from .grid import (CONE_TOL, Grid, GridFunction, cone_defect, random_cone_function,
                    sign_check)
 from .kernel import FocalKernel, Kernel, check_kernel_hypotheses, kernel_from_exprs
+
+GRID_N = 256  # the grid subintervals of a load that names none
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +175,7 @@ _KEYS = {"kernel": _KERNEL_KEYS, **{section: tuple(key for key, _ in entries)
          "bounds": _BOUND_KEYS + _WITNESS_KEYS}
 
 
-def load_problem(path: str, n: int = 256) -> ProblemSpec:
+def load_problem(path: str, n: int = GRID_N) -> ProblemSpec:
     """Read a problem file (format in docs/problem-format.md)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -184,7 +187,7 @@ def load_problem(path: str, n: int = 256) -> ProblemSpec:
     return _spec_from_text(text, path, n)
 
 
-def loads_problem(text: str, n: int = 256) -> ProblemSpec:
+def loads_problem(text: str, n: int = GRID_N) -> ProblemSpec:
     """Parse a problem declaration from a string (tests, docs examples)."""
     return _spec_from_text(text, "<string>", n)
 
@@ -234,10 +237,14 @@ def _spec_from_text(text: str, path, n: int) -> ProblemSpec:
 
 def _constant(cp: configparser.ConfigParser, section: str, key: str) -> float:
     src = cp.get(section, key)
+    entry = f"[{section}] {key} = {src!r}"
     try:
-        return eval_constant(parse(src, "constant"))
+        e = parse(src, "constant")
+        return eval_constant(e)
+    except EvaluationError as exc:
+        raise ProblemFileError(str(named_error(exc, entry, e))) from exc
     except Exception as exc:
-        raise ProblemFileError(f"[{section}] {key} = {src!r}: {exc}") from exc
+        raise ProblemFileError(f"{entry}: {exc}") from exc
 
 
 def _kernel_from_config(cp: configparser.ConfigParser) -> Kernel:

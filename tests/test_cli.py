@@ -174,7 +174,7 @@ class TestCertifyExistence:
         ("example2", [(f"{line}\n", "") for line in
                       ("f_upper = 3*rho", "f_lower = 0", "h1 = rho", "h2 = rho")],
          "sampled bound f_upper(1e+200): [nonlinearity] f = 'u*(2.0 - t*sin(u*v))': "
-         "expression 'u*(2.0 - t*sin(u*v))' is non-finite at t=0, u=1.5873e+198, v=1.5873e+198"),
+         "non-finite at t=0, u=1.5873e+198, v=1.5873e+198"),
         # f_upper declared finite, h1 sampled: DU(3/4)^2 overflows on the sphere.
         ("example1", [("f_upper = exp(2*rho)\n", "f_upper = 1\n"), ("h1 = rho + rho^2\n", "")],
          "sampled bound h1(1e+200): [functionals] h1 = 'U(1.0/4.0) + DU(3.0/4.0)^2.0': "
@@ -299,8 +299,19 @@ class TestCertifyNonexistence:
         capsys.readouterr()
         assert main(["certify-nonexistence", "--problem", bad]) == 2
         f = "u*exp(u^4.0)/exp(u^4.0)"
-        assert capsys.readouterr() == ("", f"error: [nonlinearity] f = '{f}': expression "
-                                           f"'{f}' is non-finite at t=0, u=5.71429, v=0\n")
+        assert capsys.readouterr() == ("", f"error: [nonlinearity] f = '{f}': "
+                                           "non-finite at t=0, u=5.71429, v=0\n")
+
+    @pytest.mark.xfail(strict=True, reason="the witness falsifier samples f, and nothing "
+                                           "proves f <= tau*u between its samples")
+    def test_spike_above_the_witness_is_not_certified(self, example2_path, tmp_path):
+        # f/u = 12 > tau = 3 at u = 0.3, in a spike of width about 1e-6
+        # that none of the falsifier's samples lands in.
+        spike = _variant(tmp_path, example2_path, "f = u*(2 - t*sin(u*v))",
+                         "f = u*(2 - t*sin(u*v)) + 10*u*exp(-1e12*(u - 0.3)^2)")
+        out = tmp_path / "cert.rec"
+        main(["certify-nonexistence", "--problem", spike, "--out", str(out)])
+        assert parse_record(out.read_text()).get("rigor") != "certified"
 
     def test_load_warning_reported(self, example2_path, tmp_path, capsys):
         # gamma2 is no input of the falsifier, which finds the witness consistent
@@ -358,7 +369,7 @@ class TestSolve:
     def test_example1_with_annulus(self, example1_path, tmp_path):
         out = tmp_path / "sol.csv"
         rc = main(["solve", "--problem", example1_path, "--r", "0.05", "--R", "1",
-                   "--starts", "4", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 0
         record = parse_record(out.read_text())
         assert record["in_annulus"] is True
@@ -388,22 +399,22 @@ class TestSolve:
         if rc == 0:
             assert record["norm"] == pytest.approx(0.1094489, abs=1e-6)
 
+    @pytest.mark.parametrize("name, failed", [("example1", 2), ("example2", 0)])
+    def test_failed_starts_are_not_solutions(self, name, failed, tmp_path, capsys):
+        # example1: one fixed point, and the ramps of norm 10^0.5 and 10
+        # diverge; example2: every start converges to zero.
+        path, out = str(PROBLEMS / f"{name}.prob"), tmp_path / "sol.csv"
+        assert main(["solve", "--problem", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"solve {path}: 1 distinct solution and {failed} failed starts from 8 starts in ")
+        record = parse_record(out.read_text())
+        assert (record["starts"], record["converged"], record["failed_starts"]) == (8, 1, failed)
+        assert "results" not in record
+
     def test_annulus_without_solution_exits_1(self, example2_path):
         # only the trivial fixed point exists; requesting norm >= 0.05 must fail
-        rc = main(["solve", "--problem", example2_path, "--r", "0.05", "--R", "1",
-                   "--starts", "4"])
+        rc = main(["solve", "--problem", example2_path, "--r", "0.05", "--R", "1"])
         assert rc == 1
-
-    def test_residual_overflow_at_the_cap_exits_1(self, example1_path, capsys):
-        # The ramp-10 start overflows exp on the application after the cap,
-        # which only measures its residual: it diverges, the others stop.
-        assert main(["solve", "--problem", example1_path, "--max-iter", "1"]) == 1
-        captured = capsys.readouterr()
-        statuses = [line.split()[0] for line in captured.out.splitlines()[1:-1]]
-        assert sorted(statuses) == ["diverged"] + ["max-iterations"] * 7
-        assert "iterations=1 " in next(line for line in captured.out.splitlines()
-                                       if "diverged" in line)
-        assert captured.err == ""
 
     def test_non_finite_f_names_its_entry(self, example2_path, tmp_path, capsys):
         # f passes the load's [0,1]^3 lattice, and overflows on a start.
@@ -412,8 +423,7 @@ class TestSolve:
         capsys.readouterr()
         assert main(["solve", "--problem", bad]) == 2
         assert capsys.readouterr() == ("", "error: [nonlinearity] f = 'exp(exp(exp(t*u)))': "
-                                           "expression 'exp(exp(exp(t*u)))' is non-finite at "
-                                           "t=0.773438, u=2.44582, v=3.16228 "
+                                           "non-finite at t=0.773438, u=2.44582, v=3.16228 "
                                            "in row 6 of a stack of 8\n")
 
     def test_point_outside_the_interval_names_its_entry(self, example1_path, tmp_path, capsys):
@@ -500,7 +510,8 @@ class TestValidate:
                     "an exponent reads t (no log)"),
         ("k = 1/10 + min(s,t)", "dk from [kernel] k = '1/10 + min(s,t)': expression "
                                 "'max((s - t)/abs(s - t), 0.0)' is non-finite at t=0, s=0"),
-    ], ids=["name-and-k", "underivable", "kink-on-nodes"])
+        ("k = 1/(t - s)", "[kernel] k = '1/(t - s)': non-finite at t=0, s=0"),
+    ], ids=["name-and-k", "underivable", "kink-on-nodes", "pole-on-nodes"])
     def test_kernel_fault_exits_2(self, example1_path, tmp_path, capsys, new, err):
         bad = _variant(tmp_path, example1_path, "name = focal", new)
         assert main(["certify-existence", "--problem", bad, "--r", "0.05", "--R", "1"]) == 2
@@ -511,7 +522,7 @@ class TestValidate:
         bad = _variant(tmp_path, example1_path, "f = exp(t*(u + v))", "f = 1/u")
         assert main(["validate", "--problem", bad]) == 2
         assert capsys.readouterr() == ("", f"error: {bad}: [nonlinearity] f = '1.0/u': "
-                                           "expression '1.0/u' is non-finite at t=0, u=0, v=0\n")
+                                           "non-finite at t=0, u=0, v=0\n")
 
     @pytest.mark.parametrize("h2, src", [("1/U(0)", "1.0/U(0.0)"), ("1/U(1)", "1.0/U(1.0)")])
     def test_functional_infinite_at_zero_fails_the_load(self, example1_path, tmp_path, capsys,
@@ -540,7 +551,7 @@ class TestValidate:
         bad = _variant(tmp_path, example1_path, "gamma2 = t\n", "gamma2 = 1/t\n")
         assert main(["validate", "--problem", bad]) == 2
         assert capsys.readouterr() == ("", f"error: {bad}: [gamma] gamma2 = '1.0/t': "
-                                           "expression '1.0/t' is non-finite at t=0\n")
+                                           "non-finite at t=0\n")
 
     def test_first_load_error_wins(self, zero_problem, tmp_path, capsys):
         # Negative lambda is found before the malformed f.
@@ -611,30 +622,12 @@ class TestSweepCommand:
 
 
 class TestNumericOptions:
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
-    def test_solve_tolerance_finite_and_positive(self, tol, capsys):
-        # A usage error, raised before the problem file is read.
-        assert main(["solve", "--problem", "no/such/file.prob", "--tol", tol]) == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            f"hammcert solve: error: argument --tol: must be finite and positive, got {float(tol)}")
-
-    @pytest.mark.parametrize("starts", ["0", "-2"])
-    def test_solve_starts_at_least_one(self, starts, capsys):
-        assert main(["solve", "--problem", "no/such/file.prob", "--starts", starts]) == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            f"hammcert solve: error: argument --starts: must be at least 1, got {starts}")
-
     @pytest.mark.parametrize("n", ["1", "0", "-5"])
     def test_grid_size_at_least_two(self, n, capsys):
         # A usage error, raised before the problem file is read.
         assert main(["validate", "--problem", "no/such/file.prob", "--n", n]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"hammcert validate: error: argument --n: must be at least 2, got {n}")
-
-    @pytest.mark.parametrize("cap", ["0", "-5"])
-    def test_iteration_cap_at_least_one(self, example2_path, cap, capsys):
-        assert main(["solve", "--problem", example2_path, "--n", "16", "--max-iter", cap]) == 2
-        assert "argument --max-iter: must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["certify-existence"],
@@ -666,13 +659,13 @@ class TestNumericOptions:
 
 
 class TestOptionSurface:
-    # Each subcommand declares exactly the flags its handler reads.
+    # Each subcommand declares the flags its handler reads, and no other
+    # but --seed, which validate and solve accept and ignore.
     FLAGS = {
         "validate": ["--problem", "--n", "--seed"],
         "certify-existence": ["--problem", "--n", "--seed", "--out", "--r", "--R"],
         "certify-nonexistence": ["--problem", "--n", "--seed", "--out"],
-        "solve": ["--problem", "--n", "--seed", "--out", "--r", "--R", "--starts", "--tol",
-                  "--max-iter"],
+        "solve": ["--problem", "--n", "--seed", "--out", "--r", "--R"],
         "sweep": ["--problem", "--n", "--seed", "--out", "--lambda", "--eta1", "--eta2", "--r",
                   "--R", "--witness"],
     }
@@ -700,7 +693,11 @@ class TestOptionSurface:
         ["certify-nonexistence", "--m", "8"],
         ["validate", "--out", "x"],
         ["validate", "--m", "200"],
+        ["solve", "--starts", "4"],
+        ["solve", "--tol", "1e-8"],
+        ["solve", "--max-iter", "1"],
         ["solve", "--star", "2"],
+        ["sweep", "--wit"],
         ["certify-existence", "--m", "8"],
         ["certify-existence", "--samples", "3"],
         ["certify-nonexistence", "--budget", "1"],
@@ -721,9 +718,8 @@ class TestRecordEnvelope:
         pytest.param("example1", ["certify-existence", "--r", "0.05", "--R", "1"], id="existence"),
         pytest.param("example1", ["certify-nonexistence"], id="witness-falsified"),
         pytest.param("example2", ["certify-nonexistence"], id="nonexistence"),
-        pytest.param("example1", ["solve", "--r", "0.05", "--R", "1", "--starts", "2"], id="solve"),
-        pytest.param("example1", ["solve", "--r", "5", "--R", "6", "--starts", "2"],
-                     id="solve-not-found"),
+        pytest.param("example1", ["solve", "--r", "0.05", "--R", "1"], id="solve"),
+        pytest.param("example1", ["solve", "--r", "5", "--R", "6"], id="solve-not-found"),
         pytest.param("example2", ["sweep", "--lambda", "0:1:2", "--eta1", "0:1:2", "--eta2",
                                   "0:1:2", "--r", "0.05", "--R", "1", "--witness"], id="sweep"),
     ])

@@ -99,13 +99,13 @@ COMMANDS = (
     ["validate", *SMALL],
     ["certify-existence", *SMALL, "--r", "0.05", "--R", "1"],
     ["certify-nonexistence", *SMALL],
-    ["solve", *SMALL, "--starts", "2", "--max-iter", "50"],
+    ["solve", *SMALL],
     ["sweep", *SMALL, "--lambda", "0:1:2", "--eta1", "0:1:2", "--eta2", "0:1:2",
      "--r", "0.05", "--R", "1"],
 )
 
 
-SOLVE_PAIR = ["solve", *SMALL, "--starts", "4", "--max-iter", "50"]
+SOLVE_PAIR = ["solve", *SMALL]
 
 
 def _without_seed_and_time(written: str | None) -> list[str] | None:

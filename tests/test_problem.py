@@ -138,6 +138,13 @@ class TestLoading:
         assert str(exc.value) == ("<string>: gamma2' from [gamma] gamma2 = '2.0^t': cannot "
                                   "differentiate '2.0^t': an exponent reads t (no log)")
 
+    def test_non_finite_constant_names_its_expression_once(self):
+        # The entry is the expression that failed; a derived one (below)
+        # still prints its own source.
+        with pytest.raises(ProblemFileError) as exc:
+            loads_problem(ZERO_PROBLEM.replace("lambda = 0", "lambda = 0/0"))
+        assert str(exc.value) == "<string>: [parameters] lambda = '0/0': non-finite"
+
     def test_derivative_error_names_its_entry(self):
         text = edited(ZERO_PROBLEM, ("gamma2 = t", "gamma2 = abs(t - 1/2)"))
         with pytest.raises(ProblemFileError) as exc:

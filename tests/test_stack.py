@@ -3,6 +3,7 @@ are one at a time: interpolation, functionals, the operator and the
 Picard iteration.  A stack of random cone functions is drawn in one
 batch, each row from the law of a single draw."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -280,8 +281,10 @@ class TestLockstep:
 
     def test_residual_overflow_at_the_cap_diverges(self, example1):
         # the ramp-10 start overflows exp on its second application, which
-        # at max_iter=1 only measures the residual
-        got = multistart_solve(example1, 8, 1e-10, 1)
+        # at max_iter=1 only measures the residual, and silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = multistart_solve(example1, 8, 1e-10, 1)
         assert_same_results(got, reference_multistart(example1, 8, 1e-10, 1))
         assert [(res.status, res.iterations) for res in got if res.status != "max-iterations"] \
             == [("diverged", 1)]
