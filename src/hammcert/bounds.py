@@ -84,29 +84,17 @@ class FalsificationResult:
 
 
 def estimate_f_extrema(spec, rho: float, upward: bool) -> float:
-    """Sampled max of f over [0,1] x [0,rho]^2 if ``upward``, else its min.
+    """Sampled max of f over [0,1] x [0,rho]^2 if ``upward``, else its min,
+    on one LATTICE_M^3 lattice.
 
-    A LATTICE_M^3 lattice scan followed by one coordinate refinement pass
-    around the best cell of that extremum only.  The max estimate is a
-    *lower* bound of the true max and the min estimate an *upper* bound of
-    the true min: heuristic direction, by construction.
+    The max estimate is a *lower* bound of the true max and the min estimate
+    an *upper* bound of the true min: heuristic direction, by construction.
     """
     if rho <= 0:
         raise ParameterError(f"rho must be positive, got {rho}")
     axes = [np.linspace(0.0, end, LATTICE_M) for end in (1.0, rho, rho)]
-    lo, lo_at, hi, hi_at = lattice_extrema(spec.f, *axes)
-    near_lo, _, near_hi, _ = _local_extrema(spec, axes, hi_at if upward else lo_at, rho)
-    return max(hi, near_hi) if upward else min(lo, near_lo)
-
-
-def _local_extrema(spec, axes, idx, rho) -> tuple:
-    """lattice_extrema of f on the LATTICE_M^3 lattice spanning the lattice
-    cells around index ``idx`` of ``axes``, clipped to [0,1] x [0,rho]^2."""
-    local = []
-    for axis, i, hi in zip(axes, idx, (1.0, rho, rho)):
-        cell = hi / (LATTICE_M - 1)
-        local.append(np.linspace(max(0.0, axis[i] - cell), min(hi, axis[i] + cell), LATTICE_M))
-    return lattice_extrema(spec.f, *local)
+    lo, _, hi, _ = lattice_extrema(spec.f, *axes)
+    return hi if upward else lo
 
 
 # The rows of sphere_family before its random cone samples.
@@ -125,14 +113,15 @@ def sphere_family(spec, rho: float, samples: int, rng: np.random.Generator) -> G
                                random_cone_function(grid, rng, norm=rho, count=samples)])
 
 
-def estimate_H(spec, i: int, rho: float, seed: int) -> float:
-    """Heuristic sup of h_i over CONE_SAMPLES cone functions with norm rho."""
+def estimate_H(spec, i: int, rho: float) -> float:
+    """Heuristic sup of h_i over CONE_SAMPLES cone functions with norm rho,
+    drawn at the fixed seed [0, i]."""
     if i not in (1, 2):
         raise ParameterError(f"functional index must be 1 or 2, got {i}")
     if rho <= 0:
         raise ParameterError(f"rho must be positive, got {rho}")
     h = spec.h1 if i == 1 else spec.h2
-    rng = np.random.default_rng([seed, i])
+    rng = np.random.default_rng([0, i])
     values = functional_on_samples(h, sphere_family(spec, rho, CONE_SAMPLES, rng), SPHERE_FIXED)
     return float(values[np.argmax(values)])  # the first maximum, as max() picks
 
@@ -151,33 +140,26 @@ def functional_on_samples(h: Expr, u: GridFunction, fixed: tuple) -> np.ndarray:
                               rows=exc.rows) from exc
 
 
-def falsify_linear_growth(spec, witness: LinearGrowthWitness, seed: int) -> FalsificationResult:
+def falsify_linear_growth(spec, witness: LinearGrowthWitness) -> FalsificationResult:
     """Try to refute 0 <= f <= tau*u and h_i[u] <= xi_i * sup|u|.
 
-    Samples lattices plus random points over expanding boxes [0, 2^k]^2 in
-    (u,v), and random cone functions on matching spheres, until
-    FALSIFY_POINTS points are checked or a violation turns up.  Returns the
-    first violating point found (deterministic for a fixed seed).
+    For rho = 1, 2, 4, 8 in turn, checks f on a lattice of
+    FALSIFY_POINTS // 4 points of [0,1] x [0,rho]^2 (2m t-values by m x m
+    in (u,v)), then h_i on four cone functions drawn at a fixed seed from
+    the sphere ||u|| = rho.  Returns the first violation found.
     """
-    rng = np.random.default_rng(seed)
-    m = 8
+    rng = np.random.default_rng(0)
+    m = round((FALSIFY_POINTS / 8) ** (1 / 3))
     checked = 0
-    k = 0
-    while checked < FALSIFY_POINTS:
-        rho = 2.0**k
-        t_ax = np.linspace(0.0, 1.0, m)
+    for rho in (1.0, 2.0, 4.0, 8.0):
         u_ax = np.linspace(0.0, rho, m)
-        lattice = np.stack(np.meshgrid(t_ax, u_ax, u_ax, indexing="ij"), axis=-1).reshape(-1, 3)
-        rand = rng.random((m**3, 3)) * np.array([1.0, rho, rho])
-        for pts in (lattice, rand):
-            ce = _check_growth_points(spec, witness, pts)
-            checked += len(pts)
-            if ce is not None:
-                return FalsificationResult(False, ce, checked)
-        ce = _check_functionals(spec, witness, sphere_family(spec, rho, 4, rng))
+        lattice = np.stack(np.meshgrid(np.linspace(0.0, 1.0, 2 * m), u_ax, u_ax, indexing="ij"),
+                           axis=-1).reshape(-1, 3)
+        checked += len(lattice)
+        ce = (_check_growth_points(spec, witness, lattice)
+              or _check_functionals(spec, witness, sphere_family(spec, rho, 4, rng)))
         if ce is not None:
             return FalsificationResult(False, ce, checked)
-        k += 1
     return FalsificationResult(True, None, checked)
 
 
@@ -233,15 +215,15 @@ class BoundSet:
 
     A bound slot (f_upper, f_lower or H_i, in rho) that ``spec.bounds``
     declares is certified.  Any other is sampled at each lookup and heuristic,
-    the safety factor applied: f by a LATTICE_M^3 lattice refined around the
-    extremum the slot reads, H_i by CONE_SAMPLES cone functions drawn with
-    ``seed`` from the sphere ||u|| = rho.  K and K* are certified iff
+    the safety factor applied: f by one LATTICE_M^3 lattice, H_i by
+    CONE_SAMPLES cone functions drawn at a fixed seed from the sphere
+    ||u|| = rho.  K and K* are certified iff
     Kernel.exact; gamma_i(1) and a declared witness are; ||gamma_i'||, a node
     maximum, is iff gamma_i' is free of t, as only then is it the supremum.
     """
 
-    def __init__(self, spec, seed: int = 0):
-        self.spec, self.seed = spec, seed
+    def __init__(self, spec):
+        self.spec = spec
 
     def _declared(self, expr: Expr, rho: float, label: str) -> BoundEntry:
         try:
@@ -260,7 +242,7 @@ class BoundSet:
         section, key = ("functionals", slot) if functional else ("nonlinearity", "f")
         try:
             with naming_entry(section, key, getattr(self.spec, key)):
-                raw = (estimate_H(self.spec, int(slot[1]), rho, self.seed) if functional
+                raw = (estimate_H(self.spec, int(slot[1]), rho) if functional
                        else estimate_f_extrema(self.spec, rho, upward))
         except (EvaluationError, DomainError) as exc:
             raise type(exc)(f"sampled bound {slot}({rho}): {exc}") from exc

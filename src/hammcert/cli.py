@@ -126,7 +126,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_certify_existence(args) -> int:
     spec = _load(args)
-    cert = check_existence(spec, BoundSet(spec, seed=args.seed), args.r, args.R)
+    cert = check_existence(spec, BoundSet(spec), args.r, args.R)
     print(f"existence certificate for {args.problem}")
     print(f"  parameters: lambda={spec.lam!r}, eta1={spec.eta1!r}, eta2={spec.eta2!r}")
     print(f"  annulus: r={cert.r!r}, R={cert.R!r}; kernel constants K={cert.K!r}, K*={cert.Kstar!r}")
@@ -176,7 +176,7 @@ def _falsify_witness(spec, args):
         raise ParameterError(
             f"{args.problem} declares no growth witness (tau, xi1, xi2 in [bounds])"
         )
-    return falsify_linear_growth(spec, spec.witness, seed=args.seed)
+    return falsify_linear_growth(spec, spec.witness)
 
 
 def _cmd_certify_nonexistence(args) -> int:
@@ -299,7 +299,7 @@ def _cmd_sweep(args) -> int:
         witness = spec.witness
     axes = [_parse_axis(getattr(args, dest), name)
             for name, dest in (("lambda", "lam"), ("eta1", "eta1"), ("eta2", "eta2"))]
-    cells = run_sweep(BoundSet(spec, seed=args.seed), *axes, args.r, args.R, witness=witness)
+    cells = run_sweep(BoundSet(spec), *axes, args.r, args.R, witness=witness)
     record = _record(args, spec, {
         "r": args.r,
         "R": args.R,
@@ -347,14 +347,14 @@ def _int_at_least(low: int):
 
 def build_parser() -> argparse.ArgumentParser:
     # Flag groups as parent parsers: each subcommand declares the flags its
-    # handler reads, but validate and solve also accept --seed and ignore it;
-    # no parser takes a flag's prefix for it.
+    # handler reads, plus --seed, which goes into each record as seed= and
+    # nowhere else; no parser takes a flag's prefix for it.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--problem", required=True, help="path to the problem file")
     common.add_argument("--n", type=_int_at_least(2), default=GRID_N,
                         help="grid subintervals (default %(default)s, at least 2)")
     common.add_argument("--seed", type=_int_at_least(0), default=0,
-                        help="seed for randomized sampling (default 0)")
+                        help="accepted and recorded as seed=; no command reads it (default 0)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="write the machine-readable record/table here")
 
@@ -371,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    # validate's checks use a fixed seed and solve's starts use none; both
-    # keep --seed so one argv shape serves every command.
     command("validate", _cmd_validate, [common],
             "run the sampled hypothesis checks on a problem file")
 

@@ -140,9 +140,9 @@ def test_criterion_7_bounds_sanity(example1, example2):
     max_est, min_est = (estimate_f_extrema(example1, 1.0, upward) for upward in (True, False))
     assert 7.0 <= max_est <= E2
     assert 1.0 <= min_est <= 1.01
-    ok = falsify_linear_growth(example2, example2.witness, seed=0)
+    ok = falsify_linear_growth(example2, example2.witness)
     assert ok.consistent
-    bad = falsify_linear_growth(example1, LinearGrowthWitness(3.0, 1.0, 1.0), seed=0)
+    bad = falsify_linear_growth(example1, LinearGrowthWitness(3.0, 1.0, 1.0))
     assert not bad.consistent
     t, u, v = bad.counterexample.point
     assert eval_nonlinearity(example1.f, t, u, v) > 3.0 * u

@@ -55,6 +55,11 @@ def _variant(tmp_path, source: str, old: str, new: str, name: str = "variant.pro
     return str(path)
 
 
+# The declared bound lines of the shipped files; without them every bound is sampled.
+EXAMPLE1_BOUNDS = "f_upper = exp(2*rho)\nf_lower = 1\nh1 = rho + rho^2\nh2 = rho^3 + rho\n"
+EXAMPLE2_BOUNDS = "f_upper = 3*rho\nf_lower = 0\nh1 = rho\nh2 = rho\n"
+
+
 class TestRecordFormat:
     def test_round_trip(self):
         record = {
@@ -246,13 +251,16 @@ class TestCertifyNonexistence:
         boundary = _variant(tmp_path, boundary, "eta2 = 1/5", "eta2 = 0")
         assert main(["certify-nonexistence", "--problem", boundary]) == 1
 
-    def test_falsified_witness(self, example1_path, tmp_path):
-        # the exponential nonlinearity cannot satisfy f <= tau*u
+    def test_falsified_witness(self, example1_path, tmp_path, capsys):
+        # the exponential nonlinearity cannot satisfy f <= tau*u; the first
+        # lattice, 16 x 8 x 8 points over rho = 1, refutes it at its first point
         with_witness = _variant(tmp_path, example1_path, "[bounds]",
                                 "[bounds]\ntau = 3\nxi1 = 1\nxi2 = 1")
         out = tmp_path / "cert.rec"
         rc = main(["certify-nonexistence", "--problem", with_witness, "--out", str(out)])
         assert rc == 1
+        assert capsys.readouterr().out == ("witness falsified after 1024 samples: "
+                                           "f(0.0, 0.0, 0.0) = 1 > tau*u = 0\n")
         record = parse_record(out.read_text())
         assert record["verdict"] == "witness-falsified"
         assert record["counterexample_kind"] == "f-growth"
@@ -338,19 +346,38 @@ class TestSolve:
         assert captured.err == ""
         assert captured.out.count("diverged       norm=inf") == 8
 
-    @pytest.mark.parametrize("name", ["example1", "example2"])
-    def test_record_depends_only_on_the_file_and_the_argv(self, name, tmp_path):
-        # The starts are the zero function and log-spaced ramps: --seed
-        # changes the seed= line alone, and elapsed_s= is a wall time.
+    # Every command that writes a record, on a file whose bounds it samples
+    # where it reads any: (problem, its bound lines to delete, argv).
+    SEEDLESS = {
+        "example1": ("example1", "", ["solve"]),
+        "example2": ("example2", "", ["solve"]),
+        "existence-sampled": ("example1", EXAMPLE1_BOUNDS,
+                              ["certify-existence", "--r", "0.05", "--R", "1"]),
+        "nonexistence": ("example2", "", ["certify-nonexistence"]),
+        "sweep-sampled": ("example2", EXAMPLE2_BOUNDS,
+                          ["sweep", "--lambda", "0:1:2", "--eta1", "0:1:2", "--eta2", "0:1:2",
+                           "--r", "0.05", "--R", "1", "--witness"]),
+    }
+
+    @pytest.mark.parametrize("case", SEEDLESS)
+    def test_record_depends_only_on_the_file_and_the_argv(self, case, tmp_path):
+        # The sampled bounds, the falsifier and the solve starts draw at
+        # fixed seeds or none: --seed changes the seed= line alone, and
+        # elapsed_s= is a wall time.
+        name, bounds, argv = self.SEEDLESS[case]
+        problem = str(PROBLEMS / f"{name}.prob")
+        if bounds:
+            problem = _variant(tmp_path, problem, bounds, "")
         files = []
         for seed in range(4):
-            out = tmp_path / f"sol{seed}.csv"
-            assert main(["solve", "--problem", str(PROBLEMS / f"{name}.prob"),
-                         "--seed", str(seed), "--out", str(out)]) == 0
-            lines = out.read_text().splitlines()
-            assert f"# seed={seed}" in lines
-            files.append([line for line in lines
-                          if not line.startswith(("# seed=", "# elapsed_s="))])
+            out = tmp_path / f"record{seed}.out"
+            rc = main([argv[0], "--problem", problem, *argv[1:], "--seed", str(seed),
+                       "--out", str(out)])
+            lines = [line.removeprefix("# ") for line in out.read_text().splitlines()]
+            assert f"seed={seed}" in lines
+            files.append((rc, [line for line in lines
+                               if not line.startswith(("seed=", "elapsed_s="))]))
+        assert files[0][0] in (0, 1)
         assert files[1:] == files[:1] * 3
 
     def test_zero_problem_converges_to_zero(self, zero_problem, tmp_path):
@@ -637,8 +664,7 @@ class TestNumericOptions:
     def test_outer_radius_finite(self, example2_path, tmp_path, argv, capsys):
         # Sampled bounds: an infinite R would reach the sampler, whose
         # numpy warnings become errors here.
-        sampled = _variant(tmp_path, example2_path,
-                           "f_upper = 3*rho\nf_lower = 0\nh1 = rho\nh2 = rho\n", "")
+        sampled = _variant(tmp_path, example2_path, EXAMPLE2_BOUNDS, "")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main([argv[0], "--problem", sampled, *argv[1:], "--r", "0.05", "--R", "inf"])
@@ -660,7 +686,7 @@ class TestNumericOptions:
 
 class TestOptionSurface:
     # Each subcommand declares the flags its handler reads, and no other
-    # but --seed, which validate and solve accept and ignore.
+    # but --seed, which every command accepts and only records as seed=.
     FLAGS = {
         "validate": ["--problem", "--n", "--seed"],
         "certify-existence": ["--problem", "--n", "--seed", "--out", "--r", "--R"],
@@ -686,6 +712,13 @@ class TestOptionSurface:
             assert flags == self.FLAGS[name], name
             assert command.allow_abbrev is False, name
         assert parser.allow_abbrev is False
+
+    def test_seed_help_says_no_command_reads_it(self):
+        parser = hammcert.cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, command in sub.choices.items():
+            seed = next(a for a in command._actions if a.option_strings == ["--seed"])
+            assert seed.help == "accepted and recorded as seed=; no command reads it (default 0)"
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--m", "8"],

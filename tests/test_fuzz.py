@@ -10,7 +10,9 @@ that the witness holds.  Each file goes through all five commands
 in-process at a small grid.  On exit 2 the last stderr line is an
 `error:` line (or the sweep's `CONFLICT:` line), and every --out record
 round-trips through parse_record and format_record.  A solve at two
-seeds writes the same --out file but for its seed= and elapsed_s= lines.
+seeds writes the same --out file but for its seed= and elapsed_s= lines,
+and so do certify-existence and certify-nonexistence, which also exit
+alike at both seeds.
 A scalar certificate equals its sweep cell: a one-cell sweep at the
 parameters of a certify-existence record writes its branches, idx0 value
 and rigor as that record does, and, with a witness the falsifier does
@@ -111,7 +113,8 @@ SOLVE_PAIR = ["solve", *SMALL]
 def _without_seed_and_time(written: str | None) -> list[str] | None:
     """The lines of an --out file but its seed= and elapsed_s= record lines."""
     return None if written is None else [
-        line for line in written.splitlines() if not line.startswith(("# seed=", "# elapsed_s="))]
+        line for line in written.splitlines()
+        if not line.removeprefix("# ").startswith(("seed=", "elapsed_s="))]
 
 
 def _fields(text: str) -> dict:
@@ -189,3 +192,23 @@ def test_every_command_ends_with_an_exit_code(tmp_path_factory, text, witness):
     assert (cell["value_branch"], cell["deriv_branch"], cell["idx0"], cell["rigor"]) \
         == (existence["value_branch"], existence["deriv_branch"], existence["idx0_value"],
             expected), (text, cell, existence)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(text=problem_files())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_certificates_do_not_read_the_seed(tmp_path_factory, text):
+    # The sampled bounds and the witness falsifier draw at fixed seeds:
+    # --seed changes the seed= line of a certificate's record alone.
+    work = tmp_path_factory.mktemp("seeds")
+    problem, out = work / "problem.prob", work / "out.rec"
+    problem.write_text(text)
+    for argv in COMMANDS[1:3]:
+        runs = []
+        for seed in ("0", "1"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([*argv, "--problem", str(problem), "--seed", seed, "--out", str(out)])
+            runs.append((code, _without_seed_and_time(out.read_text() if out.exists() else None)))
+            out.unlink(missing_ok=True)
+        assert runs[1] == runs[0], (argv, text)

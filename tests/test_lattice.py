@@ -66,18 +66,10 @@ def whole_f_check(spec, m: int) -> CheckResult:
 
 
 def whole_f_extrema(spec, rho: float, m: int) -> tuple[float, float]:
-    """Sampled (max, min) of f: the scan, then a refinement around each extremum."""
-    axes = (np.linspace(0.0, 1.0, m), np.linspace(0.0, rho, m), np.linspace(0.0, rho, m))
-    vals = whole(spec.f, *axes)
-    out = []
-    for sign in (+1, -1):
-        idx = np.unravel_index(int(np.argmax(sign * vals)), vals.shape)
-        best = float(vals[idx])
-        local = [np.linspace(max(0.0, ax[i] - hi / (m - 1)), min(hi, ax[i] + hi / (m - 1)), m)
-                 for ax, i, hi in zip(axes, idx, (1.0, rho, rho))]
-        refined = float(np.max(sign * whole(spec.f, *local))) * sign
-        out.append(max(best, refined) if sign > 0 else min(best, refined))
-    return tuple(out)
+    """Sampled (max, min) of f: one scan of the whole lattice."""
+    lo, _, hi, _ = whole_extrema(spec.f, np.linspace(0.0, 1.0, m), np.linspace(0.0, rho, m),
+                                 np.linspace(0.0, rho, m))
+    return hi, lo
 
 
 def bits(values) -> list:
