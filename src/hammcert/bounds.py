@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParameterError
-from .expr import (Expr, eval_bound, eval_functional, eval_nonlinearity, lattice_extrema,
-                   naming_entry, variables)
+from .expr import (Expr, eval_bound, eval_functional, eval_nonlinearity, labelled,
+                   lattice_extrema, variables)
 from .grid import CONE_TOL, GridFunction, c1_norm, random_cone_function
 from .kernel import constant_K, constant_Kstar
 
@@ -129,15 +129,14 @@ def estimate_H(spec, i: int, rho: float) -> float:
 def functional_on_samples(h: Expr, u: GridFunction, fixed: tuple) -> np.ndarray:
     """eval_functional(h, u) on a stack of cone samples: the rows ``fixed``
     names, then random cone samples 0, 1, ...  A non-finite value names the
-    first sample it occurs on and that sample's C1 norm; every caller names
-    the entry of h in front, under naming_entry."""
+    entry of h, the first sample it occurs on and that sample's C1 norm."""
     try:
         return eval_functional(h, u)
     except EvaluationError as exc:
         row = exc.rows[0]
         which = fixed[row] if row < len(fixed) else f"random cone sample {row - len(fixed)}"
-        raise EvaluationError(f"non-finite on {which} (C1 norm {c1_norm(u[row]):.6g})",
-                              rows=exc.rows) from exc
+        message = f"non-finite on {which} (C1 norm {c1_norm(u[row]):.6g})"
+        raise EvaluationError(labelled(h, message), rows=exc.rows) from exc
 
 
 def falsify_linear_growth(spec, witness: LinearGrowthWitness) -> FalsificationResult:
@@ -167,10 +166,7 @@ def _check_functionals(spec, witness, u: GridFunction) -> Counterexample | None:
     """The first row of a sphere_family stack, and in it the first h_i, with
     h_i[u] > xi_i * sup u + CONE_TOL; a non-finite h_i names entry and row."""
     checks = ((1, spec.h1, witness.xi1), (2, spec.h2, witness.xi2))
-    values = []
-    for i, h, _ in checks:
-        with naming_entry("functionals", f"h{i}", h):
-            values.append(functional_on_samples(h, u, SPHERE_FIXED))
+    values = [functional_on_samples(h, u, SPHERE_FIXED) for _, h, _ in checks]
     for row in range(u.values.shape[0]):
         u_fn = u[row]
         sup = float(np.max(u_fn.values))
@@ -189,8 +185,7 @@ def _check_functionals(spec, witness, u: GridFunction) -> Counterexample | None:
 
 def _check_growth_points(spec, witness, pts) -> Counterexample | None:
     t, u, v = pts[:, 0], pts[:, 1], pts[:, 2]
-    with naming_entry("nonlinearity", "f", spec.f):
-        fv = np.broadcast_to(eval_nonlinearity(spec.f, t, u, v), t.shape)  # f may be constant
+    fv = np.broadcast_to(eval_nonlinearity(spec.f, t, u, v), t.shape)  # f may be constant
     bad = (fv < -CONE_TOL) | (fv > witness.tau * u + CONE_TOL)
     if not bad.any():
         return None
@@ -238,12 +233,9 @@ class BoundSet:
         expr = self.spec.bounds.get(slot)
         if expr is not None:
             return self._declared(expr, rho, slot)
-        functional = slot in ("h1", "h2")
-        section, key = ("functionals", slot) if functional else ("nonlinearity", "f")
         try:
-            with naming_entry(section, key, getattr(self.spec, key)):
-                raw = (estimate_H(self.spec, int(slot[1]), rho) if functional
-                       else estimate_f_extrema(self.spec, rho, upward))
+            raw = (estimate_H(self.spec, int(slot[1]), rho) if slot in ("h1", "h2")
+                   else estimate_f_extrema(self.spec, rho, upward))
         except (EvaluationError, DomainError) as exc:
             raise type(exc)(f"sampled bound {slot}({rho}): {exc}") from exc
         return BoundEntry(_widened(raw, upward), raw, "heuristic", f"{slot}({rho})")

@@ -26,6 +26,13 @@ U(a) is the point value u(a), DU(a) is u'(a), and INT(body) integrates the
 body over s in [0,1] with U(s), DU(s) available inside.  INT does not nest.
 Evaluation is numpy-vectorised; non-finite results raise EvaluationError.
 
+parse_entry parses a problem-file entry into an Entry root that names it,
+``[section] key = '<parsed source>'``; derived_entry names an expression
+derived from one (gamma_i', dk).  Evaluation reads the name at the root
+and puts it in front of every EvaluationError and DomainError, so no
+caller names an entry: a parse error quotes the entry as written, an
+evaluation error as parsed.
+
 lattice_extrema scans a nonlinearity over a t x u x v lattice without
 building it: slab by slab along t, whole (u, v) planes of at most
 LATTICE_SLAB points at a time (one plane if a plane is larger), with the
@@ -36,7 +43,6 @@ returns what argmin and argmax on the whole array would.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +119,17 @@ class Integral(Expr):
     """INT(body): integral of the body over s in [0,1]."""
 
     body: Expr
+
+
+@dataclass(frozen=True)
+class Entry(Expr):
+    """The root of a problem-file entry's expression: ``where`` names the
+    entry, or the entry a ``derived`` body comes from, in front of an error
+    evaluating the body.  A derived body's error also prints the body."""
+
+    where: str
+    body: Expr
+    derived: bool
 
 
 # ---------------------------------------------------------------------------
@@ -305,35 +322,31 @@ def parse(text: str, role: str) -> Expr:
     return _Parser(_tokenize(text), role).parse()
 
 
-def parse_entry(section: str, key: str, text: str, role: str) -> Expr:
-    """parse(text, role) for the problem-file entry ``[section] key = text``:
-    an ExprError names the entry before the message."""
+def parse_entry(section: str, key: str, text: str, role: str) -> Entry:
+    """parse(text, role) as the problem-file entry ``[section] key = text``:
+    an ExprError names the entry as written, the Entry it as parsed."""
     try:
-        return parse(text, role)
+        body = parse(text, role)
     except ExprError as exc:
         raise ExprError(f"[{section}] {key} = {text!r}: {exc}") from exc
+    return Entry(f"[{section}] {key} = {to_source(body)!r}", body, False)
 
 
-@contextmanager
-def naming_entry(section: str, key: str, e: Expr, derived: str = ""):
-    """Name the problem-file entry ``[section] key = '<source of e>'``, after
-    ``derived`` for an expression derived from it, in front of an ExprError,
-    EvaluationError or DomainError the block raises; an EvaluationError
-    keeps its rows (see named_error)."""
+def derived_entry(e: Expr, var: str, name: str) -> Expr:
+    """derivative(e, var); of an Entry, the entry ``name from <e.where>``,
+    which also names an ExprError of the derivation."""
+    if not isinstance(e, Entry):
+        return derivative(e, var)
+    where = f"{name} from {e.where}"
     try:
-        yield
-    except (ExprError, EvaluationError, DomainError) as exc:
-        where = f"{derived}[{section}] {key} = {to_source(e)!r}"
-        raise (named_error(exc, where, None if derived else e) if isinstance(exc, EvaluationError)
-               else type(exc)(f"{where}: {exc}")) from exc
+        return Entry(where, derivative(e.body, var), True)
+    except ExprError as exc:
+        raise ExprError(f"{where}: {exc}") from exc
 
 
-def named_error(exc: EvaluationError, where: str, own: Expr | None) -> EvaluationError:
-    """exc after ``where``, the problem-file entry it came from, rows kept.
-    ``own`` is the entry's expression (None when the failed one is derived
-    from it), so a non-finite value of it is named once, by the entry."""
-    said = str(exc) if own is None else str(exc).removeprefix(f"expression '{to_source(own)}' is ")
-    return EvaluationError(f"{where}: {said}", rows=exc.rows)
+def labelled(e: Expr, message: str) -> str:
+    """message after the name of the entry e is, if e is an Entry."""
+    return f"{e.where}: {message}" if isinstance(e, Entry) else message
 
 
 def variables(e: Expr) -> frozenset:
@@ -405,6 +418,8 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _fmt(e: Expr, ctx: int) -> str:
+    if isinstance(e, Entry):
+        return _fmt(e.body, ctx)
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, (Const, Var)):
@@ -483,27 +498,33 @@ def _eval(e: Expr, env: dict, u: GridFunction | None):
 
 def _non_finite_error(e: Expr, env: dict, out: np.ndarray, rows: int | None) -> EvaluationError:
     """The error for a non-finite result: the first such point, named by its
-    variables.  For a stack of ``rows`` functions (the leading axis) it also
-    names the row and lists every failing row in ``rows``."""
+    variables, after the entry e names.  For a stack of ``rows`` functions
+    (the leading axis) it also names the row and lists every failing row in
+    ``rows``."""
     shape = np.broadcast_shapes(out.shape, *(v.shape for v in env.values()),
                                 *(() if rows is None else ((rows, 1),)))
     bad = ~np.isfinite(np.broadcast_to(out, shape))
     idx = np.unravel_index(int(np.argmax(bad)), shape)
     parts = [f"{name}={float(np.broadcast_to(v, shape)[idx]):.6g}" for name, v in env.items()]
     at = f" at {', '.join(parts)}" if parts else ""
-    message = f"expression '{to_source(e)}' is non-finite{at}"
+    message = f"non-finite{at}"
+    if not isinstance(e, Entry) or e.derived:  # an entry's own source is in its name
+        message = f"expression '{to_source(e)}' is {message}"
     failed = None
     if rows is not None:
         failed = tuple(np.flatnonzero(bad.reshape(rows, -1).any(axis=1)).tolist())
         if rows > 1:
             message += f" in row {idx[0]} of a stack of {rows}"
-    return EvaluationError(message, rows=failed)
+    return EvaluationError(labelled(e, message), rows=failed)
 
 
 def _run(e: Expr, env: dict, u: GridFunction | None = None, rows: int | None = None):
     env = {k: np.asarray(v, dtype=float) for k, v in env.items()}
-    with np.errstate(all="ignore"):
-        out = _eval(e, env, u)
+    try:
+        with np.errstate(all="ignore"):
+            out = _eval(e.body if isinstance(e, Entry) else e, env, u)
+    except DomainError as exc:
+        raise DomainError(labelled(e, str(exc))) from exc
     out = np.asarray(out, dtype=float)
     if not np.isfinite(out).all():
         raise _non_finite_error(e, env, out, rows)
@@ -537,7 +558,7 @@ def lattice_extrema(e: Expr, t, u, v) -> tuple[float, tuple, float, tuple]:
     non-finite value raises the EvaluationError the whole lattice would.
     """
     free: dict = {}
-    core = _hoist_t_free(e, free)
+    core = _hoist_t_free(e.body if isinstance(e, Entry) else e, free)
     dt = max(1, LATTICE_SLAB // (len(u) * len(v)))
     lo = hi = None  # (value, index) so far; a later slab must be strictly better
     with np.errstate(all="ignore"):

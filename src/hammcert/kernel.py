@@ -13,10 +13,12 @@ gets its dk by differentiating k in t.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .errors import CheckResult, EvaluationError, ExprError
-from .expr import derivative, eval_kernel_expr, named_error, parse_entry
+from .errors import CheckResult, EvaluationError
+from .expr import derived_entry, eval_kernel_expr, parse_entry
 from .grid import Grid, cumulative_integral, integrate, sign_check
 
 
@@ -162,24 +164,9 @@ def kernel_from_exprs(k_src: str) -> Kernel:
     An error names the problem-file entry, as in ``[kernel] k = '...'``, and
     one in the derived dk reads ``dk from [kernel] k = '...'``.
     """
-    entry = f"[kernel] k = {k_src!r}"
-    k_ast = parse_entry("kernel", "k", k_src, "kernel")
-    try:
-        dk_ast = derivative(k_ast, "t")
-    except ExprError as exc:
-        raise ExprError(f"dk from {entry}: {exc}") from exc
-    return Kernel(k=_named(k_ast, entry, False), dk=_named(dk_ast, f"dk from {entry}", True))
-
-
-def _named(e, where: str, derived: bool):
-    """e as a function of (t, s) whose evaluation errors start with ``where``,
-    the entry e is, or is ``derived`` from."""
-    def fn(t, s):
-        try:
-            return eval_kernel_expr(e, t, s)
-        except EvaluationError as exc:
-            raise named_error(exc, where, None if derived else e) from exc
-    return fn
+    k = parse_entry("kernel", "k", k_src, "kernel")
+    return Kernel(k=partial(eval_kernel_expr, k),
+                  dk=partial(eval_kernel_expr, derived_entry(k, "t", "dk")))
 
 
 def constant_K(kernel: Kernel, grid: Grid) -> float:

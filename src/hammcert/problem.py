@@ -21,10 +21,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import LATTICE_M, SPHERE_FIXED, LinearGrowthWitness, functional_on_samples
-from .errors import CheckResult, EvaluationError, ParameterError, ProblemFileError
-from .expr import (Expr, derivative, eval_coefficient, eval_constant, eval_functional,
-                   eval_nonlinearity, lattice_extrema, named_error, naming_entry, parse,
-                   parse_entry)
+from .errors import CheckResult, ParameterError, ProblemFileError
+from .expr import (Expr, derived_entry, eval_coefficient, eval_constant, eval_functional,
+                   eval_nonlinearity, lattice_extrema, parse_entry)
 from .grid import (CONE_TOL, Grid, GridFunction, cone_defect, random_cone_function,
                    sign_check)
 from .kernel import FocalKernel, Kernel, check_kernel_hypotheses, kernel_from_exprs
@@ -56,25 +55,21 @@ class ProblemSpec:
     _coefficient_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     # gamma_i', derived from gamma_i when asked for: no copy goes stale.
-    dgamma1 = property(lambda self: derivative(self.gamma1, "t"))
-    dgamma2 = property(lambda self: derivative(self.gamma2, "t"))
+    dgamma1 = property(lambda self: derived_entry(self.gamma1, "t", "gamma1'"))
+    dgamma2 = property(lambda self: derived_entry(self.gamma2, "t", "gamma2'"))
     warnings = property(lambda self: tuple(r for r in self.checks if not r.ok))
 
     def coefficients(self, grid: Grid) -> tuple[np.ndarray, ...]:
         """gamma1, gamma2, gamma1' and gamma2' on the nodes of ``grid``, as
         read-only (broadcast) views shared by every caller on that grid.
-        An evaluation error is not cached, so it surfaces on each call."""
+        An evaluation error is not cached, so it surfaces on each call; both
+        gamma_i are evaluated before either gamma_i' is derived."""
         samples = self._coefficient_cache.get(grid)
         if samples is None:
             t = grid.nodes
-            samples = []
-            for prime in (False, True):
-                for key in ("gamma1", "gamma2"):
-                    gamma = getattr(self, key)
-                    with naming_entry("gamma", key, gamma, derived=f"{key}' from " if prime else ""):
-                        vals = eval_coefficient(derivative(gamma, "t") if prime else gamma, t)
-                    samples.append(np.broadcast_to(np.asarray(vals), t.shape))
-            samples = self._coefficient_cache[grid] = tuple(samples)
+            samples = self._coefficient_cache[grid] = tuple(
+                np.broadcast_to(np.asarray(eval_coefficient(getattr(self, key), t)), t.shape)
+                for key in ("gamma1", "gamma2", "dgamma1", "dgamma2"))
         return samples
 
 
@@ -92,8 +87,7 @@ def validate_spec(spec: ProblemSpec) -> list[CheckResult]:
 
 def _check_f_sign(spec: ProblemSpec) -> CheckResult:
     ax = np.linspace(0.0, 1.0, LATTICE_M)
-    with naming_entry("nonlinearity", "f", spec.f):
-        worst, at, _, _ = lattice_extrema(spec.f, ax, ax, ax)
+    worst, at, _, _ = lattice_extrema(spec.f, ax, ax, ax)
     return sign_check("f >= 0", worst, at, {"t": ax, "u": ax, "v": ax},
                       f"on {LATTICE_M}^3 lattice over [0,1]^3")
 
@@ -108,10 +102,8 @@ def _check_functional_boundedness(spec: ProblemSpec) -> CheckResult:
                             random_cone_function(grid, np.random.default_rng(0),
                                                  norm=np.repeat(radii, 8), count=24)])
     fixed = ("the zero function",) + SPHERE_FIXED * len(radii)
-    worst = 0.0
-    for key, h in (("h1", spec.h1), ("h2", spec.h2)):
-        with naming_entry("functionals", key, h):  # a non-finite value raises
-            worst = min(worst, float(np.min(functional_on_samples(h, u, fixed))))
+    worst = min(float(np.min(functional_on_samples(h, u, fixed)))  # a non-finite value raises
+                for h in (spec.h1, spec.h2))
     if worst < -CONE_TOL:
         return CheckResult("functionals >= 0 and bounded", "warn",
                            f"found h[u] = {worst:.3g} < 0 on a cone sample")
@@ -141,12 +133,9 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     uc = np.maximum(u.values, 0.0)
     vc = np.maximum(u.dvalues, 0.0)
     rows = uc.shape[0] if u.is_stack else None
-    with naming_entry("nonlinearity", "f", spec.f):
-        fvals = np.asarray(eval_nonlinearity(spec.f, t, uc, vc, rows=rows))
-    with naming_entry("functionals", "h1", spec.h1):
-        h1v = np.asarray(eval_functional(spec.h1, u))[..., None]
-    with naming_entry("functionals", "h2", spec.h2):
-        h2v = np.asarray(eval_functional(spec.h2, u))[..., None]
+    fvals = np.asarray(eval_nonlinearity(spec.f, t, uc, vc, rows=rows))
+    h1v = np.asarray(eval_functional(spec.h1, u))[..., None]
+    h2v = np.asarray(eval_functional(spec.h2, u))[..., None]
     g1, g2, dg1, dg2 = spec.coefficients(grid)
     integral, dintegral = spec.kernel.integrals(grid, np.broadcast_to(fvals, uc.shape))
     values = spec.eta1 * g1 * h1v + spec.eta2 * g2 * h2v + spec.lam * integral
@@ -236,15 +225,7 @@ def _spec_from_text(text: str, path, n: int) -> ProblemSpec:
 
 
 def _constant(cp: configparser.ConfigParser, section: str, key: str) -> float:
-    src = cp.get(section, key)
-    entry = f"[{section}] {key} = {src!r}"
-    try:
-        e = parse(src, "constant")
-        return eval_constant(e)
-    except EvaluationError as exc:
-        raise ProblemFileError(str(named_error(exc, entry, e))) from exc
-    except Exception as exc:
-        raise ProblemFileError(f"{entry}: {exc}") from exc
+    return eval_constant(parse_entry(section, key, cp.get(section, key), "constant"))
 
 
 def _kernel_from_config(cp: configparser.ConfigParser) -> Kernel:

@@ -170,8 +170,8 @@ class TestCertifyExistence:
     def test_non_finite_declared_bound_names_its_entry(self, example1_path, capsys):
         assert main(["certify-existence", "--problem", example1_path,
                      "--r", "0.05", "--R", "1000"]) == 2
-        assert capsys.readouterr().err == ("error: declared bound f_upper(1000.0): "
-                                           "expression 'exp(2.0*rho)' is non-finite at rho=1000\n")
+        assert capsys.readouterr().err == ("error: declared bound f_upper(1000.0): [bounds] "
+                                           "f_upper = 'exp(2.0*rho)': non-finite at rho=1000\n")
 
     @pytest.mark.parametrize("source, edits, err", [
         # Every bound sampled, as the benchmark's sampled copy has them: f
@@ -535,9 +535,9 @@ class TestValidate:
         ("name = focal\nk = t*s", "[kernel] needs exactly one of name and k, got both"),
         ("k = s^t", "dk from [kernel] k = 's^t': cannot differentiate 's^t': "
                     "an exponent reads t (no log)"),
-        ("k = 1/10 + min(s,t)", "dk from [kernel] k = '1/10 + min(s,t)': expression "
+        ("k = 1/10 + min(s,t)", "dk from [kernel] k = '1.0/10.0 + min(s, t)': expression "
                                 "'max((s - t)/abs(s - t), 0.0)' is non-finite at t=0, s=0"),
-        ("k = 1/(t - s)", "[kernel] k = '1/(t - s)': non-finite at t=0, s=0"),
+        ("k = 1/(t - s)", "[kernel] k = '1.0/(t - s)': non-finite at t=0, s=0"),
     ], ids=["name-and-k", "underivable", "kink-on-nodes", "pole-on-nodes"])
     def test_kernel_fault_exits_2(self, example1_path, tmp_path, capsys, new, err):
         bad = _variant(tmp_path, example1_path, "name = focal", new)

@@ -71,22 +71,58 @@ class TestLoading:
         with pytest.raises(ProblemFileError, match=r"^<string>: \[nonlinearity\] f = 'u \+': "):
             loads_problem(text)
 
-    @pytest.mark.parametrize("old, new, entry", [
-        ("name = focal", "k = t*", "[kernel] k = 't*'"),
-        ("name = focal", "k = s^t", "dk from [kernel] k = 's^t'"),
-        ("gamma2 = t", "gamma2 = exp(", "[gamma] gamma2 = 'exp('"),
-        ("h2 = DU(0)", "h2 = DU(s)", "[functionals] h2 = 'DU(s)'"),
-        ("f = u", "f = exp(", "[nonlinearity] f = 'exp('"),
+    # A parse error quotes the entry as written, an evaluation error as parsed.
+    @pytest.mark.parametrize("old, new, entry, message", [
+        ("name = focal", "k = t*", "[kernel] k = 't*'",
+         "<string>: [kernel] k = 't*': expected a value, found 'end of input' (at position 2)"),
+        ("name = focal", "k = s^t", "dk from [kernel] k = 's^t'",
+         "<string>: dk from [kernel] k = 's^t': cannot differentiate 's^t': "
+         "an exponent reads t (no log)"),
+        ("gamma2 = t", "gamma2 = exp(", "[gamma] gamma2 = 'exp('",
+         "<string>: [gamma] gamma2 = 'exp(': expected a value, found 'end of input' "
+         "(at position 4)"),
+        ("h2 = DU(0)", "h2 = DU(s)", "[functionals] h2 = 'DU(s)'",
+         "<string>: [functionals] h2 = 'DU(s)': variable 's' is only allowed inside INT(...) "
+         "(at position 3)"),
+        ("f = u", "f = exp(", "[nonlinearity] f = 'exp('",
+         "<string>: [nonlinearity] f = 'exp(': expected a value, found 'end of input' "
+         "(at position 4)"),
         # non-finite where the load's checks sample them
-        ("gamma2 = t", "gamma2 = 1/t", "[gamma] gamma2 = '1.0/t'"),
-        ("f = u", "f = 1/u", "[nonlinearity] f = '1.0/u'"),
-        ("eta1 = 0", "eta1 = t", "[parameters] eta1 = 't'"),
-        ("eta2 = 0", "eta2 = 0\n[bounds]\nf_upper = exp(2*rho", "[bounds] f_upper = 'exp(2*rho'"),
-        ("eta2 = 0", "eta2 = 0\n[bounds]\ntau = 1\nxi1 = 1/\nxi2 = 1", "[bounds] xi1 = '1/'"),
+        ("gamma2 = t", "gamma2 = 1/t", "[gamma] gamma2 = '1.0/t'",
+         "<string>: [gamma] gamma2 = '1.0/t': non-finite at t=0"),
+        ("f = u", "f = 1/u", "[nonlinearity] f = '1.0/u'",
+         "<string>: [nonlinearity] f = '1.0/u': non-finite at t=0, u=0, v=0"),
+        ("eta1 = 0", "eta1 = t", "[parameters] eta1 = 't'",
+         "<string>: [parameters] eta1 = 't': variable 't' not allowed in a constant expression "
+         "(at position 0)"),
+        ("eta2 = 0", "eta2 = 0\n[bounds]\nf_upper = exp(2*rho", "[bounds] f_upper = 'exp(2*rho'",
+         "<string>: [bounds] f_upper = 'exp(2*rho': expected ')', found 'end of input' "
+         "(at position 9)"),
+        ("eta2 = 0", "eta2 = 0\n[bounds]\ntau = 1\nxi1 = 1/\nxi2 = 1", "[bounds] xi1 = '1/'",
+         "<string>: [bounds] xi1 = '1/': expected a value, found 'end of input' (at position 2)"),
+        # a derived entry, a point atom, constants, and a declared bound,
+        # which is first evaluated when a certificate reads it
+        ("name = focal", "k = 2 ^ t", "dk from [kernel] k = '2.0^t'",
+         "<string>: dk from [kernel] k = '2.0^t': cannot differentiate '2.0^t': "
+         "an exponent reads t (no log)"),
+        ("gamma1 = 1", "gamma1 = sqrt(t)", "gamma1' from [gamma] gamma1 = 'sqrt(t)'",
+         "<string>: gamma1' from [gamma] gamma1 = 'sqrt(t)': "
+         "expression '0.5/sqrt(t)' is non-finite at t=0"),
+        ("h2 = DU(0)", "h2 = U(2)", "[functionals] h2 = 'U(2.0)'",
+         "<string>: [functionals] h2 = 'U(2.0)': evaluation point 2.0 outside [0,1]"),
+        ("eta1 = 0", "eta1 = 0/0", "[parameters] eta1 = '0.0/0.0'",
+         "<string>: [parameters] eta1 = '0.0/0.0': non-finite"),
+        ("eta2 = 0", "eta2 = 0\n[bounds]\ntau = 0/0\nxi1 = 1\nxi2 = 1", "[bounds] tau = '0.0/0.0'",
+         "<string>: [bounds] tau = '0.0/0.0': non-finite"),
+        ("eta2 = 0", "eta2 = 0\n[bounds]\nf_upper = 1/(rho - 1)",
+         "[bounds] f_upper = '1.0/(rho - 1.0)'",
+         "declared bound f_upper(1.0): [bounds] f_upper = '1.0/(rho - 1.0)': non-finite at rho=1"),
     ])
-    def test_expression_error_names_its_entry(self, old, new, entry):
-        with pytest.raises(ProblemFileError, match=r"^<string>: " + re.escape(entry) + ": "):
-            loads_problem(ZERO_PROBLEM.replace(old, new))
+    def test_expression_error_names_its_entry(self, old, new, entry, message):
+        with pytest.raises((ProblemFileError, EvaluationError)) as exc:
+            BoundSet(loads_problem(ZERO_PROBLEM.replace(old, new))).f_upper(1.0)
+        assert f"{entry}: " in message
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("kernel", ["focal", "expressions"])
     def test_documented_examples_load_with_inline_comments(self, kernel):
@@ -143,7 +179,7 @@ class TestLoading:
         # still prints its own source.
         with pytest.raises(ProblemFileError) as exc:
             loads_problem(ZERO_PROBLEM.replace("lambda = 0", "lambda = 0/0"))
-        assert str(exc.value) == "<string>: [parameters] lambda = '0/0': non-finite"
+        assert str(exc.value) == "<string>: [parameters] lambda = '0.0/0.0': non-finite"
 
     def test_derivative_error_names_its_entry(self):
         text = edited(ZERO_PROBLEM, ("gamma2 = t", "gamma2 = abs(t - 1/2)"))
@@ -171,7 +207,7 @@ class TestLoading:
         with pytest.raises(ProblemFileError) as exc:
             loads_problem(text)
         assert str(exc.value) == (
-            "<string>: dk from [kernel] k = '1/10 + min(s,t)': "
+            "<string>: dk from [kernel] k = '1.0/10.0 + min(s, t)': "
             "expression 'max((s - t)/abs(s - t), 0.0)' is non-finite at t=0, s=0")
 
     def test_negative_gamma_is_warning(self):
@@ -419,7 +455,7 @@ class TestCoefficientConstants:
     @pytest.mark.parametrize("name", ["example1", "example2"])
     def test_shipped_derivatives_are_exact(self, name, request):
         spec = request.getfixturevalue(name)
-        assert (spec.dgamma1, spec.dgamma2) == (Num(0.0), Num(1.0))
+        assert (spec.dgamma1.body, spec.dgamma2.body) == (Num(0.0), Num(1.0))
 
     def test_replaced_gamma_brings_its_own_derivative(self, example1, example1_path):
         copy = replace(example1, gamma2=parse("t^2", "coefficient"))
