@@ -12,7 +12,7 @@ from .errors import (CheckResult, DomainError, EvaluationError, ExprError,
                      HammcertError, ParameterError, ProblemFileError, ShapeError)
 from .expr import parse, to_source
 from .grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm,
-                   consistency_defect, integrate, random_cone_function)
+                   consistency_defect, integrate, sphere_family)
 from .kernel import FocalKernel, Kernel, constant_K, constant_Kstar, kernel_from_exprs
 from .problem import ProblemSpec, apply_T, load_problem, loads_problem, validate_spec
 from .solver import SolveResult, multistart_solve
@@ -30,6 +30,6 @@ __all__ = [
     "check_existence", "check_nonexistence", "consistency_defect",
     "constant_K", "constant_Kstar", "estimate_H", "estimate_f_extrema",
     "falsify_linear_growth", "integrate", "kernel_from_exprs", "load_problem", "loads_problem",
-    "multistart_solve", "parse", "random_cone_function",
-    "run_sweep", "to_source", "validate_spec",
+    "multistart_solve", "parse", "run_sweep", "sphere_family",
+    "to_source", "validate_spec",
 ]

@@ -15,7 +15,7 @@ load's failed hypothesis checks.
 The sampled f extrema scan LATTICE_M^3 lattices through expr.lattice_extrema,
 slab by slab along t, so no lattice-sized array is ever built; a sampled
 bound that is not finite names its slot and radius, and the lattice point
-or the cone sample where it overflowed.
+where it overflowed or the parameters of the sphere_family row.
 """
 
 from __future__ import annotations
@@ -27,13 +27,16 @@ import numpy as np
 from .errors import DomainError, EvaluationError, ParameterError
 from .expr import (Expr, eval_bound, eval_functional, eval_nonlinearity, labelled,
                    lattice_extrema, variables)
-from .grid import CONE_TOL, GridFunction, c1_norm, random_cone_function
+from .grid import CONE_TOL, GridFunction, c1_norm, sphere_family, sphere_row_name
 from .kernel import constant_K, constant_Kstar
 
 DEFAULT_INFLATION = 1.05
-# The one sampling budget: lattice size for f, cone functions per H_i, falsifier points.
+# The one sampling budget: lattice size for f, sphere_family knots per H_i,
+# for the load's h_i check and for the falsifier's, falsifier points.
 LATTICE_M = 64
-CONE_SAMPLES = 200
+CONE_KNOTS = 10
+CHECK_KNOTS = 3
+FALSIFY_KNOTS = 4
 FALSIFY_POINTS = 4096
 
 
@@ -97,45 +100,26 @@ def estimate_f_extrema(spec, rho: float, upward: bool) -> float:
     return hi if upward else lo
 
 
-# The rows of sphere_family before its random cone samples.
-SPHERE_FIXED = ("the ramp rho*t", "the constant rho")
-
-
-def sphere_family(spec, rho: float, samples: int, rng: np.random.Generator) -> GridFunction:
-    """A stack of cone functions with C1 norm exactly rho, drawn from the sphere.
-
-    The rows are the ramp rho*t, the constant rho (derivative zero, still
-    attains ||u|| = rho), and ``samples`` random non-decreasing functions
-    drawn in one batch and each rescaled to norm rho.
-    """
-    grid = spec.grid
-    return GridFunction.stack([GridFunction.ramp(grid, rho), GridFunction.constant(grid, rho),
-                               random_cone_function(grid, rng, norm=rho, count=samples)])
-
-
 def estimate_H(spec, i: int, rho: float) -> float:
-    """Heuristic sup of h_i over CONE_SAMPLES cone functions with norm rho,
-    drawn at the fixed seed [0, i]."""
+    """Heuristic sup of h_i over the sphere_family of CONE_KNOTS knots at rho."""
     if i not in (1, 2):
         raise ParameterError(f"functional index must be 1 or 2, got {i}")
     if rho <= 0:
         raise ParameterError(f"rho must be positive, got {rho}")
     h = spec.h1 if i == 1 else spec.h2
-    rng = np.random.default_rng([0, i])
-    values = functional_on_samples(h, sphere_family(spec, rho, CONE_SAMPLES, rng), SPHERE_FIXED)
+    values = functional_on_samples(h, *sphere_family(spec.grid, rho, CONE_KNOTS))
     return float(values[np.argmax(values)])  # the first maximum, as max() picks
 
 
-def functional_on_samples(h: Expr, u: GridFunction, fixed: tuple) -> np.ndarray:
-    """eval_functional(h, u) on a stack of cone samples: the rows ``fixed``
-    names, then random cone samples 0, 1, ...  A non-finite value names the
-    entry of h, the first sample it occurs on and that sample's C1 norm."""
+def functional_on_samples(h: Expr, u: GridFunction, params: np.ndarray) -> np.ndarray:
+    """eval_functional(h, u) on a stack of cone samples, row i built from
+    params[i] as sphere_family builds it.  A non-finite value names the entry
+    of h, the parameters of the first row it occurs on and that row's C1 norm."""
     try:
         return eval_functional(h, u)
     except EvaluationError as exc:
         row = exc.rows[0]
-        which = fixed[row] if row < len(fixed) else f"random cone sample {row - len(fixed)}"
-        message = f"non-finite on {which} (C1 norm {c1_norm(u[row]):.6g})"
+        message = f"non-finite on {sphere_row_name(*params[row])} (C1 norm {c1_norm(u[row]):.6g})"
         raise EvaluationError(labelled(h, message), rows=exc.rows) from exc
 
 
@@ -144,10 +128,9 @@ def falsify_linear_growth(spec, witness: LinearGrowthWitness) -> FalsificationRe
 
     For rho = 1, 2, 4, 8 in turn, checks f on a lattice of
     FALSIFY_POINTS // 4 points of [0,1] x [0,rho]^2 (2m t-values by m x m
-    in (u,v)), then h_i on four cone functions drawn at a fixed seed from
-    the sphere ||u|| = rho.  Returns the first violation found.
+    in (u,v)), then h_i on the sphere_family of FALSIFY_KNOTS knots at rho.
+    Returns the first violation found.
     """
-    rng = np.random.default_rng(0)
     m = round((FALSIFY_POINTS / 8) ** (1 / 3))
     checked = 0
     for rho in (1.0, 2.0, 4.0, 8.0):
@@ -156,31 +139,27 @@ def falsify_linear_growth(spec, witness: LinearGrowthWitness) -> FalsificationRe
                            axis=-1).reshape(-1, 3)
         checked += len(lattice)
         ce = (_check_growth_points(spec, witness, lattice)
-              or _check_functionals(spec, witness, sphere_family(spec, rho, 4, rng)))
+              or _check_functionals(spec, witness, *sphere_family(spec.grid, rho, FALSIFY_KNOTS)))
         if ce is not None:
             return FalsificationResult(False, ce, checked)
     return FalsificationResult(True, None, checked)
 
 
-def _check_functionals(spec, witness, u: GridFunction) -> Counterexample | None:
+def _check_functionals(spec, witness, u: GridFunction, params) -> Counterexample | None:
     """The first row of a sphere_family stack, and in it the first h_i, with
     h_i[u] > xi_i * sup u + CONE_TOL; a non-finite h_i names entry and row."""
-    checks = ((1, spec.h1, witness.xi1), (2, spec.h2, witness.xi2))
-    values = [functional_on_samples(h, u, SPHERE_FIXED) for _, h, _ in checks]
-    for row in range(u.values.shape[0]):
-        u_fn = u[row]
-        sup = float(np.max(u_fn.values))
-        for k, (i, h, xi) in enumerate(checks):
-            hv = float(values[k][row])
-            if hv > xi * sup + CONE_TOL:
-                return Counterexample(
-                    kind=f"h{i}",
-                    point=None,
-                    value=hv,
-                    bound=xi * sup,
-                    detail=f"cone function with C1 norm {c1_norm(u_fn):.6g}, sup {sup:.6g}",
-                )
-    return None
+    values = np.array([functional_on_samples(h, u, params) for h in (spec.h1, spec.h2)])
+    xi, sup = np.array([[witness.xi1], [witness.xi2]]), np.max(u.values, axis=1)
+    with np.errstate(all="ignore"):  # xi*sup may overflow to inf, which bounds nothing
+        bad = values > xi * sup + CONE_TOL
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad.any(axis=0)))
+    i = int(np.argmax(bad[:, row]))
+    return Counterexample(kind=f"h{i + 1}", point=None, value=float(values[i, row]),
+                          bound=float(xi[i, 0] * sup[row]),
+                          detail=f"cone function with C1 norm {c1_norm(u[row]):.6g}, "
+                                 f"sup {sup[row]:.6g}")
 
 
 def _check_growth_points(spec, witness, pts) -> Counterexample | None:
@@ -210,9 +189,8 @@ class BoundSet:
 
     A bound slot (f_upper, f_lower or H_i, in rho) that ``spec.bounds``
     declares is certified.  Any other is sampled at each lookup and heuristic,
-    the safety factor applied: f by one LATTICE_M^3 lattice, H_i by
-    CONE_SAMPLES cone functions drawn at a fixed seed from the sphere
-    ||u|| = rho.  K and K* are certified iff
+    the safety factor applied: f by one LATTICE_M^3 lattice, H_i by the
+    sphere_family of CONE_KNOTS knots on ||u|| = rho.  K and K* are certified iff
     Kernel.exact; gamma_i(1) and a declared witness are; ||gamma_i'||, a node
     maximum, is iff gamma_i' is free of t, as only then is it the supremum.
     """

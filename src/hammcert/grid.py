@@ -3,10 +3,14 @@
 A candidate solution is stored as node samples of u and u' on a uniform
 grid.  All integrals in the package reduce to composite trapezoid sums on
 these nodes; kernel kinks are handled upstream by splitting at nodes, so
-the rules here never need to know about them.
+the rules here never need to know about them.  The cone functions that
+the sampled bounds and checks evaluate come from one closed-form family,
+sphere_family: no sample is random.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -85,10 +89,6 @@ class GridFunction:
     def zero(cls, grid: Grid) -> "GridFunction":
         z = np.zeros(grid.n + 1)
         return cls(grid, z, z)
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "GridFunction":
-        return cls(grid, np.full(grid.n + 1, value), np.zeros(grid.n + 1))
 
     @classmethod
     def ramp(cls, grid: Grid, slope: float) -> "GridFunction":
@@ -219,40 +219,51 @@ def consistency_defect(u: GridFunction):
     return _first_max(np.max(np.abs(u.values - rebuilt), axis=-1))
 
 
-def random_cone_function(grid: Grid, rng: np.random.Generator, norm,
-                         count: int) -> GridFunction:
-    """A stack of ``count`` random non-negative, non-decreasing candidates
-    with C1 norms ``norm`` (one target, or one per row).
+def sphere_family(grid: Grid, rho, k: int) -> tuple[GridFunction, np.ndarray]:
+    """Cone functions with C1 norm rho in closed form, and the (slope, a, b,
+    u(0)) each row is built from; rho is one radius or a sequence of them,
+    each giving a block of rows.
 
-    Each row draws k uniform on {2..6} interior knots, sorted U(0,1), and
-    a piecewise-linear derivative through k+2 Gamma(1.5, 1) values at 0,
-    the knots and 1; its values integrate that from u(0) ~ Gamma(1, 0.5).
-    Each row is then rescaled so its C1 norm equals its target up to
-    rounding: the sphere used when sampling functional suprema.  The whole
-    stack takes one block of draws per quantity and one interpolation.
+    A row has u' = s*rho on the nodes of [a, b] and 0 elsewhere, and starts
+    from u(0) = rho*(1 - s*(b - a)), so that u(1) = rho, or from 0.  Row 0,
+    s = 0 on [0, 1], is the constant rho; then for each pair a < b of
+    np.linspace(0, 1, k) come s = 1 from 0 and s = 1, 1/2, 1/4 from
+    rho*(1 - s*(b - a)): 1 + 2k(k-1) rows.  The values are the trapezoid
+    antiderivative of u', which rises over the nodes of [a, b] widened by
+    h/2 at each end inside [0, 1], and each row is scaled so its C1 norm is
+    rho up to rounding, never above it.  A ramp from 0 whose interval holds
+    no node (on a grid with n < k - 1) is left out; at rho = 0 every row is
+    the zero function.
     """
-    rows = int(count)
-    if rows < 0:
-        raise ParameterError(f"need a non-negative number of functions, got {count}")
-    norm = np.broadcast_to(np.asarray(norm, dtype=float), (rows,))
-    if np.any(norm <= 0):
-        raise ParameterError(f"target norm must be positive, got {norm[norm <= 0][0]}")
-    k = rng.integers(2, 7, size=rows)
-    interior = rng.uniform(0.0, 1.0, size=(rows, 6))
-    knot_d = rng.gamma(1.5, 1.0, size=(rows, 8))
-    u0 = rng.gamma(1.0, 0.5, size=rows)
-    # Unused knot slots move to [1.5, 2.5), beyond every node; sorting then
-    # puts row i's knots at 0, its k interior knots, 1, and those slots, in
-    # the order of its slopes knot_d[i].  Row i is shifted by 3i, so one
-    # interpolation on increasing knots serves every row.
-    unused = np.arange(6) >= k[:, None]
-    knot_t = np.sort(np.column_stack((np.zeros(rows), interior + 1.5 * unused, np.ones(rows))))
-    shift = 3.0 * np.arange(rows)[:, None]
-    dvalues = (np.interp(grid.nodes + shift, (knot_t + shift).ravel(), knot_d.ravel()) if rows
-               else np.empty((0, grid.n + 1)))
-    values = u0[:, None] + cumulative_integral(dvalues, grid)
-    # gamma draws are positive, so the C1 norm is the larger row maximum
-    scale = (norm / np.maximum(values.max(axis=1), dvalues.max(axis=1)))[:, None]
-    values *= scale
-    dvalues *= scale
-    return GridFunction(grid, values, dvalues)
+    # (s, a, b, u(0)) of each row at rho = 1
+    s, a, b, u0 = np.array([(0.0, 0.0, 1.0, 1.0)] + [
+        (s, a, b, start * (1.0 - s * (b - a)))
+        for a, b in itertools.combinations(np.linspace(0.0, 1.0, k).tolist(), 2)
+        for s, start in ((1.0, 0.0), (1.0, 1.0), (0.5, 1.0), (0.25, 1.0))]).T
+    # u' = s on the nodes j0..j1, so its trapezoid sums rise by s*h per
+    # node from node lo to node hi, half a node beyond each end within [0, n].
+    j0, j1 = grid.nodes.searchsorted(a), grid.nodes.searchsorted(b, side="right") - 1
+    lo, hi = np.maximum(j0 - 0.5, 0.0), np.minimum(j1 + 0.5, grid.n)
+    norm = np.maximum(u0 + s * grid.h * (hi - lo), s * (j0 <= j1))
+    # Each output row: its row above (one block per radius) and its radius.
+    keep = np.flatnonzero(norm > 0)
+    row = np.tile(keep, np.size(rho))
+    r = np.repeat(rho, keep.size)
+    slope, start = r * s[row] / norm[row], r * u0[row] / norm[row]
+    j = np.arange(grid.n + 1)
+    values = j - lo[row, None]
+    np.clip(values, 0.0, (hi - lo)[row, None], out=values)
+    values *= (slope * grid.h)[:, None]
+    values += start[:, None]
+    np.minimum(values, r[:, None], out=values)  # u(1) = rho may round above it
+    dvalues = slope[:, None] * ((j0[row, None] <= j) & (j <= j1[row, None]))
+    return (GridFunction(grid, values, dvalues),
+            np.column_stack((r * s[row], a[row], b[row], r * u0[row])))
+
+
+def sphere_row_name(slope: float, a: float, b: float, u0: float) -> str:
+    """A row of sphere_family (or the zero function, slope 0 from u(0) = 0)
+    named by its parameters."""
+    if slope == 0:
+        return f"the constant {u0:.6g}" if u0 else "the zero function"
+    return f"the ramp of slope {slope:.6g} on [{a:.6g}, {b:.6g}] from u(0) = {u0:.6g}"

@@ -8,7 +8,8 @@ whose derivative row swaps in dk = dk/dt and gamma_i'.  Both are derived
 from k and gamma_i; only the built-in focal kernel writes its dk out.
 Problems are declared in a flat INI-style file (see docs/problem-format.md).
 The loader samples the standing hypotheses on LATTICE_M-point lattices
-and keeps the whole table as ``ProblemSpec.checks``: a sign violation of the
+and, for the functionals, on the sphere_family of CHECK_KNOTS knots, and
+keeps the whole table as ``ProblemSpec.checks``: a sign violation of the
 sampled data is a failed row, listed again in ``warnings``; bad parameters,
 unknown sections or keys and non-finite samples are errors.
 """
@@ -20,12 +21,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import LATTICE_M, SPHERE_FIXED, LinearGrowthWitness, functional_on_samples
+from .bounds import CHECK_KNOTS, LATTICE_M, LinearGrowthWitness, functional_on_samples
 from .errors import CheckResult, ParameterError, ProblemFileError
 from .expr import (Expr, derived_entry, eval_coefficient, eval_constant, eval_functional,
                    eval_nonlinearity, lattice_extrema, parse_entry)
-from .grid import (CONE_TOL, Grid, GridFunction, cone_defect, random_cone_function,
-                   sign_check)
+from .grid import CONE_TOL, Grid, GridFunction, cone_defect, sign_check, sphere_family
 from .kernel import FocalKernel, Kernel, check_kernel_hypotheses, kernel_from_exprs
 
 GRID_N = 256  # the grid subintervals of a load that names none
@@ -93,16 +93,9 @@ def _check_f_sign(spec: ProblemSpec) -> CheckResult:
 
 
 def _check_functional_boundedness(spec: ProblemSpec) -> CheckResult:
-    # The zero function, the ramp and the constant on each sphere
-    # rho = 0.5, 1, 2, then 8 random cone functions on each, as one stack.
-    grid, radii = spec.grid, (0.5, 1.0, 2.0)
-    u = GridFunction.stack([GridFunction.zero(grid),
-                            *(row(grid, rho) for rho in radii
-                              for row in (GridFunction.ramp, GridFunction.constant)),
-                            random_cone_function(grid, np.random.default_rng(0),
-                                                 norm=np.repeat(radii, 8), count=24)])
-    fixed = ("the zero function",) + SPHERE_FIXED * len(radii)
-    worst = min(float(np.min(functional_on_samples(h, u, fixed)))  # a non-finite value raises
+    # The sphere_family on rho = 0 (the zero function), 0.5, 1 and 2, as one stack.
+    u, params = sphere_family(spec.grid, (0.0, 0.5, 1.0, 2.0), CHECK_KNOTS)
+    worst = min(float(np.min(functional_on_samples(h, u, params)))  # a non-finite value raises
                 for h in (spec.h1, spec.h2))
     if worst < -CONE_TOL:
         return CheckResult("functionals >= 0 and bounded", "warn",

@@ -17,14 +17,13 @@ from hammcert.bounds import (BoundSet, LinearGrowthWitness, estimate_f_extrema,
                              falsify_linear_growth)
 from hammcert.certificate import check_existence, check_nonexistence
 from hammcert.expr import eval_functional, eval_nonlinearity, parse, to_source
-from hammcert.grid import (CONE_TOL, Grid, cone_defect, consistency_defect,
-                           random_cone_function)
+from hammcert.grid import CONE_TOL, Grid, cone_defect, consistency_defect
 from hammcert.kernel import FocalKernel, constant_K, constant_Kstar
 from hammcert.problem import apply_T
 from hammcert.solver import MAX_ITERATIONS, TOL_FIXPOINT, multistart_solve
 from hammcert.sweep import axis_values, conflict_cells, run_sweep
 
-from grid_checks import consistency_tol
+from grid_checks import consistency_tol, family_rows
 
 E2 = math.exp(2.0)
 
@@ -125,13 +124,13 @@ def test_criterion_6_cone_invariance(which, request):
     tol = consistency_tol(spec.grid.n)
     worst_cone, worst_consist = 0.0, 0.0
     for _ in range(200):
-        u = random_cone_function(spec.grid, rng, norm=float(rng.uniform(0.02, 1.0)), count=1)[0]
+        u = family_rows(spec.grid, rng, [rng.uniform(0.02, 1.0)])[0]
         w = apply_T(spec, u)
         worst_cone = max(worst_cone, cone_defect(w))
         worst_consist = max(worst_consist, consistency_defect(w))
     assert worst_cone <= CONE_TOL
     assert worst_consist <= tol
-    _report(6, f"{which}: 200 random cone inputs stay in the cone "
+    _report(6, f"{which}: 200 sphere-family inputs stay in the cone "
                f"(defect {worst_cone:.1e}) and consistent (defect {worst_consist:.1e} "
                f"<= {tol:.1e})")
 

@@ -180,10 +180,12 @@ class TestCertifyExistence:
                       ("f_upper = 3*rho", "f_lower = 0", "h1 = rho", "h2 = rho")],
          "sampled bound f_upper(1e+200): [nonlinearity] f = 'u*(2.0 - t*sin(u*v))': "
          "non-finite at t=0, u=1.5873e+198, v=1.5873e+198"),
-        # f_upper declared finite, h1 sampled: DU(3/4)^2 overflows on the sphere.
+        # f_upper declared finite, h1 sampled: DU(3/4)^2 overflows on the
+        # sphere, first on the first ramp whose interval holds 3/4.
         ("example1", [("f_upper = exp(2*rho)\n", "f_upper = 1\n"), ("h1 = rho + rho^2\n", "")],
          "sampled bound h1(1e+200): [functionals] h1 = 'U(1.0/4.0) + DU(3.0/4.0)^2.0': "
-         "non-finite on the ramp rho*t (C1 norm 1e+200)"),
+         "non-finite on the ramp of slope 1e+200 on [0, 0.777778] from u(0) = 0 "
+         "(C1 norm 1e+200)"),
     ], ids=["f_upper", "h1"])
     def test_non_finite_sampled_bound_names_its_slot(self, tmp_path, source, edits, err, capsys):
         sampled = tmp_path / "sampled.prob"
@@ -288,7 +290,7 @@ class TestCertifyNonexistence:
 
     def test_non_finite_functional_names_its_entry(self, example2_path, tmp_path, capsys):
         # exp(u(1)^4) overflows once u(1) > 5.2, beyond every sphere the
-        # load samples; the falsifier reaches it first on the ramp 8t.
+        # load samples; the falsifier reaches it first on the constant 8.
         bad = _variant(tmp_path, example2_path, "h1 = U(1/4) * cos(DU(3/4))^2",
                        "h1 = U(1/4)*exp(U(1)^4)/exp(U(1)^4)")
         assert main(["validate", "--problem", bad]) == 0
@@ -296,7 +298,7 @@ class TestCertifyNonexistence:
         assert main(["certify-nonexistence", "--problem", bad]) == 2
         h1 = "U(1.0/4.0)*exp(U(1.0)^4.0)/exp(U(1.0)^4.0)"
         assert capsys.readouterr() == ("", f"error: [functionals] h1 = '{h1}': "
-                                           "non-finite on the ramp rho*t (C1 norm 8)\n")
+                                           "non-finite on the constant 8 (C1 norm 8)\n")
 
     def test_non_finite_f_names_its_entry(self, example2_path, tmp_path, capsys):
         # exp(u^4) overflows once u > 5.2, beyond the load's [0,1]^3 lattice;
@@ -509,14 +511,14 @@ class TestValidate:
 
     def test_non_finite_functional_names_the_cone_sample(self, example1_path, tmp_path, capsys):
         # exp(1000*u'(3/4)) overflows once u'(3/4) > 0.71, first on the
-        # load-time check's ramp with C1 norm 1
+        # load-time check's ramp rho*t with C1 norm 1
         bad = _variant(tmp_path, example1_path, "h1 = U(1/4) + DU(3/4)^2\n",
                        "h1 = U(1/4) + exp(1000*DU(3/4))\n")
         assert main(["validate", "--problem", bad]) == 2
         h1 = "U(1.0/4.0) + exp(1000.0*DU(3.0/4.0))"
         assert capsys.readouterr().err == (
             f"error: {bad}: [functionals] h1 = '{h1}': non-finite "
-            "on the ramp rho*t (C1 norm 1)\n")
+            "on the ramp of slope 1 on [0, 1] from u(0) = 0 (C1 norm 1)\n")
 
     @pytest.mark.parametrize("argv, old, new, err", [
         # A misspelt bound used to be sampled instead: PASS (heuristic-pass), exit 0.
@@ -554,7 +556,7 @@ class TestValidate:
     @pytest.mark.parametrize("h2, src", [("1/U(0)", "1.0/U(0.0)"), ("1/U(1)", "1.0/U(1.0)")])
     def test_functional_infinite_at_zero_fails_the_load(self, example1_path, tmp_path, capsys,
                                                         h2, src):
-        # Every random cone sample has u(0) > 0; the zero function does not.
+        # The load's stack starts with the zero function, where both are infinite.
         bad = _variant(tmp_path, example1_path, "h2 = INT(U(s)^3 + DU(s))", f"h2 = {h2}")
         assert main(["validate", "--problem", bad]) == 2
         assert capsys.readouterr() == ("", f"error: {bad}: [functionals] h2 = '{src}': "
@@ -628,6 +630,25 @@ class TestSweepCommand:
                      "--eta2", "0:1:2", "--r", "0.05", "--R", "1", "--witness"]) == 2
         assert capsys.readouterr().err == ("error: declared witness falsified: "
                                            "f(0.0, 0.0, 0.0) = 2 > tau*u = 0\n")
+
+    @pytest.mark.parametrize("exc, err", [
+        (MemoryError("Unable to allocate 7.11 PiB for an array with shape "
+                     "(100000, 100000, 100000) and data type float64"),
+         "Unable to allocate 7.11 PiB for an array with shape "
+         "(100000, 100000, 100000) and data type float64"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_2(self, example2_path, monkeypatch, capsys, exc, err):
+        # An oversized grid (1e15 cells) fails numpy's allocation at once;
+        # exit 1 would read as a failed certificate.
+        def oversized(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(hammcert.cli, "run_sweep", oversized)
+        assert main(["sweep", "--problem", example2_path, "--lambda", "0:1:100000",
+                     "--eta1", "0:1:100000", "--eta2", "0:1:100000",
+                     "--r", "0.05", "--R", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     def test_workers_option_is_gone(self, example2_path):
         assert main(["sweep", "--problem", example2_path,

@@ -7,7 +7,7 @@ from hammcert.errors import DomainError, ParameterError, ShapeError
 from hammcert.expr import eval_functional, parse
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm,
                            cone_defect, consistency_defect, cumulative_integral,
-                           in_cone, integrate, random_cone_function)
+                           in_cone, integrate)
 from hammcert.kernel import FocalKernel
 
 
@@ -165,18 +165,3 @@ class TestConeAndConsistency:
         g = Grid(4)
         u = GridFunction(g, np.full(5, -CONE_TOL / 2), np.zeros(5))
         assert in_cone(u)
-
-
-class TestRandomConeFunction:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_on_the_sphere(self, seed):
-        g = Grid(64)
-        rng = np.random.default_rng(seed)
-        for rho in (0.05, 1.0, 7.5):
-            u = random_cone_function(g, rng, norm=rho, count=1)
-            assert in_cone(u).all()
-            assert c1_norm(u)[0] == pytest.approx(rho, abs=1e-9)
-
-    def test_bad_target_norm(self):
-        with pytest.raises(ParameterError):
-            random_cone_function(Grid(8), np.random.default_rng(0), norm=0.0, count=1)

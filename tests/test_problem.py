@@ -10,13 +10,13 @@ import hammcert.problem
 from hammcert.bounds import BoundSet, LinearGrowthWitness
 from hammcert.errors import EvaluationError, ParameterError, ProblemFileError
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, cone_defect,
-                           consistency_defect, in_cone, random_cone_function)
+                           consistency_defect, in_cone)
 from hammcert.certificate import check_existence
 from hammcert.expr import Num, eval_coefficient, eval_functional, eval_nonlinearity, parse
 from hammcert.kernel import FocalKernel, Kernel
 from hammcert.problem import ProblemSpec, apply_T, load_problem, loads_problem, validate_spec
 
-from grid_checks import consistency_tol
+from grid_checks import consistency_tol, family_rows
 from problem_texts import ZERO_PROBLEM, edited
 
 def _constant(spec, name):
@@ -350,7 +350,7 @@ class TestApplyT:
     @pytest.mark.parametrize("seed", range(10))
     def test_cone_and_consistency_preserved_random(self, example1, seed):
         rng = np.random.default_rng(seed)
-        u = random_cone_function(example1.grid, rng, norm=float(rng.uniform(0.05, 1.0)), count=1)[0]
+        u = family_rows(example1.grid, rng, [rng.uniform(0.05, 1.0)])[0]
         w = apply_T(example1, u)
         assert cone_defect(w) <= CONE_TOL
         assert consistency_defect(w) <= consistency_tol(example1.grid.n)
@@ -404,7 +404,7 @@ class TestApplyTReference:
     def test_focal_matches_dense_reference(self, name, seed, request):
         spec = request.getfixturevalue(name)
         rng = np.random.default_rng(seed)
-        u = random_cone_function(spec.grid, rng, norm=float(rng.uniform(0.05, 1.0)), count=1)[0]
+        u = family_rows(spec.grid, rng, [rng.uniform(0.05, 1.0)])[0]
         w = apply_T(spec, u)
         values, dvalues = _dense_T(spec, u)
         assert np.max(np.abs(w.values - values)) <= 1e-14
@@ -417,7 +417,7 @@ class TestApplyTReference:
         step = Kernel(k=lambda t, s: np.minimum(s, t),
                       dk=lambda t, s: np.minimum(1.0, np.maximum(0.0, (s - t) * 1e9)))
         custom = replace(spec, kernel=step)
-        u = random_cone_function(spec.grid, np.random.default_rng(4), norm=0.5, count=1)[0]
+        u = family_rows(spec.grid, np.random.default_rng(4), [0.5])[0]
         w = apply_T(custom, u)
         values, dvalues = _dense_T(custom, u)
         assert np.array_equal(w.values, values)

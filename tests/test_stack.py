@@ -1,7 +1,7 @@
 """A stack of functions is evaluated in one pass, bit for bit as its rows
 are one at a time: interpolation, functionals, the operator and the
-Picard iteration.  A stack of random cone functions is drawn in one
-batch, each row from the law of a single draw."""
+Picard iteration.  The sphere_family stack of cone functions is built in
+one pass, each row from its own parameters."""
 
 import warnings
 from dataclasses import replace
@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from hammcert.errors import EvaluationError, ShapeError
 from hammcert.expr import eval_functional, parse
 from hammcert.grid import (Grid, GridFunction, c1_distance, c1_norm, cone_defect,
-                           consistency_defect, in_cone, interp_rows, random_cone_function)
+                           consistency_defect, in_cone, interp_rows, sphere_family,
+                           sphere_row_name)
 from hammcert.kernel import Kernel
 from hammcert.problem import apply_T, loads_problem
 from hammcert.solver import (DIVERGENCE_CAP, STARTS, SolveResult, _lockstep, _start_functions,
                              multistart_solve)
 
+from grid_checks import family_rows
 from problem_texts import ZERO_PROBLEM
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -46,7 +48,7 @@ def unchecked(n, h1=None, h2=None, f=None, **fields):
 
 def cone_stack(grid, seed, k):
     rng = np.random.default_rng(seed)
-    return random_cone_function(grid, rng, norm=rng.uniform(0.05, 1.0, size=k), count=k)
+    return family_rows(grid, rng, rng.uniform(0.05, 1.0, size=k))
 
 
 class TestInterpolation:
@@ -120,52 +122,67 @@ def assert_cone_stack(u, n, count, norms):
     np.testing.assert_allclose(c1_norm(u), norms, rtol=1e-12, atol=0)
 
 
-class TestRandomDraws:
-    @given(n=st.integers(2, 64), count=st.integers(0, 6), seed=SEEDS)
+class TestSphereFamily:
+    @given(n=st.integers(2, 64), k=st.integers(2, 8), rho=st.floats(0.01, 10.0))
     @settings(max_examples=40, deadline=None)
-    def test_stack_contract(self, n, count, seed):
-        g = Grid(n)
-        norms = np.random.default_rng(seed + 1).uniform(0.01, 10.0, size=count)
-        stack = random_cone_function(g, np.random.default_rng(seed), norm=norms, count=count)
-        assert_cone_stack(stack, n, count, norms)
-        again = random_cone_function(g, np.random.default_rng(seed), norm=norms, count=count)
-        assert_same(again.values, stack.values)
-        assert_same(again.dvalues, stack.dvalues)
+    def test_stack_contract(self, n, k, rho):
+        u, params = sphere_family(Grid(n), rho, k)
+        count = params.shape[0]
+        assert_cone_stack(u, n, count, np.full(count, rho))
+        # only a ramp from 0 whose interval holds no node is left out
+        assert count == 1 + 2 * k * (k - 1) or n < k - 1
 
-    def test_empty_stack(self):
-        u = random_cone_function(Grid(8), np.random.default_rng(0), norm=1.0, count=0)
-        assert u.is_stack and u.values.shape == u.dvalues.shape == (0, 9)
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_row_count(self, k):
+        u, params = sphere_family(Grid(256), 1.0, k)
+        assert u.values.shape == (1 + 2 * k * (k - 1), 257) == (params.shape[0], 257)
 
-    def test_rows_follow_their_knots(self):
-        # the draws in the order the stack takes them: knot counts, interior
-        # knots, knot slopes, u(0); unused knot slots reach no node.  Row i
-        # is interpolated shifted by 3i, which moves its nodes and knots by
-        # at most one rounding of 3*count.  Each row is then scaled to C1
-        # norm 1, and u(0) gives its scale to a rounding or two.
-        n, count = 256, 300
-        shift_error = 2 * np.spacing(3.0 * count)
-        u = random_cone_function(Grid(n), np.random.default_rng(11), norm=1.0, count=count)
-        rng = np.random.default_rng(11)
-        k = rng.integers(2, 7, size=count)
-        interior = rng.uniform(0.0, 1.0, size=(count, 6))
-        slopes = rng.gamma(1.5, 1.0, size=(count, 8))
-        u0 = rng.gamma(1.0, 0.5, size=count)
-        scale = u.values[:, 0] / u0
-        assert set(k) == {2, 3, 4, 5, 6}
-        for i in range(count):
-            knots = np.concatenate(([0.0], np.sort(interior[i, :k[i]]), [1.0]))
-            want = scale[i] * np.interp(Grid(n).nodes, knots, slopes[i, :k[i] + 2])
-            steepest = scale[i] * np.max(np.abs(np.diff(slopes[i, :k[i] + 2]) / np.diff(knots)))
-            assert np.all(np.abs(u.dvalues[i] - want) <= shift_error * steepest + 2e-15 * want.max())
-        last = slopes[np.arange(count), k + 1]
-        np.testing.assert_allclose(u.dvalues[:, -1], scale * last, rtol=2e-15, atol=0)
-        np.testing.assert_allclose(u.dvalues[:, 0], scale * slopes[:, 0], rtol=2e-15, atol=0)
-        np.testing.assert_allclose(c1_norm(u), 1.0, rtol=1e-12, atol=0)
+    def test_rows_follow_their_parameters(self):
+        # Row i has derivative slope_i on the nodes of [a_i, b_i] and 0 off
+        # them, starts from u0_i, and is then scaled to C1 norm rho; the
+        # constant rho comes first, and a ramp from 0 needs no scaling.
+        g, rho = Grid(256), 2.5
+        u, params = sphere_family(g, rho, 10)
+        slope, a, b, u0 = params.T
+        assert tuple(params[0]) == (0.0, 0.0, 1.0, rho)
+        scale = np.max(u.dvalues, axis=1)[1:] / slope[1:]
+        inside = (a[:, None] <= g.nodes) & (g.nodes <= b[:, None])
+        np.testing.assert_array_equal(u.dvalues, np.where(inside, u.dvalues.max(axis=1)[:, None], 0.0))
+        np.testing.assert_allclose(u.values[1:, 0], scale * u0[1:], rtol=1e-15, atol=0)
+        from_zero = u0[1:] == 0.0  # 45 pairs, and the ramp of slope rho on [0, 1] twice
+        assert from_zero.sum() == 46 and np.all(scale[from_zero] == 1.0)
+        np.testing.assert_allclose(u.values[1:, -1][~from_zero], rho, rtol=0.01)
+        assert set(slope[1:] / rho) == {1.0, 0.5, 0.25}
+        np.testing.assert_allclose(c1_norm(u), rho, rtol=1e-15, atol=0)
 
-    def test_row_norms(self):
-        u = random_cone_function(Grid(32), np.random.default_rng(0), norm=[0.5, 2.0], count=2)
-        np.testing.assert_allclose(c1_norm(u), [0.5, 2.0], rtol=1e-12)
-        assert in_cone(u).all()
+    def test_radii_give_blocks_of_rows(self):
+        # rho = 0 is the sphere of the zero function, named as such
+        g = Grid(32)
+        u, params = sphere_family(g, (0.0, 0.5, 2.0), 3)
+        assert u.values.shape == (3 * 13, 33)
+        assert not u.values[:13].any() and not u.dvalues[:13].any()
+        assert sphere_row_name(*params[0]) == "the zero function"
+        for block, rho in ((1, 0.5), (2, 2.0)):
+            one, one_params = sphere_family(g, rho, 3)
+            rows = slice(13 * block, 13 * (block + 1))
+            assert_same(u.values[rows], one.values)
+            assert_same(u.dvalues[rows], one.dvalues)
+            assert_same(params[rows], one_params)
+
+    @pytest.mark.parametrize("row, name", [
+        (0, "the constant 2"),
+        (1, "the ramp of slope 2 on [0, 0.5] from u(0) = 0"),
+        (4, "the ramp of slope 0.5 on [0, 0.5] from u(0) = 1.75"),
+    ])
+    def test_row_names_give_the_parameters(self, row, name):
+        _, params = sphere_family(Grid(32), 2.0, 3)
+        assert sphere_row_name(*params[row]) == name
+
+    def test_coarse_grid_leaves_out_the_zero_rows(self):
+        # [1/9, 2/9] holds no node of Grid(4), so its ramp from 0 is zero
+        u, params = sphere_family(Grid(4), 1.0, 10)
+        assert params.shape[0] < 181
+        np.testing.assert_allclose(c1_norm(u), 1.0, rtol=1e-15, atol=0)
 
 
 class TestApplyT:
