@@ -147,7 +147,7 @@ def falsify_linear_growth(spec, witness: LinearGrowthWitness) -> FalsificationRe
 
 def _check_functionals(spec, witness, u: GridFunction, params) -> Counterexample | None:
     """The first row of a sphere_family stack, and in it the first h_i, with
-    h_i[u] > xi_i * sup u + CONE_TOL; a non-finite h_i names entry and row."""
+    h_i[u] > xi_i * sup u + CONE_TOL, named by its row; a non-finite h_i names entry and row."""
     values = np.array([functional_on_samples(h, u, params) for h in (spec.h1, spec.h2)])
     xi, sup = np.array([[witness.xi1], [witness.xi2]]), np.max(u.values, axis=1)
     with np.errstate(all="ignore"):  # xi*sup may overflow to inf, which bounds nothing
@@ -156,10 +156,10 @@ def _check_functionals(spec, witness, u: GridFunction, params) -> Counterexample
         return None
     row = int(np.argmax(bad.any(axis=0)))
     i = int(np.argmax(bad[:, row]))
-    return Counterexample(kind=f"h{i + 1}", point=None, value=float(values[i, row]),
-                          bound=float(xi[i, 0] * sup[row]),
-                          detail=f"cone function with C1 norm {c1_norm(u[row]):.6g}, "
-                                 f"sup {sup[row]:.6g}")
+    value, bound = float(values[i, row]), float(xi[i, 0] * sup[row])
+    return Counterexample(f"h{i + 1}", None, value, bound,
+                          f"h{i + 1}[{sphere_row_name(*params[row])}] = {value:.6g} "
+                          f"> xi{i + 1}*sup u = {bound:.6g}")
 
 
 def _check_growth_points(spec, witness, pts) -> Counterexample | None:

@@ -28,10 +28,11 @@ Evaluation is numpy-vectorised; non-finite results raise EvaluationError.
 
 parse_entry parses a problem-file entry into an Entry root that names it,
 ``[section] key = '<parsed source>'``; derived_entry names an expression
-derived from one (gamma_i', dk).  Evaluation reads the name at the root
-and puts it in front of every EvaluationError and DomainError, so no
-caller names an entry: a parse error quotes the entry as written, an
-evaluation error as parsed.
+derived from one (gamma_i', dk).  The walk _eval, over any value type
+with numpy's operators, names the entry in front of a DomainError; _run,
+the float evaluation, in front of a non-finite result.  No caller names
+or unwraps an entry: a parse error quotes it as written, an evaluation
+error as parsed.
 
 lattice_extrema scans a nonlinearity over a t x u x v lattice without
 building it: slab by slab along t, whole (u, v) planes of at most
@@ -493,6 +494,11 @@ def _eval(e: Expr, env: dict, u: GridFunction | None):
         if body.shape[1] != grid.n + 1:
             body = np.broadcast_to(body, (body.shape[0], grid.n + 1))
         return integrate(np.ascontiguousarray(body), grid)[:, None]
+    if isinstance(e, Entry):  # the root alone: after every node type, off the hot path
+        try:
+            return _eval(e.body, env, u)
+        except DomainError as exc:
+            raise DomainError(f"{e.where}: {exc}") from exc
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -520,12 +526,8 @@ def _non_finite_error(e: Expr, env: dict, out: np.ndarray, rows: int | None) -> 
 
 def _run(e: Expr, env: dict, u: GridFunction | None = None, rows: int | None = None):
     env = {k: np.asarray(v, dtype=float) for k, v in env.items()}
-    try:
-        with np.errstate(all="ignore"):
-            out = _eval(e.body if isinstance(e, Entry) else e, env, u)
-    except DomainError as exc:
-        raise DomainError(labelled(e, str(exc))) from exc
-    out = np.asarray(out, dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.asarray(_eval(e, env, u), dtype=float)
     if not np.isfinite(out).all():
         raise _non_finite_error(e, env, out, rows)
     return float(out) if out.ndim == 0 else out
@@ -558,7 +560,7 @@ def lattice_extrema(e: Expr, t, u, v) -> tuple[float, tuple, float, tuple]:
     non-finite value raises the EvaluationError the whole lattice would.
     """
     free: dict = {}
-    core = _hoist_t_free(e.body if isinstance(e, Entry) else e, free)
+    core = _hoist_t_free(e, free)
     dt = max(1, LATTICE_SLAB // (len(u) * len(v)))
     lo = hi = None  # (value, index) so far; a later slab must be strictly better
     with np.errstate(all="ignore"):
@@ -580,6 +582,8 @@ def lattice_extrema(e: Expr, t, u, v) -> tuple[float, tuple, float, tuple]:
 def _hoist_t_free(e: Expr, free: dict) -> Expr:
     """e with each largest subtree that reads u or v but not t replaced by a
     variable; ``free`` maps the variable's name to the subtree."""
+    if isinstance(e, Entry):  # the root stays, to name a DomainError of the core
+        return Entry(e.where, _hoist_t_free(e.body, free), e.derived)
     names = variables(e)
     if "t" not in names:
         if not names or isinstance(e, Var):

@@ -25,7 +25,8 @@ from .bounds import CHECK_KNOTS, LATTICE_M, LinearGrowthWitness, functional_on_s
 from .errors import CheckResult, ParameterError, ProblemFileError
 from .expr import (Expr, derived_entry, eval_coefficient, eval_constant, eval_functional,
                    eval_nonlinearity, lattice_extrema, parse_entry)
-from .grid import CONE_TOL, Grid, GridFunction, cone_defect, sign_check, sphere_family
+from .grid import (CONE_TOL, Grid, GridFunction, cone_defect, sign_check, sphere_family,
+                   sphere_row_name)
 from .kernel import FocalKernel, Kernel, check_kernel_hypotheses, kernel_from_exprs
 
 GRID_N = 256  # the grid subintervals of a load that names none
@@ -95,11 +96,12 @@ def _check_f_sign(spec: ProblemSpec) -> CheckResult:
 def _check_functional_boundedness(spec: ProblemSpec) -> CheckResult:
     # The sphere_family on rho = 0 (the zero function), 0.5, 1 and 2, as one stack.
     u, params = sphere_family(spec.grid, (0.0, 0.5, 1.0, 2.0), CHECK_KNOTS)
-    worst = min(float(np.min(functional_on_samples(h, u, params)))  # a non-finite value raises
-                for h in (spec.h1, spec.h2))
-    if worst < -CONE_TOL:
+    values = np.array([functional_on_samples(h, u, params)  # a non-finite value raises
+                       for h in (spec.h1, spec.h2)])
+    i, row = np.unravel_index(int(np.argmin(values)), values.shape)  # h1 first, then by row
+    if values[i, row] < -CONE_TOL:
         return CheckResult("functionals >= 0 and bounded", "warn",
-                           f"found h[u] = {worst:.3g} < 0 on a cone sample")
+                           f"h{i + 1}[{sphere_row_name(*params[row])}] = {values[i, row]:.3g} < 0")
     return CheckResult("functionals >= 0 and bounded", "pass",
                        "finite and non-negative on sampled cone functions")
 

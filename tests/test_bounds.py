@@ -13,7 +13,7 @@ from hammcert.bounds import (FALSIFY_POINTS, BoundSet, LinearGrowthWitness,
 from hammcert.certificate import check_existence
 from hammcert.errors import EvaluationError, ParameterError
 from hammcert.expr import eval_functional, eval_nonlinearity, parse, parse_entry
-from hammcert.grid import CONE_TOL, GridFunction, c1_norm, in_cone, sphere_family
+from hammcert.grid import CONE_TOL, c1_norm, in_cone, sphere_family, sphere_row_name
 from hammcert.problem import loads_problem
 
 from problem_texts import ZERO_PROBLEM, edited
@@ -143,15 +143,15 @@ class TestFalsifyLinearGrowth:
         assert result.consistent
 
     def test_derivative_at_zero_exceeds_every_xi(self):
-        # u = t - t^2/2 is in the cone with u'(0) = 1 > 1/2 = sup u, so
-        # h2 = DU(0) has no xi2 <= 1 with h2[u] <= xi2 * sup u
+        # the ramp from 0 on [0, 1/2] is in the cone with u'(0) = 1 > sup u,
+        # about 1/2, so h2 = DU(0) has no xi2 <= 1 with h2[u] <= xi2 * sup u
         spec = tiny_spec(f="0")
-        t = spec.grid.nodes
-        u = GridFunction.stack([GridFunction.ramp(spec.grid, 1.0),
-                                GridFunction(spec.grid, t - t * t / 2, 1 - t)])
-        # both rows are finite, so no row parameters are read
-        ce = _check_functionals(spec, LinearGrowthWitness(0.0, 1.0, 1.0), u, None)
-        assert (ce.kind, ce.point, ce.value, ce.bound) == ("h2", None, 1.0, 0.5)
+        u, params = sphere_family(spec.grid, 1.0, 3)
+        ce = _check_functionals(spec, LinearGrowthWitness(0.0, 1.0, 1.0), u, params)
+        sup = 0.5 + spec.grid.h / 2  # the trapezoid antiderivative runs half a node on
+        assert (ce.kind, ce.point, ce.value, ce.bound) == ("h2", None, 1.0, sup)
+        assert ce.detail == ("h2[the ramp of slope 1 on [0, 0.5] from u(0) = 0] = 1 "
+                             f"> xi2*sup u = {sup:.6g}")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("h1, h2, xi1, xi2, found", [
@@ -170,8 +170,9 @@ class TestFalsifyLinearGrowth:
                     for i, h, xi in ((1, spec.h1, xi1), (2, spec.h2, xi2))]
             hits = [hit for hit in hits if hit[1] > hit[2] + CONE_TOL]
             if hits:
-                expected = (f"h{hits[0][0]}", hits[0][1], hits[0][2],
-                            f"cone function with C1 norm {c1_norm(u[row]):.6g}, sup {sup:.6g}")
+                i, value, bound = hits[0]
+                expected = (f"h{i}", value, bound, f"h{i}[{sphere_row_name(*params[row])}] "
+                                                   f"= {value:.6g} > xi{i}*sup u = {bound:.6g}")
                 break
         ce = _check_functionals(spec, LinearGrowthWitness(0.0, xi1, xi2), u, params)
         assert (ce and (ce.kind, ce.value, ce.bound, ce.detail)) == expected

@@ -267,6 +267,16 @@ class TestCertifyNonexistence:
         assert record["verdict"] == "witness-falsified"
         assert record["counterexample_kind"] == "f-growth"
 
+    def test_falsified_functional_names_its_sample(self, example2_path, tmp_path, capsys):
+        # h1 = 1 > xi1*sup u = 1/10 on the constant 1, the first sample at rho = 1
+        problem = _variant(tmp_path, example2_path, "xi1 = 1\n", "xi1 = 1/10\n")
+        out = tmp_path / "cert.rec"
+        assert main(["certify-nonexistence", "--problem", problem, "--out", str(out)]) == 1
+        detail = "h1[the constant 1] = 1 > xi1*sup u = 0.1"
+        assert capsys.readouterr().out == f"witness falsified after 1024 samples: {detail}\n"
+        record = parse_record(out.read_text())
+        assert (record["counterexample_kind"], record["counterexample_detail"]) == ("h1", detail)
+
     @pytest.mark.parametrize("argv", [
         ["--seed", "5"], ["--n", "16"], ["--skip-falsification"], ["--budget", "1"],
     ], ids=" ".join)

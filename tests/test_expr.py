@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from hammcert.errors import DomainError, EvaluationError, ExprError
 from hammcert.expr import (Binary, Call, Const, Integral, Num, PointValue,
-                           Unary, Var, derivative, eval_bound, eval_constant,
+                           Unary, Var, _eval, derivative, eval_bound, eval_constant,
                            eval_coefficient, eval_functional,
-                           eval_nonlinearity, parse, to_source, variables)
+                           eval_nonlinearity, parse, parse_entry, to_source, variables)
 from hammcert.grid import Grid, GridFunction
 
 E2 = math.exp(2.0)
@@ -167,6 +168,60 @@ class TestEvaluation:
         e = parse("1/(t - t)", "nonlinearity")
         with pytest.raises(EvaluationError):
             eval_nonlinearity(e, 1.0, 0.0, 0.0)
+
+
+class Interval(np.lib.mixins.NDArrayOperatorsMixin):
+    """The closed interval [lo, hi] under +, -, *, negation, exp and sqrt,
+    with endpoints rounded to nearest: a value type for the tree walk, not
+    an enclosure.  sqrt of an interval that reaches below 0 is a
+    DomainError."""
+
+    def __init__(self, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
+
+    def __contains__(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        a, *rest = (x if isinstance(x, Interval) else Interval(float(x), float(x))
+                    for x in inputs)
+        if ufunc is np.negative:
+            return Interval(-a.hi, -a.lo)
+        if ufunc in (np.exp, np.sqrt):
+            if ufunc is np.sqrt and a.lo < 0:
+                raise DomainError(f"sqrt of [{a.lo:g}, {a.hi:g}]")
+            return Interval(float(ufunc(a.lo)), float(ufunc(a.hi)))
+        b, = rest
+        if ufunc is np.add:
+            return Interval(a.lo + b.lo, a.hi + b.hi)
+        if ufunc is np.subtract:
+            return Interval(a.lo - b.hi, a.hi - b.lo)
+        if ufunc is np.multiply:
+            ends = [x * y for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+            return Interval(min(ends), max(ends))
+        return NotImplemented
+
+
+class TestValueTypes:
+    """_eval walks a parsed entry over any value type with numpy's operators."""
+
+    def test_interval_contains_the_corners(self, example1):
+        unit = Interval(0.0, 1.0)
+        box = _eval(example1.f, {"t": unit, "u": unit, "v": unit}, None)
+        assert (box.lo, box.hi) == (1.0, float(np.exp(2.0)))
+        for t, u, v in itertools.product((0.0, 1.0), repeat=3):
+            assert eval_nonlinearity(example1.f, t, u, v) in box
+
+    def test_domain_error_names_the_entry_as_a_float_evaluation_does(self):
+        f = parse_entry("nonlinearity", "f", "sqrt(u - 1/2)", "nonlinearity")
+        unit = Interval(0.0, 1.0)
+        with pytest.raises(DomainError) as interval:
+            _eval(f, {"t": unit, "u": unit, "v": unit}, None)
+        assert str(interval.value) == "[nonlinearity] f = 'sqrt(u - 1.0/2.0)': sqrt of [-0.5, 0.5]"
+        with pytest.raises(DomainError) as floats:
+            eval_functional(parse_entry("functionals", "h1", "U(3/2)", "functional"), ramp())
+        assert str(floats.value) \
+            == "[functionals] h1 = 'U(3.0/2.0)': evaluation point 1.5 outside [0,1]"
 
 
 class TestFunctionals:

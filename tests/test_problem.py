@@ -227,6 +227,11 @@ class TestLoading:
          "kernel k >= 0", "min -0.00999 at t=0.3968, s=0.6984"),
         ((("f = u", "f = (t-0.3)^2 + (u-0.6)^2 + (v-0.2)^2 - 0.01"),),
          "f >= 0", "min -0.00995 at t=0.3016, u=0.6032, v=0.2063"),
+        # the functionals' minimum over their cone samples names entry and sample
+        ((("h1 = U(1)", "h1 = U(1) - 1/2"),),
+         "functionals >= 0 and bounded", "h1[the zero function] = -0.5 < 0"),
+        ((("h2 = DU(0)", "h2 = DU(0) - U(1)"),),  # the first of the minima -rho, at rho = 2
+         "functionals >= 0 and bounded", "h2[the constant 2] = -2 < 0"),
     ])
     def test_sign_warning_names_the_lattice_minimum(self, edits, name, detail):
         text = ZERO_PROBLEM
