@@ -38,7 +38,10 @@ lattice_extrema scans a nonlinearity over a t x u x v lattice without
 building it: slab by slab along t, whole (u, v) planes of at most
 LATTICE_SLAB points at a time (one plane if a plane is larger), with the
 subexpressions that do not read t evaluated once on the (u, v) plane.  It
-returns what argmin and argmax on the whole array would.
+returns what argmin and argmax on the whole array would.  The same rule
+bounds the load's check of the functionals: its cone functions are built
+and evaluated in slabs of whole rows, at most LATTICE_SLAB samples each
+(one row if a row is larger).
 """
 
 from __future__ import annotations
@@ -544,7 +547,9 @@ def eval_nonlinearity(e: Expr, t, u, v, rows: int | None = None):
 
 
 # The most lattice points lattice_extrema evaluates at once (unless a single
-# t-plane is larger): 2^14 points keep each temporary at 128 KiB.
+# t-plane is larger), and the most samples in a slab of the load's cone
+# functions (unless a single row is larger): 2^14 points keep each
+# temporary at 128 KiB.
 LATTICE_SLAB = 1 << 14
 
 

@@ -64,36 +64,37 @@ class GridFunction:
     samples, row i being function i.  Every operation here acts row by
     row on a stack, with the arithmetic it uses on a single function, so
     a single function behaves as a stack of one.
+
+    No one can write the samples of a GridFunction.  The constructor takes
+    a read-only float64 C-ordered array that owns its memory as it is: the
+    package's builders hand over the arrays they have just made, read-only.
+    Anything else, a caller's writeable array or a view, is copied.  A row
+    of a stack is a copy too, so that it does not keep the stack alive.
     """
 
     __slots__ = ("grid", "values", "dvalues")
 
     def __init__(self, grid: Grid, values, dvalues):
-        # C order keeps every row contiguous, which row sums rely on to
-        # round as the sum of a single function does.
-        values = np.array(values, dtype=float, order="C")
-        dvalues = np.array(dvalues, dtype=float, order="C")
+        values, dvalues = _owned(values), _owned(dvalues)
         if (values.ndim not in (1, 2) or values.shape[-1] != grid.n + 1
                 or dvalues.shape != values.shape):
             raise ShapeError(
                 f"expected {grid.n + 1} samples (or rows of them) for {grid!r}, "
                 f"got {values.shape} and {dvalues.shape}"
             )
-        values.flags.writeable = False
-        dvalues.flags.writeable = False
         self.grid = grid
         self.values = values
         self.dvalues = dvalues
 
     @classmethod
     def zero(cls, grid: Grid) -> "GridFunction":
-        z = np.zeros(grid.n + 1)
+        z = _frozen(np.zeros(grid.n + 1))
         return cls(grid, z, z)
 
     @classmethod
     def ramp(cls, grid: Grid, slope: float) -> "GridFunction":
         """u(t) = slope * t, the canonical cone direction."""
-        return cls(grid, slope * grid.nodes, np.full(grid.n + 1, slope))
+        return cls(grid, _frozen(slope * grid.nodes), _frozen(np.full(grid.n + 1, slope)))
 
     @classmethod
     def stack(cls, functions) -> "GridFunction":
@@ -102,8 +103,8 @@ class GridFunction:
         grids = {u.grid for u in functions}
         if len(grids) != 1:
             raise ShapeError(f"a stack needs functions on one grid, got {sorted(grids, key=repr)}")
-        return cls(grids.pop(), np.concatenate([np.atleast_2d(u.values) for u in functions]),
-                   np.concatenate([np.atleast_2d(u.dvalues) for u in functions]))
+        return cls(grids.pop(), _frozen(np.concatenate([np.atleast_2d(u.values) for u in functions])),
+                   _frozen(np.concatenate([np.atleast_2d(u.dvalues) for u in functions])))
 
     @property
     def is_stack(self) -> bool:
@@ -113,12 +114,32 @@ class GridFunction:
         """Row ``index`` of a stack, or the sub-stack an index array selects."""
         if not self.is_stack:
             raise TypeError("a single GridFunction has no rows")
-        return GridFunction(self.grid, self.values[index], self.dvalues[index])
+        # an index array selects a fresh copy, handed over; an int, a view, is copied
+        return GridFunction(self.grid, _frozen(self.values[index]), _frozen(self.dvalues[index]))
 
     def __repr__(self) -> str:
         if self.is_stack:
             return f"GridFunction(n={self.grid.n}, rows={self.values.shape[0]})"
         return f"GridFunction(n={self.grid.n}, norm={c1_norm(self):.6g})"
+
+
+def _frozen(samples: np.ndarray) -> np.ndarray:
+    """samples, made read-only: how a builder hands a fresh array to a
+    GridFunction, which then takes it without a copy."""
+    samples.flags.writeable = False
+    return samples
+
+
+def _owned(samples) -> np.ndarray:
+    """samples as a read-only float64 C-ordered array that no one can write:
+    such an array that owns its memory as it is, a copy of anything else.
+    C order keeps every row contiguous, which row sums rely on to round as
+    the sum of a single function does."""
+    if not (isinstance(samples, np.ndarray) and samples.base is None
+            and not samples.flags.writeable and samples.dtype == np.float64
+            and samples.flags.c_contiguous):
+        samples = _frozen(np.array(samples, dtype=float, order="C"))
+    return samples
 
 
 def _first_max(*values):
@@ -142,8 +163,10 @@ def c1_distance(u: GridFunction, w: GridFunction):
         raise ShapeError(f"grid mismatch: {u.grid!r} vs {w.grid!r}")
     if u.values.shape != w.values.shape:
         raise ShapeError(f"shape mismatch: {u.values.shape} vs {w.values.shape}")
-    dv = np.max(np.abs(u.values - w.values), axis=-1)
-    dd = np.max(np.abs(u.dvalues - w.dvalues), axis=-1)
+    gap = np.subtract(u.values, w.values)  # one array for both differences
+    dv = np.max(np.abs(gap, out=gap), axis=-1)
+    np.subtract(u.dvalues, w.dvalues, out=gap)
+    dd = np.max(np.abs(gap, out=gap), axis=-1)
     return _first_max(dv, dd)
 
 
@@ -197,10 +220,11 @@ def cumulative_integral(samples, grid: Grid) -> np.ndarray:
     """Trapezoid antiderivative at every node: F_j = int_0^{t_j} samples,
     along the last axis."""
     samples = _check_samples(samples, grid)
-    steps = 0.5 * grid.h * (samples[..., 1:] + samples[..., :-1])
     out = np.empty(samples.shape)
     out[..., 0] = 0.0
-    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    steps = np.add(samples[..., 1:], samples[..., :-1], out=out[..., 1:])
+    steps *= 0.5 * grid.h
+    np.cumsum(steps, axis=-1, out=steps)
     return out
 
 
@@ -232,9 +256,17 @@ def sphere_family(grid: Grid, rho, k: int) -> tuple[GridFunction, np.ndarray]:
     antiderivative of u', which rises over the nodes of [a, b] widened by
     h/2 at each end inside [0, 1], and each row is scaled so its C1 norm is
     rho up to rounding, never above it.  A ramp from 0 whose interval holds
-    no node (on a grid with n < k - 1) is left out; at rho = 0 every row is
-    the zero function.
+    no node (on a grid with n < k - 1) is left out; rho = 0 gives one row,
+    row 0, the zero function.
     """
+    return next(sphere_slabs(grid, rho, k, None))
+
+
+def sphere_slabs(grid: Grid, rho, k: int, points):
+    """sphere_family(grid, rho, k) slab by slab: its rows in order, as many
+    as fit in ``points`` samples at a time and at least one, or all of them
+    if ``points`` is None.  Each row is built with the arithmetic of the
+    whole family, so the slabs stacked are that family bit for bit."""
     # (s, a, b, u(0)) of each row at rho = 1
     s, a, b, u0 = np.array([(0.0, 0.0, 1.0, 1.0)] + [
         (s, a, b, start * (1.0 - s * (b - a)))
@@ -245,20 +277,26 @@ def sphere_family(grid: Grid, rho, k: int) -> tuple[GridFunction, np.ndarray]:
     j0, j1 = grid.nodes.searchsorted(a), grid.nodes.searchsorted(b, side="right") - 1
     lo, hi = np.maximum(j0 - 0.5, 0.0), np.minimum(j1 + 0.5, grid.n)
     norm = np.maximum(u0 + s * grid.h * (hi - lo), s * (j0 <= j1))
-    # Each output row: its row above (one block per radius) and its radius.
+    # Each output row: its row above (one block per radius, row 0 alone for
+    # radius 0) and its radius.
     keep = np.flatnonzero(norm > 0)
-    row = np.tile(keep, np.size(rho))
-    r = np.repeat(rho, keep.size)
-    slope, start = r * s[row] / norm[row], r * u0[row] / norm[row]
+    radii = np.atleast_1d(rho)
+    sizes = np.where(radii == 0, 1, keep.size)
+    row = np.concatenate([keep[:size] for size in sizes])
+    r = np.repeat(radii, sizes)
+    step = r.size if points is None else max(1, points // (grid.n + 1))
     j = np.arange(grid.n + 1)
-    values = j - lo[row, None]
-    np.clip(values, 0.0, (hi - lo)[row, None], out=values)
-    values *= (slope * grid.h)[:, None]
-    values += start[:, None]
-    np.minimum(values, r[:, None], out=values)  # u(1) = rho may round above it
-    dvalues = slope[:, None] * ((j0[row, None] <= j) & (j <= j1[row, None]))
-    return (GridFunction(grid, values, dvalues),
-            np.column_stack((r * s[row], a[row], b[row], r * u0[row])))
+    for i in range(0, r.size, step):
+        rows, rs = row[i:i + step], r[i:i + step]
+        slope, start = rs * s[rows] / norm[rows], rs * u0[rows] / norm[rows]
+        values = j - lo[rows, None]
+        np.clip(values, 0.0, (hi - lo)[rows, None], out=values)
+        values *= (slope * grid.h)[:, None]
+        values += start[:, None]
+        np.minimum(values, rs[:, None], out=values)  # u(1) = rho may round above it
+        dvalues = slope[:, None] * ((j0[rows, None] <= j) & (j <= j1[rows, None]))
+        yield (GridFunction(grid, _frozen(values), _frozen(dvalues)),
+               np.column_stack((rs * s[rows], a[rows], b[rows], rs * u0[rows])))
 
 
 def sphere_row_name(slope: float, a: float, b: float, u0: float) -> str:

@@ -143,13 +143,20 @@ class FocalKernel(Kernel):
         t_j * sum_{i>j} w_i F_i; row j of the derivative integral is the
         trapezoid integral of F over [t_j, 1].  The sums run along the
         last axis, so a stack F is done row by row in one pass.
+        Each temporary is overwritten in place once read, with the
+        arithmetic of those formulas.
         """
         t = grid.nodes
         wF = self._trap_weights(grid) * F
         below = np.cumsum(wF, axis=-1)
-        values = np.cumsum(t * wF, axis=-1) + t * (below[..., -1:] - below)
+        wF *= t
+        values = np.cumsum(wF, axis=-1, out=wF)
+        np.subtract(below[..., -1:], below, out=below)
+        below *= t
+        values += below
+        del below
         C = cumulative_integral(F, grid)
-        return values, C[..., -1:] - C
+        return values, np.subtract(C[..., -1:], C, out=C)
 
     def _make_K(self, grid: Grid) -> float:
         return 0.5

@@ -8,9 +8,10 @@ whose derivative row swaps in dk = dk/dt and gamma_i'.  Both are derived
 from k and gamma_i; only the built-in focal kernel writes its dk out.
 Problems are declared in a flat INI-style file (see docs/problem-format.md).
 The loader samples the standing hypotheses on LATTICE_M-point lattices
-and, for the functionals, on the sphere_family of CHECK_KNOTS knots, and
-keeps the whole table as ``ProblemSpec.checks``: a sign violation of the
-sampled data is a failed row, listed again in ``warnings``; bad parameters,
+and, for the functionals, on the sphere_family of CHECK_KNOTS knots, built
+and evaluated in slabs of at most LATTICE_SLAB samples, and keeps the
+whole table as ``ProblemSpec.checks``: a sign violation of the sampled
+data is a failed row, listed again in ``warnings``; bad parameters,
 unknown sections or keys and non-finite samples are errors.
 """
 
@@ -22,11 +23,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import CHECK_KNOTS, LATTICE_M, LinearGrowthWitness, functional_on_samples
-from .errors import CheckResult, ParameterError, ProblemFileError
-from .expr import (Expr, derived_entry, eval_coefficient, eval_constant, eval_functional,
-                   eval_nonlinearity, lattice_extrema, parse_entry)
+from .errors import CheckResult, DomainError, EvaluationError, ParameterError, ProblemFileError
+from .expr import (LATTICE_SLAB, Expr, derived_entry, eval_coefficient, eval_constant,
+                   eval_functional, eval_nonlinearity, lattice_extrema, parse_entry)
 from .grid import (CONE_TOL, Grid, GridFunction, cone_defect, sign_check, sphere_family,
-                   sphere_row_name)
+                   sphere_row_name, sphere_slabs)
 from .kernel import FocalKernel, Kernel, check_kernel_hypotheses, kernel_from_exprs
 
 GRID_N = 256  # the grid subintervals of a load that names none
@@ -94,10 +95,21 @@ def _check_f_sign(spec: ProblemSpec) -> CheckResult:
 
 
 def _check_functional_boundedness(spec: ProblemSpec) -> CheckResult:
-    # The sphere_family on rho = 0 (the zero function), 0.5, 1 and 2, as one stack.
-    u, params = sphere_family(spec.grid, (0.0, 0.5, 1.0, 2.0), CHECK_KNOTS)
-    values = np.array([functional_on_samples(h, u, params)  # a non-finite value raises
-                       for h in (spec.h1, spec.h2)])
+    # The zero function, then the sphere_family on rho = 0.5, 1 and 2: 40
+    # rows, built and evaluated in slabs of at most LATTICE_SLAB points.
+    rho = (0.0, 0.5, 1.0, 2.0)
+    try:
+        slabs = [(np.array([functional_on_samples(h, u, params) for h in (spec.h1, spec.h2)]), params)
+                 for u, params in sphere_slabs(spec.grid, rho, CHECK_KNOTS, LATTICE_SLAB)]
+    except (DomainError, EvaluationError):
+        # A non-finite or domain error: raise the one the whole stack raises,
+        # h1 before h2, each the first in its own tree walk.
+        u, params = sphere_family(spec.grid, rho, CHECK_KNOTS)
+        for h in (spec.h1, spec.h2):
+            functional_on_samples(h, u, params)
+        raise
+    values = np.concatenate([v for v, _ in slabs], axis=1)
+    params = np.concatenate([p for _, p in slabs])
     i, row = np.unravel_index(int(np.argmin(values)), values.shape)  # h1 first, then by row
     if values[i, row] < -CONE_TOL:
         return CheckResult("functionals >= 0 and bounded", "warn",
@@ -114,6 +126,9 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     before f sees them, since f is only defined on [0, inf)^2.  A stack
     is mapped row by row in one pass; a non-finite f or h_i value raises
     an EvaluationError that names its entry, with the failing rows in ``rows``.
+    Each temporary stack goes as soon as it has been read, and both rows
+    are summed in place, in the order the formula reads, so that a stack
+    of k rows needs a few stacks of working memory, not a dozen.
     """
     defect = np.atleast_1d(cone_defect(u))
     outside = defect > CONE_TOL
@@ -129,13 +144,27 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     vc = np.maximum(u.dvalues, 0.0)
     rows = uc.shape[0] if u.is_stack else None
     fvals = np.asarray(eval_nonlinearity(spec.f, t, uc, vc, rows=rows))
+    del uc, vc
     h1v = np.asarray(eval_functional(spec.h1, u))[..., None]
     h2v = np.asarray(eval_functional(spec.h2, u))[..., None]
     g1, g2, dg1, dg2 = spec.coefficients(grid)
-    integral, dintegral = spec.kernel.integrals(grid, np.broadcast_to(fvals, uc.shape))
-    values = spec.eta1 * g1 * h1v + spec.eta2 * g2 * h2v + spec.lam * integral
-    dvalues = spec.eta1 * dg1 * h1v + spec.eta2 * dg2 * h2v + spec.lam * dintegral
+    integral, dintegral = spec.kernel.integrals(grid, np.broadcast_to(fvals, u.values.shape))
+    del fvals
+    values = _weighted_sum(spec, g1, g2, h1v, h2v, integral)
+    del integral
+    dvalues = _weighted_sum(spec, dg1, dg2, h1v, h2v, dintegral)
+    values.flags.writeable = dvalues.flags.writeable = False  # handed over, not copied
     return GridFunction(grid, values, dvalues)
+
+
+def _weighted_sum(spec: ProblemSpec, g1, g2, h1v, h2v, integral: np.ndarray) -> np.ndarray:
+    """eta1*g1*h1v + eta2*g2*h2v + lam*integral, added in that order into
+    the first term; ``integral`` is scaled in place."""
+    out = spec.eta1 * g1 * h1v
+    out += spec.eta2 * g2 * h2v
+    integral *= spec.lam
+    out += integral
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float,
     results: list[SolveResult | None] = [None] * starts.values.shape[0]
     active = np.arange(starts.values.shape[0])
     u = starts
+    del starts  # the start stack goes once the first application replaces u
     residual = np.full(active.size, np.inf)
     for it in range(max_iter + 1):
         while active.size:
@@ -93,7 +94,8 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float,
         for i in np.flatnonzero(diverged):
             results[active[i]] = _result("diverged", w[i], it + 1, residual[i])
         going = ~(converged | diverged)
-        active, u, residual = active[going], w[going], residual[going]
+        active, u, residual = active[going], (w if going.all() else w[going]), residual[going]
+        del w  # only u holds the rows that go on
     return results
 
 

@@ -9,6 +9,7 @@ from hammcert.grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm,
                            cone_defect, consistency_defect, cumulative_integral,
                            in_cone, integrate)
 from hammcert.kernel import FocalKernel
+from hammcert.solver import MAX_ITERATIONS, STARTS, TOL_FIXPOINT, multistart_solve
 
 
 def quad_function(n: int) -> GridFunction:
@@ -165,3 +166,43 @@ class TestConeAndConsistency:
         g = Grid(4)
         u = GridFunction(g, np.full(5, -CONE_TOL / 2), np.zeros(5))
         assert in_cone(u)
+
+
+class TestOwnership:
+    """No one can write a GridFunction's samples, and a row owns its own."""
+
+    def test_caller_writes_do_not_reach_it(self):
+        g = Grid(4)
+        values, dvalues = np.arange(5.0), np.ones(5)
+        u = GridFunction(g, values, dvalues)
+        wide = GridFunction(g, np.broadcast_to(values, (2, 5)), np.broadcast_to(dvalues, (2, 5)))
+        values[0] = dvalues[0] = 7.0
+        assert u.values[0] == wide.values[1, 0] == 0.0 and u.dvalues[0] == wide.dvalues[1, 0] == 1.0
+
+    def test_a_read_only_array_it_is_handed_is_taken_as_it_is(self):
+        g = Grid(4)
+        a = np.zeros(5)
+        a.flags.writeable = False
+        assert GridFunction(g, a, a).values is a
+
+    def test_builders_give_read_only_samples(self):
+        g = Grid(8)
+        stack = GridFunction.stack([GridFunction.zero(g), GridFunction.ramp(g, 2.0)])
+        for u in (GridFunction.zero(g), GridFunction.ramp(g, 2.0), stack, stack[1],
+                  stack[np.array([True, False])]):
+            for samples in (u.values, u.dvalues):
+                with pytest.raises(ValueError, match="read-only"):
+                    samples[..., 0] = 1.0
+
+    def test_a_row_owns_its_samples(self):
+        g = Grid(8)
+        stack = GridFunction.stack([GridFunction.ramp(g, s) for s in (1.0, 2.0, 3.0)])
+        for row in (stack[1], stack[-1]):
+            assert row.values.base is None and row.dvalues.base is None
+
+    def test_solve_results_own_their_rows(self, example1):
+        # A result's u that viewed its stack would keep all eight rows alive.
+        n = example1.grid.n
+        for res in multistart_solve(example1, STARTS, TOL_FIXPOINT, MAX_ITERATIONS):
+            for samples in (res.u.values, res.u.dvalues):
+                assert samples.base is None or samples.base.size == n + 1

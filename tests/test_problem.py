@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import hammcert.problem
-from hammcert.bounds import BoundSet, LinearGrowthWitness
+from hammcert.bounds import CHECK_KNOTS, BoundSet, LinearGrowthWitness, functional_on_samples
 from hammcert.errors import EvaluationError, ParameterError, ProblemFileError
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, cone_defect,
-                           consistency_defect, in_cone)
+                           consistency_defect, in_cone, sphere_family)
 from hammcert.certificate import check_existence
-from hammcert.expr import Num, eval_coefficient, eval_functional, eval_nonlinearity, parse
+from hammcert.expr import LATTICE_SLAB, Num, eval_coefficient, eval_functional, eval_nonlinearity, parse
 from hammcert.kernel import FocalKernel, Kernel
 from hammcert.problem import ProblemSpec, apply_T, load_problem, loads_problem, validate_spec
 
@@ -333,6 +333,51 @@ class TestValidateSpec:
         copy = replace(example1, gamma1=parse("-1", "coefficient"))
         assert copy.checks == example1.checks and copy.warnings == ()
         assert [r.name for r in validate_spec(copy) if not r.ok] == ["gamma1 >= 0"]
+
+
+class TestFunctionalCheck:
+    """The load's h_i check: the zero function once, then the sphere_family
+    at rho = 0.5, 1 and 2, built and evaluated in slabs of at most
+    LATTICE_SLAB points."""
+
+    @pytest.mark.parametrize("n, slabs", [(256, 1), (2048, 6)])
+    def test_forty_rows_in_slabs(self, n, slabs, monkeypatch):
+        seen = []
+
+        def recording(h, u, params):
+            seen.append((h, u, params))
+            return functional_on_samples(h, u, params)
+
+        monkeypatch.setattr(hammcert.problem, "functional_on_samples", recording)
+        spec = loads_problem(ZERO_PROBLEM, n=n)
+        assert [h for h, _, _ in seen] == [spec.h1, spec.h2] * slabs
+        assert max(u.values.size for _, u, _ in seen) <= LATTICE_SLAB
+        rows = seen[::2]  # the slabs h1 saw, in order
+        assert sum(u.values.shape[0] for _, u, _ in rows) == 40
+        # stacked, the slabs are the whole family bit for bit, the zero function first
+        whole, params = sphere_family(spec.grid, (0.0, 0.5, 1.0, 2.0), CHECK_KNOTS)
+        assert np.concatenate([u.values for _, u, _ in rows]).tobytes() == whole.values.tobytes()
+        assert np.concatenate([u.dvalues for _, u, _ in rows]).tobytes() == whole.dvalues.tobytes()
+        assert np.concatenate([p for _, _, p in rows]).tobytes() == params.tobytes()
+        assert not whole.values[0].any() and whole.values[1:].min(axis=1).max() > 0
+
+    @pytest.mark.parametrize("h1, h2, message", [
+        # a domain error in a later slab wins over a non-finite value in the first
+        ("1/U(0) + U(DU(0)/1.5)", "U(1)", "h1 = '1.0/U(0.0) + U(DU(0.0)/1.5)'"),
+        # h1's error in a later slab wins over h2's in the first
+        ("U(DU(0)/1.5)", "1/U(0)", "h1 = 'U(DU(0.0)/1.5)'"),
+        # the first point atom's error wins over the second's in an earlier slab
+        ("U(DU(0)/1.5) + U(U(1)/1.2)", "U(1)", "h1 = 'U(DU(0.0)/1.5) + U(U(1.0)/1.2)'"),
+    ])
+    def test_slabs_raise_the_error_of_the_whole_stack(self, h1, h2, message):
+        # DU(0)/1.5 leaves [0,1] on the ramps of slope 2 at rho = 2, rows 28
+        # on, and U(1)/1.2 on the constant 2, row 27, which ends an earlier
+        # slab of 7 rows at n = 2048.
+        text = edited(ZERO_PROBLEM, ("h1 = U(1)", f"h1 = {h1}"), ("h2 = DU(0)", f"h2 = {h2}"))
+        with pytest.raises(ProblemFileError) as exc:
+            loads_problem(text, n=2048)
+        assert str(exc.value) == (f"<string>: [functionals] {message}: "
+                                  "evaluation point 1.3333333333333333 outside [0,1]")
 
 
 class TestApplyT:

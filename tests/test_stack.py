@@ -156,15 +156,15 @@ class TestSphereFamily:
         np.testing.assert_allclose(c1_norm(u), rho, rtol=1e-15, atol=0)
 
     def test_radii_give_blocks_of_rows(self):
-        # rho = 0 is the sphere of the zero function, named as such
+        # rho = 0 is the sphere of the zero function: one row, named as such
         g = Grid(32)
         u, params = sphere_family(g, (0.0, 0.5, 2.0), 3)
-        assert u.values.shape == (3 * 13, 33)
-        assert not u.values[:13].any() and not u.dvalues[:13].any()
+        assert u.values.shape == (1 + 2 * 13, 33)
+        assert not u.values[0].any() and not u.dvalues[0].any()
         assert sphere_row_name(*params[0]) == "the zero function"
         for block, rho in ((1, 0.5), (2, 2.0)):
             one, one_params = sphere_family(g, rho, 3)
-            rows = slice(13 * block, 13 * (block + 1))
+            rows = slice(1 + 13 * (block - 1), 1 + 13 * block)
             assert_same(u.values[rows], one.values)
             assert_same(u.dvalues[rows], one.dvalues)
             assert_same(params[rows], one_params)
