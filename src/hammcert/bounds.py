@@ -13,9 +13,16 @@ caps a certificate: the inputs it used that are not certified, and the
 load's failed hypothesis checks.
 
 The sampled f extrema scan LATTICE_M^3 lattices through expr.lattice_extrema,
-slab by slab along t, so no lattice-sized array is ever built; a sampled
-bound that is not finite names its slot and radius, and the lattice point
-where it overflowed or the parameters of the sphere_family row.
+slab by slab along t, so no lattice-sized array is ever built.
+functionals_on_sphere evaluates h_i on sphere_family rows likewise, in
+slabs of whole rows of at most LATTICE_SLAB samples, for a sampled H_i
+(181 rows), the falsifier's h_i check (25 rows per radius) and the
+load's check (40 rows), so no stack grows with n: one estimate_H on
+example1 at n = 4096 peaked at 12.1 MiB for h1 and 22.6 MiB for h2 as
+one stack, 0.54 MiB in slabs of 3 rows.  An error in any slab is raised
+as the whole stack raises it.  A sampled bound that is not finite names
+its slot and radius, and the lattice point where it overflowed or the
+parameters of the sphere_family row.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParameterError
-from .expr import (Expr, eval_bound, eval_functional, eval_nonlinearity, labelled,
+from .expr import (LATTICE_SLAB, Expr, eval_bound, eval_functional, eval_nonlinearity, labelled,
                    lattice_extrema, variables)
-from .grid import CONE_TOL, GridFunction, c1_norm, sphere_family, sphere_row_name
+from .grid import CONE_TOL, GridFunction, c1_norm, sphere_family, sphere_row_name, sphere_slabs
 from .kernel import constant_K, constant_Kstar
 
 DEFAULT_INFLATION = 1.05
@@ -106,9 +113,9 @@ def estimate_H(spec, i: int, rho: float) -> float:
         raise ParameterError(f"functional index must be 1 or 2, got {i}")
     if rho <= 0:
         raise ParameterError(f"rho must be positive, got {rho}")
-    h = spec.h1 if i == 1 else spec.h2
-    values = functional_on_samples(h, *sphere_family(spec.grid, rho, CONE_KNOTS))
-    return float(values[np.argmax(values)])  # the first maximum, as max() picks
+    values, _, _ = functionals_on_sphere((spec.h1 if i == 1 else spec.h2,), spec.grid, rho,
+                                         CONE_KNOTS)
+    return float(values[0, np.argmax(values[0])])  # the first maximum, as max() picks
 
 
 def functional_on_samples(h: Expr, u: GridFunction, params: np.ndarray) -> np.ndarray:
@@ -121,6 +128,30 @@ def functional_on_samples(h: Expr, u: GridFunction, params: np.ndarray) -> np.nd
         row = exc.rows[0]
         message = f"non-finite on {sphere_row_name(*params[row])} (C1 norm {c1_norm(u[row]):.6g})"
         raise EvaluationError(labelled(h, message), rows=exc.rows) from exc
+
+
+def functionals_on_sphere(hs, grid, rho, knots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each functional of ``hs`` on sphere_family(grid, rho, knots), built and
+    evaluated slab by slab (grid.sphere_slabs, at most LATTICE_SLAB samples
+    each): the (len(hs), rows) values, the (rows, 4) row parameters and
+    each row's sup u.
+
+    A non-finite value or a point outside [0,1] in any slab raises the
+    error the whole stack raises: the whole family is then built and
+    evaluated, each functional in turn, each naming the first row of its
+    own tree walk."""
+    values, params, sups = [], [], []
+    try:
+        for u, p in sphere_slabs(grid, rho, knots, LATTICE_SLAB):
+            values.append([functional_on_samples(h, u, p) for h in hs])
+            params.append(p)
+            sups.append(np.max(u.values, axis=1))
+    except (DomainError, EvaluationError):
+        u, p = sphere_family(grid, rho, knots)
+        for h in hs:
+            functional_on_samples(h, u, p)
+        raise
+    return np.concatenate(values, axis=1), np.concatenate(params), np.concatenate(sups)
 
 
 def falsify_linear_growth(spec, witness: LinearGrowthWitness) -> FalsificationResult:
@@ -139,17 +170,18 @@ def falsify_linear_growth(spec, witness: LinearGrowthWitness) -> FalsificationRe
                            axis=-1).reshape(-1, 3)
         checked += len(lattice)
         ce = (_check_growth_points(spec, witness, lattice)
-              or _check_functionals(spec, witness, *sphere_family(spec.grid, rho, FALSIFY_KNOTS)))
+              or _check_functionals(spec, witness, rho, FALSIFY_KNOTS))
         if ce is not None:
             return FalsificationResult(False, ce, checked)
     return FalsificationResult(True, None, checked)
 
 
-def _check_functionals(spec, witness, u: GridFunction, params) -> Counterexample | None:
-    """The first row of a sphere_family stack, and in it the first h_i, with
-    h_i[u] > xi_i * sup u + CONE_TOL, named by its row; a non-finite h_i names entry and row."""
-    values = np.array([functional_on_samples(h, u, params) for h in (spec.h1, spec.h2)])
-    xi, sup = np.array([[witness.xi1], [witness.xi2]]), np.max(u.values, axis=1)
+def _check_functionals(spec, witness, rho: float, knots: int) -> Counterexample | None:
+    """The first row of sphere_family(spec.grid, rho, knots), and in it the
+    first h_i, with h_i[u] > xi_i * sup u + CONE_TOL, named by its row; a
+    non-finite h_i names entry and row."""
+    values, params, sup = functionals_on_sphere((spec.h1, spec.h2), spec.grid, rho, knots)
+    xi = np.array([[witness.xi1], [witness.xi2]])
     with np.errstate(all="ignore"):  # xi*sup may overflow to inf, which bounds nothing
         bad = values > xi * sup + CONE_TOL
     if not bad.any():

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import CHECK_KNOTS, LATTICE_M, LinearGrowthWitness, functional_on_samples
-from .errors import CheckResult, DomainError, EvaluationError, ParameterError, ProblemFileError
-from .expr import (LATTICE_SLAB, Expr, derived_entry, eval_coefficient, eval_constant,
-                   eval_functional, eval_nonlinearity, lattice_extrema, parse_entry)
-from .grid import (CONE_TOL, Grid, GridFunction, cone_defect, sign_check, sphere_family,
-                   sphere_row_name, sphere_slabs)
+from .bounds import CHECK_KNOTS, LATTICE_M, LinearGrowthWitness, functionals_on_sphere
+from .errors import CheckResult, ParameterError, ProblemFileError
+from .expr import (Expr, derived_entry, eval_coefficient, eval_constant, eval_functional,
+                   eval_nonlinearity, lattice_extrema, parse_entry)
+from .grid import CONE_TOL, Grid, GridFunction, cone_defect, sign_check, sphere_row_name
 from .kernel import FocalKernel, Kernel, check_kernel_hypotheses, kernel_from_exprs
 
 GRID_N = 256  # the grid subintervals of a load that names none
@@ -95,21 +94,9 @@ def _check_f_sign(spec: ProblemSpec) -> CheckResult:
 
 
 def _check_functional_boundedness(spec: ProblemSpec) -> CheckResult:
-    # The zero function, then the sphere_family on rho = 0.5, 1 and 2: 40
-    # rows, built and evaluated in slabs of at most LATTICE_SLAB points.
-    rho = (0.0, 0.5, 1.0, 2.0)
-    try:
-        slabs = [(np.array([functional_on_samples(h, u, params) for h in (spec.h1, spec.h2)]), params)
-                 for u, params in sphere_slabs(spec.grid, rho, CHECK_KNOTS, LATTICE_SLAB)]
-    except (DomainError, EvaluationError):
-        # A non-finite or domain error: raise the one the whole stack raises,
-        # h1 before h2, each the first in its own tree walk.
-        u, params = sphere_family(spec.grid, rho, CHECK_KNOTS)
-        for h in (spec.h1, spec.h2):
-            functional_on_samples(h, u, params)
-        raise
-    values = np.concatenate([v for v, _ in slabs], axis=1)
-    params = np.concatenate([p for _, p in slabs])
+    # The zero function, then the sphere_family on rho = 0.5, 1 and 2: 40 rows.
+    values, params, _ = functionals_on_sphere((spec.h1, spec.h2), spec.grid,
+                                              (0.0, 0.5, 1.0, 2.0), CHECK_KNOTS)
     i, row = np.unravel_index(int(np.argmin(values)), values.shape)  # h1 first, then by row
     if values[i, row] < -CONE_TOL:
         return CheckResult("functionals >= 0 and bounded", "warn",

@@ -7,18 +7,20 @@ import numpy as np
 import pytest
 
 import hammcert.bounds
-from hammcert.bounds import (FALSIFY_POINTS, BoundSet, LinearGrowthWitness,
-                             _check_functionals, estimate_H, estimate_f_extrema,
-                             falsify_linear_growth)
+from hammcert.bounds import (CONE_KNOTS, FALSIFY_KNOTS, FALSIFY_POINTS, BoundSet,
+                             LinearGrowthWitness, _check_functionals, estimate_H,
+                             estimate_f_extrema, falsify_linear_growth, functional_on_samples)
 from hammcert.certificate import check_existence
+from hammcert.cli import main
 from hammcert.errors import EvaluationError, ParameterError
-from hammcert.expr import eval_functional, eval_nonlinearity, parse, parse_entry
+from hammcert.expr import LATTICE_SLAB, eval_functional, eval_nonlinearity, parse, parse_entry
 from hammcert.grid import CONE_TOL, c1_norm, in_cone, sphere_family, sphere_row_name
-from hammcert.problem import loads_problem
+from hammcert.problem import load_problem, loads_problem
 
 from problem_texts import ZERO_PROBLEM, edited
 
 E2 = math.exp(2.0)
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 
 def tiny_spec(f="u", h1="U(1)", h2="DU(0)", n=64):
@@ -146,8 +148,7 @@ class TestFalsifyLinearGrowth:
         # the ramp from 0 on [0, 1/2] is in the cone with u'(0) = 1 > sup u,
         # about 1/2, so h2 = DU(0) has no xi2 <= 1 with h2[u] <= xi2 * sup u
         spec = tiny_spec(f="0")
-        u, params = sphere_family(spec.grid, 1.0, 3)
-        ce = _check_functionals(spec, LinearGrowthWitness(0.0, 1.0, 1.0), u, params)
+        ce = _check_functionals(spec, LinearGrowthWitness(0.0, 1.0, 1.0), 1.0, 3)
         sup = 0.5 + spec.grid.h / 2  # the trapezoid antiderivative runs half a node on
         assert (ce.kind, ce.point, ce.value, ce.bound) == ("h2", None, 1.0, sup)
         assert ce.detail == ("h2[the ramp of slope 1 on [0, 0.5] from u(0) = 0] = 1 "
@@ -174,7 +175,7 @@ class TestFalsifyLinearGrowth:
                 expected = (f"h{i}", value, bound, f"h{i}[{sphere_row_name(*params[row])}] "
                                                    f"= {value:.6g} > xi{i}*sup u = {bound:.6g}")
                 break
-        ce = _check_functionals(spec, LinearGrowthWitness(0.0, xi1, xi2), u, params)
+        ce = _check_functionals(spec, LinearGrowthWitness(0.0, xi1, xi2), 2.0, 4)
         assert (ce and (ce.kind, ce.value, ce.bound, ce.detail)) == expected
         assert (expected is not None) == found
 
@@ -188,6 +189,91 @@ class TestFalsifyLinearGrowth:
     def test_negative_witness(self):
         with pytest.raises(ParameterError):
             LinearGrowthWitness(-1.0, 0.0, 0.0)
+
+
+def recorded_slabs(monkeypatch) -> list:
+    """The (h, u, params) of each functional_on_samples call from here on."""
+    seen = []
+
+    def recording(h, u, params):
+        seen.append((h, u, params))
+        return functional_on_samples(h, u, params)
+
+    monkeypatch.setattr(hammcert.bounds, "functional_on_samples", recording)
+    return seen
+
+
+def assert_slabs_stack_to_the_family(slabs, grid, rho, knots):
+    """Each slab holds at most LATTICE_SLAB samples, and stacked they are
+    sphere_family(grid, rho, knots) bit for bit, parameters included."""
+    assert max(u.values.size for _, u, _ in slabs) <= LATTICE_SLAB
+    whole, params = sphere_family(grid, rho, knots)
+    assert np.concatenate([u.values for _, u, _ in slabs]).tobytes() == whole.values.tobytes()
+    assert np.concatenate([u.dvalues for _, u, _ in slabs]).tobytes() == whole.dvalues.tobytes()
+    assert np.concatenate([p for _, _, p in slabs]).tobytes() == params.tobytes()
+
+
+class TestSphereSlabs:
+    """estimate_H and the witness falsifier evaluate h_i on sphere_family
+    slab by slab, at most LATTICE_SLAB samples each: 16384 // (n + 1) rows,
+    63 at n = 256 and 7 at n = 2048.  An error in any slab raises the one
+    the whole stack raises."""
+
+    @pytest.mark.parametrize("n, slabs", [(256, 3), (2048, 26)])
+    def test_estimate_H_in_slabs(self, example1_path, n, slabs, monkeypatch):
+        spec = load_problem(example1_path, n=n)
+        whole = functional_on_samples(spec.h2, *sphere_family(spec.grid, 1.0, CONE_KNOTS))
+        seen = recorded_slabs(monkeypatch)
+        assert estimate_H(spec, 2, 1.0) == float(np.max(whole))
+        assert [h for h, _, _ in seen] == [spec.h2] * slabs  # 181 rows
+        assert_slabs_stack_to_the_family(seen, spec.grid, 1.0, CONE_KNOTS)
+
+    def test_falsifier_in_slabs(self, example2_path, monkeypatch):
+        spec = load_problem(example2_path, n=2048)
+        seen = recorded_slabs(monkeypatch)
+        assert falsify_linear_growth(spec, spec.witness).consistent
+        # 25 rows per radius: slabs of 7, 7, 7 and 4 rows, h1 then h2 on each
+        assert [h for h, _, _ in seen] == [spec.h1, spec.h2] * 16
+        rows = seen[::2]
+        for k, rho in enumerate((1.0, 2.0, 4.0, 8.0)):
+            assert_slabs_stack_to_the_family(rows[4 * k:4 * k + 4], spec.grid, rho, FALSIFY_KNOTS)
+
+    # In both files exp(1000*(U(1) - 3)) overflows on every row at rho = 4,
+    # the constant 4 first, and DU(9/10)/3 leaves [0,1] on the ramp of slope 4
+    # over [0, 1] from u(0) = 0; the load samples rho <= 2, where neither
+    # happens.  After the constant, row 0, each pair a < b of the knots
+    # gives 4 rows, in order.
+    def test_sampled_H_raises_the_error_of_the_whole_stack(self, tmp_path, capsys):
+        # 10 knots, k/9: (0, 1/9) rows 1-4, (0, 2/9) rows 5-8, ..., (0, 1)
+        # rows 33-36.  The first slab, rows 0-6, ends by 2/9, where
+        # DU(9/10) = 0; the overflow there loses to the domain error of
+        # row 33, in the slab of rows 28-34.
+        text = (PROBLEMS / "example1.prob").read_text()
+        text = text[:text.index("[bounds]")]  # every bound sampled
+        path = tmp_path / "sampled.prob"
+        path.write_text(edited(text, ("h1 = U(1/4) + DU(3/4)^2",
+                                      "h1 = exp(1000*(U(1) - 3)) + U(DU(9/10)/3)")))
+        assert main(["certify-existence", "--problem", str(path), "--n", "2048",
+                     "--r", "0.05", "--R", "4"]) == 2
+        assert capsys.readouterr() == ("", "error: sampled bound h1(4.0): [functionals] h1 = "
+                                           "'exp(1000.0*(U(1.0) - 3.0)) + U(DU(9.0/10.0)/3.0)': "
+                                           "evaluation point 1.3333333333333333 outside [0,1]\n")
+
+    def test_falsifier_raises_the_error_of_the_whole_stack(self, tmp_path, capsys):
+        # 4 knots, k/3: (0, 1/3) rows 1-4, (0, 2/3) rows 5-8, (0, 1) rows
+        # 9-12, (1/3, 2/3) rows 13-16, (1/3, 1) rows 17-20, (2/3, 1) rows
+        # 21-24.  At rho = 1 and 2 both h_i are at most sup u = u(1).  At
+        # rho = 4, h2 overflows in the first slab, rows 0-6, where h1 is
+        # finite, but h1's domain error on row 9, in the second slab, is
+        # the one the whole stack raises first.
+        text = edited((PROBLEMS / "example2.prob").read_text(),
+                      ("h1 = U(1/4) * cos(DU(3/4))^2", "h1 = U(DU(9/10)/3)"),
+                      ("h2 = U(3/4) * sin(DU(1/4))^2", "h2 = U(1) + exp(1000*(U(1) - 3))"))
+        path = tmp_path / "witness.prob"
+        path.write_text(text)
+        assert main(["certify-nonexistence", "--problem", str(path), "--n", "2048"]) == 2
+        assert capsys.readouterr() == ("", "error: [functionals] h1 = 'U(DU(9.0/10.0)/3.0)': "
+                                           "evaluation point 1.3333333333333333 outside [0,1]\n")
 
 
 class TestBoundSet:

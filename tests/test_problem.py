@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hammcert.bounds
 import hammcert.problem
 from hammcert.bounds import CHECK_KNOTS, BoundSet, LinearGrowthWitness, functional_on_samples
 from hammcert.errors import EvaluationError, ParameterError, ProblemFileError
@@ -348,7 +349,7 @@ class TestFunctionalCheck:
             seen.append((h, u, params))
             return functional_on_samples(h, u, params)
 
-        monkeypatch.setattr(hammcert.problem, "functional_on_samples", recording)
+        monkeypatch.setattr(hammcert.bounds, "functional_on_samples", recording)
         spec = loads_problem(ZERO_PROBLEM, n=n)
         assert [h for h, _, _ in seen] == [spec.h1, spec.h2] * slabs
         assert max(u.values.size for _, u, _ in seen) <= LATTICE_SLAB
