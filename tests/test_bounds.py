@@ -13,10 +13,11 @@ from hammcert.bounds import (CONE_KNOTS, FALSIFY_KNOTS, FALSIFY_POINTS, BoundSet
 from hammcert.certificate import check_existence
 from hammcert.cli import main
 from hammcert.errors import EvaluationError, ParameterError
-from hammcert.expr import LATTICE_SLAB, eval_functional, eval_nonlinearity, parse, parse_entry
+from hammcert.expr import eval_functional, eval_nonlinearity, parse, parse_entry
 from hammcert.grid import CONE_TOL, c1_norm, in_cone, sphere_family, sphere_row_name
 from hammcert.problem import load_problem, loads_problem
 
+from grid_checks import assert_slabs_stack_to_the_family, recorded_slabs
 from problem_texts import ZERO_PROBLEM, edited
 
 E2 = math.exp(2.0)
@@ -189,28 +190,6 @@ class TestFalsifyLinearGrowth:
     def test_negative_witness(self):
         with pytest.raises(ParameterError):
             LinearGrowthWitness(-1.0, 0.0, 0.0)
-
-
-def recorded_slabs(monkeypatch) -> list:
-    """The (h, u, params) of each functional_on_samples call from here on."""
-    seen = []
-
-    def recording(h, u, params):
-        seen.append((h, u, params))
-        return functional_on_samples(h, u, params)
-
-    monkeypatch.setattr(hammcert.bounds, "functional_on_samples", recording)
-    return seen
-
-
-def assert_slabs_stack_to_the_family(slabs, grid, rho, knots):
-    """Each slab holds at most LATTICE_SLAB samples, and stacked they are
-    sphere_family(grid, rho, knots) bit for bit, parameters included."""
-    assert max(u.values.size for _, u, _ in slabs) <= LATTICE_SLAB
-    whole, params = sphere_family(grid, rho, knots)
-    assert np.concatenate([u.values for _, u, _ in slabs]).tobytes() == whole.values.tobytes()
-    assert np.concatenate([u.dvalues for _, u, _ in slabs]).tobytes() == whole.dvalues.tobytes()
-    assert np.concatenate([p for _, _, p in slabs]).tobytes() == params.tobytes()
 
 
 class TestSphereSlabs:

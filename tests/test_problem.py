@@ -6,18 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import hammcert.bounds
 import hammcert.problem
-from hammcert.bounds import CHECK_KNOTS, BoundSet, LinearGrowthWitness, functional_on_samples
+from hammcert.bounds import CHECK_KNOTS, BoundSet, LinearGrowthWitness
 from hammcert.errors import EvaluationError, ParameterError, ProblemFileError
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, cone_defect,
                            consistency_defect, in_cone, sphere_family)
 from hammcert.certificate import check_existence
-from hammcert.expr import LATTICE_SLAB, Num, eval_coefficient, eval_functional, eval_nonlinearity, parse
+from hammcert.expr import Num, eval_coefficient, eval_functional, eval_nonlinearity, parse
 from hammcert.kernel import FocalKernel, Kernel
 from hammcert.problem import ProblemSpec, apply_T, load_problem, loads_problem, validate_spec
 
-from grid_checks import consistency_tol, family_rows
+from grid_checks import (assert_slabs_stack_to_the_family, consistency_tol, family_rows,
+                         recorded_slabs)
 from problem_texts import ZERO_PROBLEM, edited
 
 def _constant(spec, name):
@@ -343,23 +343,14 @@ class TestFunctionalCheck:
 
     @pytest.mark.parametrize("n, slabs", [(256, 1), (2048, 6)])
     def test_forty_rows_in_slabs(self, n, slabs, monkeypatch):
-        seen = []
-
-        def recording(h, u, params):
-            seen.append((h, u, params))
-            return functional_on_samples(h, u, params)
-
-        monkeypatch.setattr(hammcert.bounds, "functional_on_samples", recording)
+        seen = recorded_slabs(monkeypatch)
         spec = loads_problem(ZERO_PROBLEM, n=n)
         assert [h for h, _, _ in seen] == [spec.h1, spec.h2] * slabs
-        assert max(u.values.size for _, u, _ in seen) <= LATTICE_SLAB
         rows = seen[::2]  # the slabs h1 saw, in order
         assert sum(u.values.shape[0] for _, u, _ in rows) == 40
-        # stacked, the slabs are the whole family bit for bit, the zero function first
-        whole, params = sphere_family(spec.grid, (0.0, 0.5, 1.0, 2.0), CHECK_KNOTS)
-        assert np.concatenate([u.values for _, u, _ in rows]).tobytes() == whole.values.tobytes()
-        assert np.concatenate([u.dvalues for _, u, _ in rows]).tobytes() == whole.dvalues.tobytes()
-        assert np.concatenate([p for _, _, p in rows]).tobytes() == params.tobytes()
+        # stacked, the slabs are the whole family, the zero function first
+        assert_slabs_stack_to_the_family(rows, spec.grid, (0.0, 0.5, 1.0, 2.0), CHECK_KNOTS)
+        whole, _ = sphere_family(spec.grid, (0.0, 0.5, 1.0, 2.0), CHECK_KNOTS)
         assert not whole.values[0].any() and whole.values[1:].min(axis=1).max() > 0
 
     @pytest.mark.parametrize("h1, h2, message", [
