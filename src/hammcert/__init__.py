@@ -13,7 +13,7 @@ from .errors import (CheckResult, DomainError, EvaluationError, ExprError,
 from .expr import parse, to_source
 from .grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm,
                    consistency_defect, integrate, sphere_family)
-from .kernel import FocalKernel, Kernel, constant_K, constant_Kstar, kernel_from_exprs
+from .kernel import FocalKernel, Kernel, kernel_from_exprs
 from .problem import ProblemSpec, apply_T, load_problem, loads_problem, validate_spec
 from .solver import SolveResult, multistart_solve
 from .sweep import SweepCell, axis_values, run_sweep
@@ -28,7 +28,7 @@ __all__ = [
     "ParameterError", "ProblemFileError", "ProblemSpec", "ShapeError", "SolveResult", "SweepCell",
     "apply_T", "axis_values", "c1_distance", "c1_norm",
     "check_existence", "check_nonexistence", "consistency_defect",
-    "constant_K", "constant_Kstar", "estimate_H", "estimate_f_extrema",
+    "estimate_H", "estimate_f_extrema",
     "falsify_linear_growth", "integrate", "kernel_from_exprs", "load_problem", "loads_problem",
     "multistart_solve", "parse", "run_sweep", "sphere_family",
     "to_source", "validate_spec",

@@ -35,7 +35,6 @@ from .errors import DomainError, EvaluationError, ParameterError
 from .expr import (LATTICE_SLAB, Expr, eval_bound, eval_functional, eval_nonlinearity, labelled,
                    lattice_extrema, variables)
 from .grid import CONE_TOL, GridFunction, c1_norm, sphere_family, sphere_row_name, sphere_slabs
-from .kernel import constant_K, constant_Kstar
 
 DEFAULT_INFLATION = 1.05
 # The one sampling budget: lattice size for f, sphere_family knots per H_i,
@@ -264,9 +263,9 @@ class BoundSet:
     def constants(self) -> tuple[BoundEntry, ...]:
         """K, K*, gamma_1(1), gamma_2(1), ||gamma_1'|| and ||gamma_2'||."""
         spec, exact = self.spec, self.spec.kernel.exact
-        g1, g2, dg1, dg2 = spec.coefficients(spec.grid)
-        return (_tagged("K", constant_K(spec.kernel, spec.grid), exact),
-                _tagged("Kstar", constant_Kstar(spec.kernel, spec.grid), exact),
+        g1, g2, dg1, dg2 = spec.coefficients
+        return (_tagged("K", spec.kernel.K(spec.grid), exact),
+                _tagged("Kstar", spec.kernel.Kstar(spec.grid), exact),
                 _tagged("gamma1(1)", float(g1[-1]), True), _tagged("gamma2(1)", float(g2[-1]), True),
                 _tagged("sup|gamma1'|", float(np.max(np.abs(dg1))), not variables(spec.dgamma1)),
                 _tagged("sup|gamma2'|", float(np.max(np.abs(dg2))), not variables(spec.dgamma2)))

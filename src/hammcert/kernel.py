@@ -7,8 +7,9 @@ integrals, and its constants are known in closed form (K = 1/2, K* = 1).
 Its value and derivative rows at all nodes come from prefix and suffix
 sums, in O(n) time and memory.  Generic kernels go through node-aligned
 trapezoid quadrature with dense (n+1)^2 weight matrices, cached per grid:
-about 134 MB per matrix at n = 4096.  A kernel declared by an expression k
-gets its dk by differentiating k in t.
+about 134 MB per matrix at n = 4096.  These two matrices are all a kernel
+caches; K and K* are computed when asked for.  A kernel declared by an
+expression k gets its dk by differentiating k in t.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ class Kernel:
     """A kernel k(t,s) >= 0 with non-negative t-derivative dk(t,s).
 
     ``k`` and ``dk`` must accept numpy arrays (broadcasting).  Instances
-    are immutable in spirit; the only mutation is a per-grid cache of
-    derived quadrature data.  ``integrals`` applies the kernel through two
-    dense (n+1)^2 trapezoid weight matrices, built on first use for each
-    grid and kept for the kernel's lifetime.
+    are immutable in spirit; the only mutation is a cache of the two dense
+    (n+1)^2 trapezoid weight matrices through which ``integrals`` applies
+    the kernel, built on first use for each grid and kept for the kernel's
+    lifetime.
     """
 
     exact = False  # whether K and K* are the true constants, not estimates
@@ -37,16 +38,17 @@ class Kernel:
     def __init__(self, k, dk):
         self.k = k
         self.dk = dk
-        self._cache: dict[int, dict] = {}
+        self._cache: dict[tuple[int, bool], np.ndarray] = {}  # (n, deriv) -> weights
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
-    def _grid_data(self, grid: Grid, key: str):
-        data = self._cache.setdefault(grid.n, {})
-        if key not in data:
-            data[key] = getattr(self, "_make_" + key)(grid)
-        return data[key]
+    def _weights(self, grid: Grid, deriv: bool) -> np.ndarray:
+        key = (grid.n, deriv)
+        if key not in self._cache:
+            make = self._make_deriv_weights if deriv else self._make_value_weights
+            self._cache[key] = make(grid)
+        return self._cache[key]
 
     @staticmethod
     def _trap_weights(grid: Grid) -> np.ndarray:
@@ -63,13 +65,6 @@ class Kernel:
         dkmat = self._sample(self.dk, grid.nodes[:, None], grid.nodes[None, :], "dk")
         return dkmat * self._trap_weights(grid)
 
-    def _make_K(self, grid: Grid) -> float:
-        row = self._sample(self.k, np.float64(1.0), grid.nodes, "k")
-        return integrate(row, grid)
-
-    def _make_Kstar_rows(self, grid: Grid) -> np.ndarray:
-        return self._grid_data(grid, "deriv_weights").sum(axis=1)
-
     def _sample(self, fn, t, s, label: str) -> np.ndarray:
         try:
             with np.errstate(all="ignore"):
@@ -85,11 +80,19 @@ class Kernel:
 
     def value_weight_matrix(self, grid: Grid) -> np.ndarray:
         """W with W[j] @ F = int_0^1 k(t_j, s) F(s) ds by trapezoid."""
-        return self._grid_data(grid, "value_weights")
+        return self._weights(grid, deriv=False)
 
     def deriv_weight_matrix(self, grid: Grid) -> np.ndarray:
         """Same for the derivative rows int_0^1 dk(t_j, s) F(s) ds."""
-        return self._grid_data(grid, "deriv_weights")
+        return self._weights(grid, deriv=True)
+
+    def K(self, grid: Grid) -> float:
+        """K = int_0^1 k(1,s) ds by trapezoid."""
+        return integrate(self._sample(self.k, np.float64(1.0), grid.nodes, "k"), grid)
+
+    def Kstar(self, grid: Grid) -> float:
+        """K* = sup over t of int_0^1 dk(t,s) ds, taken over grid nodes."""
+        return float(np.max(self._weights(grid, deriv=True).sum(axis=1)))
 
     def integrals(self, grid: Grid, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every node row at once: (int k(t_j,s) F(s) ds, int dk(t_j,s) F(s) ds).
@@ -102,18 +105,6 @@ class Kernel:
         rows = F.reshape(-1, F.shape[-1])
         return (np.array([W @ f for f in rows]).reshape(F.shape),
                 np.array([D @ f for f in rows]).reshape(F.shape))
-
-
-def _tail_weight_matrix(grid: Grid) -> np.ndarray:
-    # Row j holds the trapezoid weights of the integral over [t_j, 1]:
-    # the focal kernel's derivative row with the jump split at node j.
-    n, h = grid.n, grid.h
-    w = np.triu(np.full((n + 1, n + 1), h))
-    idx = np.arange(n + 1)
-    w[idx, idx] *= 0.5
-    w[:, n] *= 0.5
-    w[n, :] = 0.0
-    return w
 
 
 class FocalKernel(Kernel):
@@ -134,7 +125,15 @@ class FocalKernel(Kernel):
         )
 
     def _make_deriv_weights(self, grid: Grid) -> np.ndarray:
-        return _tail_weight_matrix(grid)
+        # Row j holds the trapezoid weights of the integral over [t_j, 1]:
+        # the derivative row with the jump split at node j.
+        n, h = grid.n, grid.h
+        w = np.triu(np.full((n + 1, n + 1), h))
+        idx = np.arange(n + 1)
+        w[idx, idx] *= 0.5
+        w[:, n] *= 0.5
+        w[n, :] = 0.0
+        return w
 
     def integrals(self, grid: Grid, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The trapezoid rows of the dense weights, without forming them.
@@ -158,11 +157,11 @@ class FocalKernel(Kernel):
         C = cumulative_integral(F, grid)
         return values, np.subtract(C[..., -1:], C, out=C)
 
-    def _make_K(self, grid: Grid) -> float:
+    def K(self, grid: Grid) -> float:
         return 0.5
 
-    def _make_Kstar_rows(self, grid: Grid) -> np.ndarray:
-        return 1.0 - grid.nodes
+    def Kstar(self, grid: Grid) -> float:
+        return 1.0
 
 
 def kernel_from_exprs(k_src: str) -> Kernel:
@@ -174,16 +173,6 @@ def kernel_from_exprs(k_src: str) -> Kernel:
     k = parse_entry("kernel", "k", k_src, "kernel")
     return Kernel(k=partial(eval_kernel_expr, k),
                   dk=partial(eval_kernel_expr, derived_entry(k, "t", "dk")))
-
-
-def constant_K(kernel: Kernel, grid: Grid) -> float:
-    """K = int_0^1 k(1,s) ds."""
-    return kernel._grid_data(grid, "K")
-
-
-def constant_Kstar(kernel: Kernel, grid: Grid) -> float:
-    """K* = sup over t of int_0^1 dk(t,s) ds, taken over grid nodes."""
-    return float(np.max(kernel._grid_data(grid, "Kstar_rows")))
 
 
 def check_kernel_hypotheses(kernel: Kernel, m: int) -> list[CheckResult]:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .bounds import CHECK_KNOTS, LATTICE_M, LinearGrowthWitness, functionals_on_sphere
-from .errors import CheckResult, ParameterError, ProblemFileError
+from .errors import CheckResult, ParameterError, ProblemFileError, ShapeError
 from .expr import (Expr, derived_entry, eval_coefficient, eval_constant, eval_functional,
                    eval_nonlinearity, lattice_extrema, parse_entry)
 from .grid import CONE_TOL, Grid, GridFunction, cone_defect, sign_check, sphere_row_name
@@ -51,34 +52,29 @@ class ProblemSpec:
     # The sampled hypothesis checks of the load, pass rows included.  A
     # replace() copy keeps them as loaded; validate_spec re-checks a copy.
     checks: tuple = field(default=())
-    # Node samples of gamma_i and gamma_i' per grid.  Not an init field, so
-    # every replace() starts an empty cache and can never see stale samples.
-    _coefficient_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     # gamma_i', derived from gamma_i when asked for: no copy goes stale.
     dgamma1 = property(lambda self: derived_entry(self.gamma1, "t", "gamma1'"))
     dgamma2 = property(lambda self: derived_entry(self.gamma2, "t", "gamma2'"))
     warnings = property(lambda self: tuple(r for r in self.checks if not r.ok))
 
-    def coefficients(self, grid: Grid) -> tuple[np.ndarray, ...]:
-        """gamma1, gamma2, gamma1' and gamma2' on the nodes of ``grid``, as
-        read-only (broadcast) views shared by every caller on that grid.
-        An evaluation error is not cached, so it surfaces on each call; both
-        gamma_i are evaluated before either gamma_i' is derived."""
-        samples = self._coefficient_cache.get(grid)
-        if samples is None:
-            t = grid.nodes
-            samples = self._coefficient_cache[grid] = tuple(
-                np.broadcast_to(np.asarray(eval_coefficient(getattr(self, key), t)), t.shape)
-                for key in ("gamma1", "gamma2", "dgamma1", "dgamma2"))
-        return samples
+    @cached_property
+    def coefficients(self) -> tuple[np.ndarray, ...]:
+        """gamma1, gamma2, gamma1' and gamma2' on the nodes of the spec's
+        grid, as read-only (broadcast) views shared by every caller.  Each
+        replace() copy samples its own; an evaluation error is not cached,
+        so it surfaces on each read.  Both gamma_i are evaluated before
+        either gamma_i' is derived."""
+        t = self.grid.nodes
+        return tuple(np.broadcast_to(np.asarray(eval_coefficient(getattr(self, key), t)), t.shape)
+                     for key in ("gamma1", "gamma2", "dgamma1", "dgamma2"))
 
 
 def validate_spec(spec: ProblemSpec) -> list[CheckResult]:
     """All sampled hypothesis checks, pass rows included (the validate table)."""
     results = check_kernel_hypotheses(spec.kernel, LATTICE_M)
     for label, vals in zip(("gamma1 >= 0", "gamma2 >= 0", "gamma1' >= 0", "gamma2' >= 0"),
-                           spec.coefficients(spec.grid)):
+                           spec.coefficients):
         results.append(sign_check(label, float(vals.min()), (int(vals.argmin()),),
                                   {"t": spec.grid.nodes}, "on grid nodes"))
     results.append(_check_f_sign(spec))
@@ -106,9 +102,8 @@ def _check_functional_boundedness(spec: ProblemSpec) -> CheckResult:
 
 
 def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
-    """One application of the operator; u must lie in the cone (within tolerance).
-
-    Values and derivative rows use the same quadrature grid as u.  Tiny
+    """One application of the operator; u must lie in the cone (within
+    tolerance) and on the spec's grid, which the quadrature uses.  Tiny
     negative samples (cone drift within tolerance) are clamped to zero
     before f sees them, since f is only defined on [0, inf)^2.  A stack
     is mapped row by row in one pass; a non-finite f or h_i value raises
@@ -117,6 +112,9 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     are summed in place, in the order the formula reads, so that a stack
     of k rows needs a few stacks of working memory, not a dozen.
     """
+    grid = spec.grid
+    if u.grid != grid:
+        raise ShapeError(f"grid mismatch: u on {u.grid!r}, the problem on {grid!r}")
     defect = np.atleast_1d(cone_defect(u))
     outside = defect > CONE_TOL
     if outside.any():
@@ -125,7 +123,6 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
         raise ParameterError(
             f"{which} leaves the cone by {defect[i]:.3g} (tolerance {CONE_TOL:g})"
         )
-    grid = u.grid
     t = grid.nodes
     uc = np.maximum(u.values, 0.0)
     vc = np.maximum(u.dvalues, 0.0)
@@ -134,7 +131,7 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     del uc, vc
     h1v = np.asarray(eval_functional(spec.h1, u))[..., None]
     h2v = np.asarray(eval_functional(spec.h2, u))[..., None]
-    g1, g2, dg1, dg2 = spec.coefficients(grid)
+    g1, g2, dg1, dg2 = spec.coefficients
     integral, dintegral = spec.kernel.integrals(grid, np.broadcast_to(fvals, u.values.shape))
     del fvals
     values = _weighted_sum(spec, g1, g2, h1v, h2v, integral)
@@ -226,8 +223,7 @@ def _spec_from_text(text: str, path, n: int) -> ProblemSpec:
         spec = ProblemSpec(kernel=kernel, **exprs, lam=lam, eta1=eta1, eta2=eta2,
                            grid=Grid(n), bounds=bounds, witness=witness)
         checked = replace(spec, checks=tuple(validate_spec(spec)))
-        # Same gamma and grid, so the samples validation drew stay valid.
-        checked._coefficient_cache.update(spec._coefficient_cache)
+        vars(checked)["coefficients"] = spec.coefficients  # same gamma_i and grid
         return checked
     except (ParameterError, ProblemFileError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParameterError
-from .grid import CONE_TOL, GridFunction, c1_distance, c1_norm, cone_defect, in_cone
+from .grid import GridFunction, c1_distance, c1_norm, in_cone
 from .problem import ProblemSpec, apply_T
 
 STARTS = 8
@@ -57,11 +57,6 @@ def _lockstep(spec: ProblemSpec, starts: GridFunction, tol: float,
         raise ParameterError(f"tolerance must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ParameterError(f"iteration cap must be at least 1, got {max_iter}")
-    defect = cone_defect(starts)
-    if np.any(defect > CONE_TOL):
-        raise ParameterError(
-            f"start function leaves the cone by {defect[np.argmax(defect > CONE_TOL)]:.3g}"
-        )
     results: list[SolveResult | None] = [None] * starts.values.shape[0]
     active = np.arange(starts.values.shape[0])
     u = starts

@@ -18,7 +18,7 @@ from hammcert.bounds import (BoundSet, LinearGrowthWitness, estimate_f_extrema,
 from hammcert.certificate import check_existence, check_nonexistence
 from hammcert.expr import eval_functional, eval_nonlinearity, parse, to_source
 from hammcert.grid import CONE_TOL, Grid, cone_defect, consistency_defect
-from hammcert.kernel import FocalKernel, constant_K, constant_Kstar
+from hammcert.kernel import FocalKernel
 from hammcert.problem import apply_T
 from hammcert.solver import MAX_ITERATIONS, TOL_FIXPOINT, multistart_solve
 from hammcert.sweep import axis_values, conflict_cells, run_sweep
@@ -42,8 +42,8 @@ def test_criterion_1_kernel_constants_exact():
         best = math.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            K = constant_K(kernel, grid)
-            Kstar = constant_Kstar(kernel, grid)
+            K = kernel.K(grid)
+            Kstar = kernel.Kstar(grid)
             best = min(best, time.perf_counter() - t0)
         assert K == 0.5, f"n={n}: K={K!r}"
         assert Kstar == 1.0, f"n={n}: K*={Kstar!r}"

@@ -9,7 +9,6 @@ from hammcert.bounds import BoundSet, LinearGrowthWitness
 from hammcert.certificate import check_existence, check_nonexistence
 from hammcert.errors import ParameterError
 from hammcert.expr import parse
-from hammcert.kernel import constant_K, constant_Kstar
 from hammcert.problem import loads_problem
 
 from problem_texts import ZERO_PROBLEM, edited
@@ -72,8 +71,7 @@ class TestRigorPropagation:
 
     def test_quadrature_kernel_constants_are_heuristic(self, quadrature_spec):
         spec = quadrature_spec
-        assert constant_K(spec.kernel, spec.grid) == constant_Kstar(spec.kernel, spec.grid) \
-            == 0.33333587646484375
+        assert spec.kernel.K(spec.grid) == spec.kernel.Kstar(spec.grid) == 0.33333587646484375
         cert = check_existence(spec, BoundSet(spec), 0.1000003, 1.0)
         assert cert.lhs_idx0 >= cert.r  # passes on the quadrature constants only
         assert {e.rigor for e in (cert.f_upper_R, cert.f_lower_r, cert.h1_R, cert.h2_R)} \

@@ -634,6 +634,19 @@ class TestSweepCommand:
         assert rc == 0
         assert "lambda,eta1,eta2" in capsys.readouterr().out
 
+    def test_conflict_exits_2(self, example2_path, tmp_path, capsys):
+        # f_lower = 3 contradicts the witness's f <= 3u at u = 0, so both
+        # certificates pass at one cell: a consistency alarm, not a verdict.
+        problem = _variant(tmp_path, example2_path, "f_lower = 0\n", "f_lower = 3\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--problem", problem, "--lambda", "0.2:0.2:1", "--eta1", "0:0:1",
+                     "--eta2", "0:0:1", "--r", "0.05", "--R", "1", "--witness",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "CONFLICT: both certificates passed at 1 cells, e.g. lambda=0.2, eta1=0.0, eta2=0.0; "
+            "the declared bounds and witness are mutually inconsistent\n")
+        assert parse_record(out.read_text())["conflict"] == 1
+
     def test_constant_f_falsifies_the_witness(self, example2_path, tmp_path, capsys):
         problem = _variant(tmp_path, example2_path, "f = u*(2 - t*sin(u*v))", "f = 2")
         assert main(["sweep", "--problem", problem, "--lambda", "0:1:2", "--eta1", "0:1:2",

@@ -8,7 +8,7 @@ import pytest
 
 import hammcert.problem
 from hammcert.bounds import CHECK_KNOTS, BoundSet, LinearGrowthWitness
-from hammcert.errors import EvaluationError, ParameterError, ProblemFileError
+from hammcert.errors import EvaluationError, ParameterError, ProblemFileError, ShapeError
 from hammcert.grid import (CONE_TOL, Grid, GridFunction, cone_defect,
                            consistency_defect, in_cone, sphere_family)
 from hammcert.certificate import check_existence
@@ -163,6 +163,7 @@ class TestLoading:
          f"unknown section [kernal] (allowed: {SECTIONS})"),
         ("[kernel]", "[DEFAULT]\nf = u\n[kernel]",
          f"unknown section [DEFAULT] (allowed: {SECTIONS})"),
+        ("[kernel]\nname = focal\n", "", "missing [kernel] section"),
     ])
     def test_unknown_section_or_key_is_error(self, old, new, message):
         with pytest.raises(ProblemFileError) as exc:
@@ -466,13 +467,15 @@ class TestApplyTReference:
         assert np.array_equal(w.dvalues, dvalues)
 
     def test_coefficient_samples_follow_the_grid(self, example1):
-        coarse = GridFunction.ramp(Grid(32), 0.5)
-        fine = GridFunction.ramp(example1.grid, 0.5)
-        for u in (coarse, fine, coarse):
-            w = apply_T(example1, u)
-            values, dvalues = _dense_T(example1, u)
-            assert np.max(np.abs(w.values - values)) <= 1e-14
-            assert np.max(np.abs(w.dvalues - dvalues)) <= 1e-14
+        # The coefficients are sampled on the spec's grid only: u on any
+        # other grid is rejected, not mapped with samples of the wrong size.
+        with pytest.raises(ShapeError, match="grid mismatch"):
+            apply_T(example1, GridFunction.ramp(Grid(32), 0.5))
+        u = GridFunction.ramp(example1.grid, 0.5)
+        w = apply_T(example1, u)
+        values, dvalues = _dense_T(example1, u)
+        assert np.max(np.abs(w.values - values)) <= 1e-14
+        assert np.max(np.abs(w.dvalues - dvalues)) <= 1e-14
 
     def test_gamma_error_surfaces_on_every_call(self):
         spec = nan_at_zero_spec()
