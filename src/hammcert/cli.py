@@ -9,8 +9,11 @@ tables with the record as '# ' comment lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
+
+import numpy as np
 
 from .bounds import BoundSet, falsify_linear_growth
 from .certificate import check_existence, check_nonexistence, check_radii
@@ -81,12 +84,18 @@ def _record(args, spec, fields: dict) -> dict:
             "n": spec.grid.n, "seed": args.seed, "warnings": len(spec.warnings)}
 
 
-def _table(record: dict, header: str, rows) -> str:
-    """A CSV data table under its record as '# ' lines; floats by repr, None empty."""
+def _cells(column):
+    """A table column's cells: floats by repr, None empty, anything else by str."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return map(repr, column.tolist())
+    return ("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+            for v in column)
+
+
+def _table(record: dict, header: str, columns) -> str:
+    """A CSV data table, given column by column, under its record as '# ' lines."""
     lines = ["# " + line for line in format_record(record).splitlines()] + [header]
-    for row in rows:
-        lines.append(",".join("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row))
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -272,8 +281,8 @@ def _cmd_solve(args) -> int:
     else:
         print("no converged solution matched the request")
     if args.out:
-        rows = [] if best is None else zip(best.u.grid.nodes, best.u.values, best.u.dvalues)
-        _write_out(args.out, _table(record, "t,u,du", rows))
+        columns = () if best is None else (best.u.grid.nodes, best.u.values, best.u.dvalues)
+        _write_out(args.out, _table(record, "t,u,du", columns))
     return 0 if best is not None else 1
 
 
@@ -312,8 +321,8 @@ def _cmd_sweep(args) -> int:
     })
     text = _table(record, "lambda,eta1,eta2,classification,value_branch,deriv_branch,idx0,"
                           "nonexistence_lhs,rigor",
-                  ((c.lam, c.eta1, c.eta2, c.classification, c.value_branch, c.deriv_branch,
-                    c.idx0_value, c.nonexistence_lhs, c.rigor) for c in cells))
+                  zip(*((c.lam, c.eta1, c.eta2, c.classification, c.value_branch, c.deriv_branch,
+                         c.idx0_value, c.nonexistence_lhs, c.rigor) for c in cells)))
     if args.out:
         _write_out(args.out, text)
         print(f"{len(cells)} cells written to {args.out}: "
@@ -345,7 +354,9 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; callers must not change it."""
     # Flag groups as parent parsers: each subcommand declares the flags its
     # handler reads, plus --seed, which goes into each record as seed= and
     # nowhere else; no parser takes a flag's prefix for it.

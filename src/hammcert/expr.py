@@ -458,7 +458,8 @@ def to_source(e: Expr) -> str:
 #
 # Functionals are evaluated on a stack of k functions in one tree walk.
 # Outside INT every value broadcasts to shape (k, 1), one per row; inside
-# INT, s is the row of nodes (1, n+1) and values broadcast to (k, n+1).
+# INT, s is the nodes (n+1,) and values broadcast to (k, n+1).  So a point
+# set is 0-d or 1-D, shared by every row, unless it reads U, DU or INT.
 
 def _eval(e: Expr, env: dict, u: GridFunction | None):
     if isinstance(e, Num):
@@ -489,10 +490,10 @@ def _eval(e: Expr, env: dict, u: GridFunction | None):
         if isinstance(e.arg, Var):  # U(s) inside INT: the node samples, exactly
             return samples
         a = np.asarray(_eval(e.arg, env, u), dtype=float)
-        return interp_rows(samples, u.grid, a.reshape(1, -1) if a.ndim < 2 else a)
+        return interp_rows(samples, u.grid, a.reshape(-1) if a.ndim < 2 else a)
     if isinstance(e, Integral):
         grid = u.grid
-        body = np.asarray(_eval(e.body, {**env, "s": grid.nodes[None, :]}, u), dtype=float)
+        body = np.asarray(_eval(e.body, {**env, "s": grid.nodes}, u), dtype=float)
         body = body.reshape(1, -1) if body.ndim < 2 else body
         if body.shape[1] != grid.n + 1:
             body = np.broadcast_to(body, (body.shape[0], grid.n + 1))

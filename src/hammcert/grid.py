@@ -34,9 +34,10 @@ def sign_check(name: str, worst: float, at: tuple, axes: dict, where: str) -> Ch
 
 
 class Grid:
-    """Uniform partition of [0,1] into n subintervals, nodes t_j = j/n."""
+    """Uniform partition of [0,1] into n subintervals, nodes t_j = j/n; it
+    keeps the interpolation plans that interp_rows makes on it."""
 
-    __slots__ = ("n", "h", "nodes")
+    __slots__ = ("n", "h", "nodes", "_plans")
 
     def __init__(self, n: int):
         if n < 2:
@@ -46,6 +47,7 @@ class Grid:
         nodes = np.linspace(0.0, 1.0, self.n + 1)
         nodes.flags.writeable = False
         self.nodes = nodes
+        self._plans = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and other.n == self.n
@@ -173,31 +175,42 @@ def c1_distance(u: GridFunction, w: GridFunction):
 def interp_rows(samples: np.ndarray, grid: Grid, a) -> np.ndarray:
     """Row i of the (k, n+1) node samples, linearly interpolated at a[i].
 
-    ``a`` has shape (1, m), the same m points for every row, or (k, m).
-    The arithmetic is np.interp's: slope*(a - t_j) + y_j, the value from
-    the right node when that is NaN, and the node sample itself at every
-    node, 1 included.  A point outside [0,1], NaN included, is a
-    DomainError.  Run it under np.errstate(all="ignore").
+    ``a`` has shape (m,), the same m points for every row, or (k, m) or
+    (1, m), points that may differ by row.  The arithmetic is np.interp's:
+    slope*(a - t_j) + y_j, the value from the right node when that is NaN,
+    and the node sample itself at every node, 1 included.  A point outside
+    [0,1], NaN included, is a DomainError.  The check, the intervals and the
+    node tests of a shared (m,) point set are planned once and cached on
+    the grid.  Run it under np.errstate(all="ignore").
     """
     a = np.asarray(a, dtype=float)
-    inside = (a >= 0.0) & (a <= 1.0)
-    if not inside.all():
-        raise DomainError(f"evaluation point {a[~inside][0]} outside [0,1]")
-    nodes = grid.nodes
-    # a in [0,1] puts j in [0, n]; a = 1 uses the last interval.
-    j = np.minimum(nodes.searchsorted(a, side="right") - 1, grid.n - 1)
-    if j.shape[0] == 1:  # take() keeps the gathered rows C-contiguous
-        y0, y1 = samples.take(j[0], axis=1), samples.take(j[0] + 1, axis=1)
-    else:
+    plan = grid._plans.get(a.tobytes()) if a.ndim == 1 else None
+    if plan is None:
+        inside = (a >= 0.0) & (a <= 1.0)
+        if not inside.all():
+            raise DomainError(f"evaluation point {a[~inside][0]} outside [0,1]")
+        nodes = grid.nodes
+        # a in [0,1] puts j in [0, n]; a = 1 uses the last interval.
+        j = np.minimum(nodes.searchsorted(a, side="right") - 1, grid.n - 1)
+        x0, x1 = nodes[j], nodes[j + 1]
+        plan = (j, x0, x1, a == x0, a == x1)
+        if a.ndim == 1:
+            grid._plans[a.tobytes()] = plan
+    j, x0, x1, at0, at1 = plan
+    if j.ndim == 2 and j.shape[0] > 1:
         y0, y1 = np.take_along_axis(samples, j, axis=1), np.take_along_axis(samples, j + 1, axis=1)
-    x0, x1 = nodes[j], nodes[j + 1]
+    else:  # take() keeps the gathered rows C-contiguous
+        y0 = samples.take(j.reshape(-1), axis=1)
+        if at0.all():  # every point a node: what the np.where below returns
+            return y0
+        y1 = samples.take(j.reshape(-1) + 1, axis=1)
     slope = (y1 - y0) / (x1 - x0)
     out = slope * (a - x0) + y0
     nan = np.isnan(out)
     if nan.any():
         right = slope * (a - x1) + y1
         out = np.where(nan, np.where(np.isnan(right) & (y0 == y1), y0, right), out)
-    return np.where(a == x0, y0, np.where(a == x1, y1, out))
+    return np.where(at0, y0, np.where(at1, y1, out))
 
 
 def _check_samples(samples, grid: Grid) -> np.ndarray:

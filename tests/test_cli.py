@@ -1,15 +1,20 @@
 import argparse
+import gc
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hammcert.cli
 import hammcert.problem
-from hammcert.cli import format_record, main, parse_record
+from hammcert.cli import _table, build_parser, format_record, main, parse_record
 
 from problem_texts import ZERO_PROBLEM, edited
 
@@ -845,3 +850,105 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+class TestSharedParser:
+    """main() parses with one parser per process, built on its first call."""
+
+    def test_main_leaves_no_argparse_cycles(self, example1_path, capsys):
+        argv = ["validate", "--problem", example1_path, "--n", "16"]
+        main(argv)  # warm-up: the parser is built here at the latest
+        debug, saved = gc.get_debug(), len(gc.garbage)
+        gc.collect()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            assert main(argv) == 0
+            gc.collect()
+            left = [type(o) for o in gc.garbage[saved:] if type(o).__module__ == "argparse"]
+        finally:
+            gc.set_debug(debug)
+            del gc.garbage[saved:]
+        assert left == []
+        assert build_parser() is build_parser()
+
+    @staticmethod
+    def _answers(capsys, problem, out):
+        """Exit code, stdout, stderr and --out text of a usage error, a help
+        page and a valid solve, wall times masked."""
+        answers = []
+        for argv in (["sweep", "--problem", problem, "--lambda", "0:1:2", "--eta1", "0:1:2",
+                      "--eta2", "0:1:2", "--r", "0.05", "--R", "1", "--wit"],
+                     ["solve", "--help"],
+                     ["solve", "--problem", problem, "--n", "16", "--out", str(out)]):
+            code = main(argv)
+            stdout, stderr = capsys.readouterr()
+            text = out.read_text() if out.exists() else ""
+            answers.append((code, re.sub(r" in \S+s$", "", stdout, flags=re.M), stderr,
+                            re.sub(r"elapsed_s=\S+", "", text)))
+        return answers
+
+    def test_shared_parser_answers_as_a_fresh_one(self, example2_path, tmp_path, capsys,
+                                                  monkeypatch):
+        shared = self._answers(capsys, example2_path, tmp_path / "shared.csv")
+        monkeypatch.setattr(hammcert.cli, "build_parser", build_parser.__wrapped__)
+        fresh = self._answers(capsys, example2_path, tmp_path / "fresh.csv")
+        assert [answer[0] for answer in shared] == [2, 0, 0]
+        assert "unrecognized arguments: --wit" in shared[0][2]
+        assert "# found=true" in shared[2][3].splitlines()
+        assert shared == fresh
+
+
+def _rows_oracle(record, header, rows):
+    """The row-by-row table writer that _table replaced."""
+    lines = ["# " + line for line in format_record(record).splitlines()] + [header]
+    for row in rows:
+        lines.append(",".join("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# Where repr switches between positional and exponent notation: below 1e-4
+# and from 1e16 up; and the smallest subnormal.
+REPR_EDGES = [-0.0, 0.0, 5e-324, 1e-5, 9.999999999999999e-05, 1e-4, 1e15,
+              9999999999999998.0, 1e16, -1e16, np.inf, -np.inf, np.nan]
+
+
+class TestTableColumns:
+    @given(data=st.data(), k=st.integers(0, 3), m=st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_float_columns_match_the_row_writer(self, data, k, m):
+        floats = st.one_of(st.floats(width=64), st.sampled_from(REPR_EDGES))
+        columns = [np.array(data.draw(st.lists(floats, min_size=m, max_size=m)), dtype=float)
+                   for _ in range(k)]
+        record = {"command": "solve", "found": True}
+        assert _table(record, "t,u,du", columns) == _rows_oracle(record, "t,u,du", zip(*columns))
+
+    def test_repr_edges_match_the_row_writer(self):
+        columns = [np.array(REPR_EDGES) * sign for sign in (1.0, -1.0)]
+        text = _table({"command": "solve"}, "u,du", columns)
+        assert text == _rows_oracle({"command": "solve"}, "u,du", zip(*columns))
+        assert text.splitlines()[2:] == [
+            "-0.0,0.0", "0.0,-0.0", "5e-324,-5e-324", "1e-05,-1e-05",
+            "9.999999999999999e-05,-9.999999999999999e-05", "0.0001,-0.0001",
+            "1000000000000000.0,-1000000000000000.0", "9999999999999998.0,-9999999999999998.0",
+            "1e+16,-1e+16", "-1e+16,1e+16", "inf,-inf", "-inf,inf", "nan,nan"]
+
+    def test_mixed_columns_match_the_row_writer(self):
+        columns = [np.array([0.5, -0.0]), [1e-5, None], ["existence", "both-fail"],
+                   (np.float64(1e16), 3)]
+        record = {"command": "sweep"}
+        assert _table(record, "a,b,c,d", columns) == _rows_oracle(record, "a,b,c,d", zip(*columns))
+        assert _table(record, "a,b,c,d", columns).splitlines()[-2:] == [
+            "0.5,1e-05,existence,1e+16", "-0.0,,both-fail,3"]
+
+    def test_sweep_without_witness_leaves_nonexistence_lhs_empty(self, example2_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--problem", example2_path, "--lambda", "0:1:2", "--eta1", "0:1:2",
+                     "--eta2", "0:1:2", "--r", "0.05", "--R", "1", "--out", str(out)]) == 0
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 8
+        assert all(row["nonexistence_lhs"] == "" for row in rows)
+        assert rows[0]["lambda"] == "0.0" and rows[-1]["eta2"] == "1.0"
+        assert {row["classification"] for row in rows} <= {"existence", "both-fail"}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hammcert.errors import EvaluationError, ShapeError
+from hammcert.errors import DomainError, EvaluationError, ShapeError
 from hammcert.expr import eval_functional, parse
 from hammcert.grid import (Grid, GridFunction, c1_distance, c1_norm, cone_defect,
                            consistency_defect, in_cone, interp_rows, sphere_family,
@@ -71,6 +71,50 @@ class TestInterpolation:
                 ref = np.interp(points, g.nodes, samples[i])
                 assert_same(shared[i], ref)
                 assert_same(per_row[i], ref)
+
+    @pytest.mark.parametrize("points", [[0.0, 0.25, 0.5, 0.75], [0.1, 1 / 3, 0.6, 1.0]],
+                             ids=["nodes", "off-nodes"])
+    def test_planned_points_equal_np_interp(self, points):
+        # On n = 8 the first set is all nodes, which returns the gathered node
+        # samples; the second needs the slopes, and 1 is the last interval's end.
+        g = Grid(8)
+        samples = np.random.default_rng(5).normal(size=(3, 9))
+        points = np.array(points)
+        for _ in range(2):  # the plan is made by the first call, read by the second
+            got = interp_rows(samples, g, points)
+            for i in range(3):
+                assert_same(got[i], np.interp(points, g.nodes, samples[i]))
+        assert len(g._plans) == 1
+
+    def test_one_point_set_on_two_grids(self):
+        # Equal point sets on two grids: each grid plans with its own nodes.
+        grids = [Grid(4), Grid(7)]
+        rng = np.random.default_rng(9)
+        samples = [rng.normal(size=(2, g.n + 1)) for g in grids]
+        points = np.array([0.25, 0.5, 0.9])
+        for _ in range(3):
+            for g, y in zip(grids, samples):
+                got = interp_rows(y, g, points.copy())
+                for i in range(2):
+                    assert_same(got[i], np.interp(points, g.nodes, y[i]))
+
+    @pytest.mark.parametrize("point, shown", [(1.5, "1.5"), (-0.25, "-0.25"), (np.nan, "nan")])
+    def test_a_point_outside_is_refused_on_every_call(self, point, shown):
+        g = Grid(8)
+        samples = np.zeros((2, 9))
+        for _ in range(3):
+            with pytest.raises(DomainError, match=rf"^evaluation point {shown} outside \[0,1\]$"):
+                interp_rows(samples, g, np.array([0.5, point]))
+        assert g._plans == {}
+
+    def test_points_that_read_u_are_not_planned(self):
+        # A point set that reads u changes from one function to the next:
+        # only U(1/4), shared by every function, is planned.
+        g = Grid(8)
+        h = parse("U(U(1/4)) + INT(DU(U(s)/2))", "functional")
+        for slope in (0.1, 0.2, 0.3):
+            eval_functional(h, GridFunction.ramp(g, slope))
+        assert len(g._plans) == 1
 
 
 FUNCTIONALS = [
