@@ -16,7 +16,7 @@ from .grid import (CONE_TOL, Grid, GridFunction, c1_distance, c1_norm,
 from .kernel import FocalKernel, Kernel, kernel_from_exprs
 from .problem import ProblemSpec, apply_T, load_problem, loads_problem, validate_spec
 from .solver import SolveResult, multistart_solve
-from .sweep import SweepCell, axis_values, run_sweep
+from .sweep import axis_values, run_sweep
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "EvaluationError", "ExistenceCertificate", "ExprError",
     "FalsificationResult", "FocalKernel", "Grid", "GridFunction",
     "HammcertError", "Kernel", "LinearGrowthWitness", "NonexistenceCertificate",
-    "ParameterError", "ProblemFileError", "ProblemSpec", "ShapeError", "SolveResult", "SweepCell",
+    "ParameterError", "ProblemFileError", "ProblemSpec", "ShapeError", "SolveResult",
     "apply_T", "axis_values", "c1_distance", "c1_norm",
     "check_existence", "check_nonexistence", "consistency_defect",
     "estimate_H", "estimate_f_extrema",

@@ -20,7 +20,7 @@ from .certificate import check_existence, check_nonexistence, check_radii
 from .errors import HammcertError, ParameterError
 from .problem import GRID_N, load_problem
 from .solver import MAX_ITERATIONS, STARTS, TOL_FIXPOINT, multistart_solve
-from .sweep import axis_values, conflict_cells, run_sweep
+from .sweep import axis_values, run_sweep
 
 # ---------------------------------------------------------------------------
 # key=value records
@@ -308,33 +308,29 @@ def _cmd_sweep(args) -> int:
         witness = spec.witness
     axes = [_parse_axis(getattr(args, dest), name)
             for name, dest in (("lambda", "lam"), ("eta1", "eta1"), ("eta2", "eta2"))]
-    cells = run_sweep(BoundSet(spec), *axes, args.r, args.R, witness=witness)
+    table = run_sweep(BoundSet(spec), *axes, args.r, args.R, witness=witness)
+    classes = table["classification"]
     record = _record(args, spec, {
         "r": args.r,
         "R": args.R,
-        "cells": len(cells),
-        "existence": sum(1 for c in cells if c.classification == "existence"),
-        "nonexistence": sum(1 for c in cells if c.classification == "nonexistence"),
-        "both_fail": sum(1 for c in cells if c.classification == "both-fail"),
-        "conflict": sum(1 for c in cells if c.classification == "conflict"),
+        "cells": len(table),
+        **{name.replace("-", "_"): np.count_nonzero(classes == name)
+           for name in ("existence", "nonexistence", "both-fail", "conflict")},
         "witness": witness is not None,
     })
-    text = _table(record, "lambda,eta1,eta2,classification,value_branch,deriv_branch,idx0,"
-                          "nonexistence_lhs,rigor",
-                  zip(*((c.lam, c.eta1, c.eta2, c.classification, c.value_branch, c.deriv_branch,
-                         c.idx0_value, c.nonexistence_lhs, c.rigor) for c in cells)))
+    text = _table(record, ",".join(table.dtype.names), (table[name] for name in table.dtype.names))
     if args.out:
         _write_out(args.out, text)
-        print(f"{len(cells)} cells written to {args.out}: "
+        print(f"{len(table)} cells written to {args.out}: "
               f"{record['existence']} existence, {record['nonexistence']} nonexistence, "
               f"{record['both_fail']} both-fail, {record['conflict']} conflict")
     else:
         sys.stdout.write(text)
-    conflicts = conflict_cells(cells)
-    if conflicts:
-        c = conflicts[0]
-        print(f"CONFLICT: both certificates passed at {len(conflicts)} cells, e.g. "
-              f"lambda={c.lam!r}, eta1={c.eta1!r}, eta2={c.eta2!r}; "
+    if record["conflict"]:
+        c = table[np.argmax(classes == "conflict")]  # the first conflict cell
+        print(f"CONFLICT: both certificates passed at {record['conflict']} cells, e.g. "
+              f"lambda={float(c['lambda'])!r}, eta1={float(c['eta1'])!r}, "
+              f"eta2={float(c['eta2'])!r}; "
               f"the declared bounds and witness are mutually inconsistent",
               file=sys.stderr)
         return 2

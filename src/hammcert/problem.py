@@ -197,27 +197,32 @@ def _spec_from_text(text: str, path, n: int) -> ProblemSpec:
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text, source=str(path))
+        # Plain dicts, each with the DEFAULT keys as the parser's lookups see
+        # them; the parser is a web of cycles that, dropped now, dies young.
+        conf = {section: dict(cp[section])
+                for section in [cp.default_section] * bool(cp.defaults()) + cp.sections()}
+        del cp
         for section, entries in _ENTRIES.items():
-            if not cp.has_section(section):
+            if section not in conf:
                 raise ProblemFileError(f"missing [{section}] section")
             for key, _ in entries:
-                if not cp.has_option(section, key):
+                if key not in conf[section]:
                     raise ProblemFileError(f"missing key {key!r} in [{section}]")
-        for section in [cp.default_section] * bool(cp.defaults()) + cp.sections():
+        for section, keys in conf.items():
             if section not in _KEYS:
                 raise ProblemFileError(f"unknown section [{section}] (allowed: {', '.join(_KEYS)})")
-            for key in cp.options(section):
+            for key in keys:
                 if key not in _KEYS[section]:
                     raise ProblemFileError(f"unknown key {key!r} in [{section}] "
                                            f"(allowed: {', '.join(_KEYS[section])})")
-        kernel = _kernel_from_config(cp)
-        bounds, witness = _bounds_from_config(cp)
-        lam, eta1, eta2 = params = [_constant(cp, "parameters", key)
+        kernel = _kernel_from_config(conf)
+        bounds, witness = _bounds_from_config(conf)
+        lam, eta1, eta2 = params = [_constant(conf, "parameters", key)
                                     for key, _ in _ENTRIES["parameters"]]
         for (key, _), val in zip(_ENTRIES["parameters"], params):
             if val < 0:
                 raise ParameterError(f"parameter {key} must be non-negative, got {val}")
-        exprs = {key: parse_entry(section, key, cp.get(section, key), role)
+        exprs = {key: parse_entry(section, key, conf[section][key], role)
                  for section, entries in _ENTRIES.items() if section != "parameters"
                  for key, role in entries}
         spec = ProblemSpec(kernel=kernel, **exprs, lam=lam, eta1=eta1, eta2=eta2,
@@ -231,14 +236,14 @@ def _spec_from_text(text: str, path, n: int) -> ProblemSpec:
         raise ProblemFileError(f"{path}: {exc}") from exc
 
 
-def _constant(cp: configparser.ConfigParser, section: str, key: str) -> float:
-    return eval_constant(parse_entry(section, key, cp.get(section, key), "constant"))
+def _constant(conf: dict, section: str, key: str) -> float:
+    return eval_constant(parse_entry(section, key, conf[section][key], "constant"))
 
 
-def _kernel_from_config(cp: configparser.ConfigParser) -> Kernel:
-    if not cp.has_section("kernel"):
+def _kernel_from_config(conf: dict) -> Kernel:
+    if "kernel" not in conf:
         raise ProblemFileError("missing [kernel] section")
-    name, k = (cp.get("kernel", key, fallback=None) for key in _KERNEL_KEYS)
+    name, k = (conf["kernel"].get(key) for key in _KERNEL_KEYS)
     if (name is None) == (k is None):
         raise ProblemFileError("[kernel] needs exactly one of name and k, "
                                f"got {'neither' if k is None else 'both'}")
@@ -249,10 +254,10 @@ def _kernel_from_config(cp: configparser.ConfigParser) -> Kernel:
     return FocalKernel()
 
 
-def _bounds_from_config(cp) -> tuple[dict, LinearGrowthWitness | None]:
+def _bounds_from_config(conf: dict) -> tuple[dict, LinearGrowthWitness | None]:
     """The declared bounds, slot -> AST in rho, and the growth witness, if
     [bounds] declares one."""
-    sec = cp["bounds"] if cp.has_section("bounds") else {}
+    sec = conf.get("bounds", {})
     bounds = {key: parse_entry("bounds", key, sec[key], "bound")
               for key in _BOUND_KEYS if key in sec}
     witness_keys = [k for k in _WITNESS_KEYS if k in sec]
@@ -262,6 +267,6 @@ def _bounds_from_config(cp) -> tuple[dict, LinearGrowthWitness | None]:
         raise ProblemFileError(
             f"[bounds] declares {witness_keys} but a witness needs tau, xi1 and xi2")
     try:
-        return bounds, LinearGrowthWitness(*(_constant(cp, "bounds", key) for key in witness_keys))
+        return bounds, LinearGrowthWitness(*(_constant(conf, "bounds", key) for key in witness_keys))
     except ParameterError as exc:
         raise ProblemFileError(f"[bounds] witness: {exc}") from exc

@@ -2,36 +2,20 @@
 
 Each lattice point gets the existence check at fixed (r, R) and, when a
 growth witness is supplied, the non-existence check, both evaluated over
-the whole lattice in one array pass.  Cells are points, not boxes:
-nothing is claimed between lattice points.  Both certificates passing at
-once ('conflict') is impossible when the declared inputs are sound, so
-that class exists purely as a consistency alarm.
+the whole lattice in one array pass.  The result is the sweep's table,
+column by column.  Cells are points, not boxes: nothing is claimed
+between lattice points.  Both certificates passing at once ('conflict')
+is impossible when the declared inputs are sound, so that class exists
+purely as a consistency alarm.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundSet, LinearGrowthWitness
 from .certificate import existence_terms, nonexistence_terms
 from .errors import ParameterError
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    lam: float
-    eta1: float
-    eta2: float
-    classification: str  # 'existence' | 'nonexistence' | 'both-fail' | 'conflict'
-    value_branch: float
-    deriv_branch: float
-    idx0_value: float
-    upper_margin: float
-    lower_margin: float
-    nonexistence_lhs: float | None
-    rigor: str
 
 
 def axis_values(start: float, stop: float, steps: int) -> np.ndarray:
@@ -48,9 +32,12 @@ def axis_values(start: float, stop: float, steps: int) -> np.ndarray:
 
 
 def run_sweep(bounds: BoundSet, lam_values, eta1_values, eta2_values, r: float, R: float,
-              witness: LinearGrowthWitness | None = None) -> list[SweepCell]:
-    """Evaluate the certificates at every lattice point, in lexicographic order.
+              witness: LinearGrowthWitness | None = None) -> np.recarray:
+    """The certificates at every lattice point, as one structured array.
 
+    One row per point, in lexicographic order, and one field per column of
+    the `sweep` CSV; classification is 'existence', 'nonexistence',
+    'both-fail' or 'conflict', and nonexistence_lhs None without a witness.
     With (r, R) fixed the bound entries are fixed too, so both certificates
     are affine in the parameters and the lattice is evaluated in one array
     pass, bit for bit what the scalar certificates give at each point.
@@ -64,12 +51,8 @@ def run_sweep(bounds: BoundSet, lam_values, eta1_values, eta2_values, r: float, 
                         ["conflict", "existence", "nonexistence"], "both-fail")
     # A non-existence cell carries that certificate's rigor, any other the existence one's.
     rigor = np.where(classes == "nonexistence", None if growth is None else growth.rigor, cert.rigor)
-    nonexistence_lhs = [None] * lam.size if growth is None else growth.lhs.tolist()
-    return [SweepCell(*row) for row in zip(
-        lam.tolist(), eta1.tolist(), eta2.tolist(), classes.tolist(),
-        cert.lhs_value_branch.tolist(), cert.lhs_deriv_branch.tolist(), cert.lhs_idx0.tolist(),
-        cert.upper_margin.tolist(), cert.lower_margin.tolist(), nonexistence_lhs, rigor.tolist())]
-
-
-def conflict_cells(cells: list[SweepCell]) -> list[SweepCell]:
-    return [c for c in cells if c.classification == "conflict"]
+    nonexistence_lhs = np.full(lam.shape, None) if growth is None else growth.lhs
+    return np.rec.fromarrays(
+        [lam, eta1, eta2, classes, cert.lhs_value_branch, cert.lhs_deriv_branch, cert.lhs_idx0,
+         nonexistence_lhs, rigor],
+        names="lambda,eta1,eta2,classification,value_branch,deriv_branch,idx0,nonexistence_lhs,rigor")

@@ -21,7 +21,7 @@ from hammcert.grid import CONE_TOL, Grid, cone_defect, consistency_defect
 from hammcert.kernel import FocalKernel
 from hammcert.problem import apply_T
 from hammcert.solver import MAX_ITERATIONS, TOL_FIXPOINT, multistart_solve
-from hammcert.sweep import axis_values, conflict_cells, run_sweep
+from hammcert.sweep import axis_values, run_sweep
 
 from grid_checks import consistency_tol, family_rows
 
@@ -152,15 +152,16 @@ def test_criterion_7_bounds_sanity(example1, example2):
 def test_criterion_8_sweep_reproduction(example2):
     ax = axis_values(0.0, 1.0, 20)
     t0 = time.perf_counter()
-    cells = run_sweep(BoundSet(example2), ax, ax, ax, r=1 / 20, R=1.0, witness=example2.witness)
+    table = run_sweep(BoundSet(example2), ax, ax, ax, r=1 / 20, R=1.0, witness=example2.witness)
     elapsed = time.perf_counter() - t0
-    assert len(cells) == 8000
-    assert not conflict_cells(cells)
-    mismatches = [c for c in cells
-                  if (c.classification == "nonexistence") != ((3 / 2) * c.lam + c.eta1 + c.eta2 < 1)]
-    assert not mismatches, f"{len(mismatches)} cells disagree with the closed-form inequality"
+    assert len(table) == 8000
+    assert "conflict" not in table["classification"]
+    nonexistence = table["classification"] == "nonexistence"
+    expected = (3 / 2) * table["lambda"] + table["eta1"] + table["eta2"] < 1
+    mismatches = np.count_nonzero(nonexistence != expected)
+    assert not mismatches, f"{mismatches} cells disagree with the closed-form inequality"
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
-    certified = sum(1 for c in cells if c.classification == "nonexistence")
+    certified = np.count_nonzero(nonexistence)
     _report(8, f"20^3 sweep: {certified} nonexistence cells match (3/2)l+e1+e2<1 "
                f"exactly, no conflicts, {elapsed:.1f}s")
 

@@ -652,6 +652,20 @@ class TestSweepCommand:
             "the declared bounds and witness are mutually inconsistent\n")
         assert parse_record(out.read_text())["conflict"] == 1
 
+    def test_conflict_after_the_first_cell(self, example2_path, tmp_path, capsys):
+        # lambda = 0 is a non-existence cell, lambda = 0.2 the conflict: the
+        # message names the conflict cell's parameters as plain floats.
+        problem = _variant(tmp_path, example2_path, "f_lower = 0\n", "f_lower = 3\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--problem", problem, "--lambda", "0:0.2:2", "--eta1", "0:0:1",
+                     "--eta2", "0:0:1", "--r", "0.05", "--R", "1", "--witness",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "CONFLICT: both certificates passed at 1 cells, e.g. lambda=0.2, eta1=0.0, eta2=0.0; "
+            "the declared bounds and witness are mutually inconsistent\n")
+        record = parse_record(out.read_text())
+        assert (record["cells"], record["nonexistence"], record["conflict"]) == (2, 1, 1)
+
     def test_constant_f_falsifies_the_witness(self, example2_path, tmp_path, capsys):
         problem = _variant(tmp_path, example2_path, "f = u*(2 - t*sin(u*v))", "f = 2")
         assert main(["sweep", "--problem", problem, "--lambda", "0:1:2", "--eta1", "0:1:2",

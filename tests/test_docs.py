@@ -1,4 +1,5 @@
-"""The README's library and command-line examples run as written."""
+"""The README's library and command-line examples run as written, and
+docs/problem-format.md names the header that `sweep` writes."""
 
 import pathlib
 import re
@@ -32,3 +33,14 @@ def test_readme_command_line_block_runs(monkeypatch, tmp_path):
             i = argv.index("--out") + 1
             argv[i] = str(tmp_path / argv[i])
         assert main(argv[1:]) == 0, argv
+
+
+def test_documented_sweep_header_is_written(tmp_path):
+    doc = (ROOT / "docs" / "problem-format.md").read_text(encoding="utf-8")
+    documented = re.search(r"^    (lambda,.*)$", doc, re.M).group(1)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--problem", str(ROOT / "problems" / "example2.prob"),
+                 "--lambda", "0:1:1", "--eta1", "0:1:1", "--eta2", "0:1:1",
+                 "--r", "0.05", "--R", "1", "--out", str(out)]) == 0
+    header = next(line for line in out.read_text().splitlines() if not line.startswith("#"))
+    assert header == documented

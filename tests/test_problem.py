@@ -1,3 +1,5 @@
+import configparser
+import gc
 import math
 import pathlib
 import re
@@ -29,6 +31,26 @@ DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "problem-format.md"
 SECTIONS = "kernel, gamma, functionals, nonlinearity, parameters, bounds"
 
 class TestLoading:
+    def test_parser_is_unreachable_before_validation(self, example2_path, monkeypatch):
+        # The config parser is a web of reference cycles, so only the cycle
+        # collector frees it.  Kept alive through the load's validation, it
+        # aged into the oldest generation and waited there for a full
+        # collection, which a process that loads many files rarely runs.
+        def parsers() -> int:
+            gc.collect()
+            return sum(isinstance(o, configparser.RawConfigParser) for o in gc.get_objects())
+
+        alive = []
+
+        def counting(spec):
+            alive.append(parsers())
+            return validate_spec(spec)
+
+        before = parsers()
+        monkeypatch.setattr(hammcert.problem, "validate_spec", counting)
+        load_problem(example2_path)
+        assert alive == [before]
+
     def test_example1_precomputed_fields(self, example1):
         assert _constant(example1, "gamma1(1)") == 1.0
         assert _constant(example1, "gamma2(1)") == 1.0
