@@ -88,8 +88,7 @@ def _cells(column):
     """A table column's cells: floats by repr, None empty, anything else by str."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         return map(repr, column.tolist())
-    return ("" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
-            for v in column)
+    return ("" if v is None else str(v) for v in column)
 
 
 def _table(record: dict, header: str, columns) -> str:

@@ -2,8 +2,8 @@
 
 Grammar (see docs/problem-format.md for the full EBNF):
 
-    expr   := term (("+" | "-") term)*
-    term   := unary (("*" | "/") unary)*
+    expr   := term (("+" | "-") term)*   # expr and term: one precedence table,
+    term   := unary (("*" | "/") unary)* # _PREC, that to_source reads too
     unary  := "-" unary | power
     power  := atom ("^" unary)?          # right-associative, binds above unary -
     atom   := NUMBER | "e" | "pi" | VARIABLE
@@ -47,6 +47,9 @@ and evaluated in slabs of whole rows, at most LATTICE_SLAB samples each
 from __future__ import annotations
 
 import math
+import operator
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,62 +142,37 @@ class Entry(Expr):
 # ---------------------------------------------------------------------------
 # lexer
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'name' | one of "+-*/^(),", or 'end'
-    text: str
-    pos: int
+_Token = namedtuple("_Token", "kind text pos")  # kind: 'num', 'name', an operator or 'end'
 
-
-# Numbers are ASCII decimal literals: str.isdigit() would also take '²',
-# which float() rejects, and '٣', which it reads as 3.
-_DIGITS = frozenset("0123456789")
+# One token after optional whitespace.  Numbers are ASCII decimal literals
+# ([0-9], never \d, which takes '٣'), with an exponent only when digits
+# follow it: '2e' is 2 then e.  A name is \w+ (str.isalnum() or '_') and must
+# start with a letter or '_'; any other non-space character is unexpected.
+_TOKEN = re.compile(r"\s*(?:(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<name>\w+)|(?P<op>[-+*/^(),])|(?P<bad>\S))")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            # exponent part, but only when unambiguously numeric
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j] in _DIGITS:
-                    i = j
-                    while i < n and text[i] in _DIGITS:
-                        i += 1
-            tokens.append(_Token("num", text[start:i], start))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", text[start:i], start))
-            continue
-        if c in "+-*/^(),":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ExprError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word, pos = m[kind], m.start(kind)
+        if kind == "bad" or (kind == "name" and not (word[0].isalpha() or word[0] == "_")):
+            raise ExprError(f"unexpected character {word[0]!r}", pos)
+        tokens.append(_Token(word if kind == "op" else kind, word, pos))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+# How tight each binary operator binds, for the parser and the printer
+# alike: a left operand sits at the operator's level, a right one a level
+# above.  ^ binds tighter than unary minus and only to an atom on its left.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_PREC_UNARY, _PREC_POW = 3, 4
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token], role: str):
@@ -223,18 +201,13 @@ class _Parser:
             raise ExprError(f"unexpected {self.tok.text!r}", self.tok.pos)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.tok.kind in ("+", "-"):
-            op = self.advance().kind
-            e = Binary(op, e, self.term())
-        return e
-
-    def term(self) -> Expr:
+    def expr(self, prec: int = 1) -> Expr:
+        """Operands joined by the operators of _PREC that bind at least as
+        tight as prec; each right operand binds one level tighter."""
         e = self.unary()
-        while self.tok.kind in ("*", "/"):
+        while _PREC.get(self.tok.kind, 0) >= prec:
             op = self.advance().kind
-            e = Binary(op, e, self.unary())
+            e = Binary(op, e, self.expr(_PREC[op] + 1))
         return e
 
     def unary(self) -> Expr:
@@ -254,7 +227,10 @@ class _Parser:
         t = self.tok
         if t.kind == "num":
             self.advance()
-            return Num(float(t.text))
+            value = float(t.text)
+            if math.isinf(value):
+                raise ExprError(f"number {t.text!r} is not finite", t.pos)
+            return Num(value)
         if t.kind == "(":
             self.advance()
             e = self.expr()
@@ -418,9 +394,6 @@ def _binary(op: str, a: Expr, b: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # printing
 
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
 def _fmt(e: Expr, ctx: int) -> str:
     if isinstance(e, Entry):
         return _fmt(e.body, ctx)
@@ -438,12 +411,10 @@ def _fmt(e: Expr, ctx: int) -> str:
         s = f"-{_fmt(e.operand, _PREC_UNARY)}"
         return f"({s})" if _PREC_UNARY < ctx else s
     if isinstance(e, Binary):
-        if e.op == "^":
-            s = f"{_fmt(e.left, _PREC_ATOM)}^{_fmt(e.right, _PREC_UNARY)}"
-            return f"({s})" if _PREC_POW < ctx else s
-        prec = _PREC_ADD if e.op in "+-" else _PREC_MUL
+        prec = _PREC.get(e.op, _PREC_POW)
+        left, right = (_PREC_POW + 1, _PREC_UNARY) if e.op == "^" else (prec, prec + 1)
         sep = f" {e.op} " if e.op in "+-" else e.op
-        s = f"{_fmt(e.left, prec)}{sep}{_fmt(e.right, prec + 1)}"
+        s = f"{_fmt(e.left, left)}{sep}{_fmt(e.right, right)}"
         return f"({s})" if prec < ctx else s
     raise TypeError(f"not an Expr node: {e!r}")
 
@@ -461,6 +432,9 @@ def to_source(e: Expr) -> str:
 # INT, s is the nodes (n+1,) and values broadcast to (k, n+1).  So a point
 # set is 0-d or 1-D, shared by every row, unless it reads U, DU or INT.
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide, "^": np.power}
+
+
 def _eval(e: Expr, env: dict, u: GridFunction | None):
     if isinstance(e, Num):
         return e.value
@@ -471,17 +445,7 @@ def _eval(e: Expr, env: dict, u: GridFunction | None):
     if isinstance(e, Unary):
         return -_eval(e.operand, env, u)
     if isinstance(e, Binary):
-        a = _eval(e.left, env, u)
-        b = _eval(e.right, env, u)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return np.divide(a, b)
-        return np.power(a, b)
+        return _OPS[e.op](_eval(e.left, env, u), _eval(e.right, env, u))
     if isinstance(e, Call):
         fns = FUNCTIONS if len(e.args) == 1 else FUNCTIONS2
         return fns[e.func](*(_eval(a, env, u) for a in e.args))

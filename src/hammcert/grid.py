@@ -34,19 +34,21 @@ def sign_check(name: str, worst: float, at: tuple, axes: dict, where: str) -> Ch
 
 
 class Grid:
-    """Uniform partition of [0,1] into n subintervals, nodes t_j = j/n; it
-    keeps the interpolation plans that interp_rows makes on it."""
+    """Uniform partition of [0,1] into n subintervals, nodes t_j = j/n, with
+    the read-only trapezoid weights of its nodes; it keeps the
+    interpolation plans that interp_rows makes on it."""
 
-    __slots__ = ("n", "h", "nodes", "_plans")
+    __slots__ = ("n", "h", "nodes", "weights", "_plans")
 
     def __init__(self, n: int):
         if n < 2:
             raise ParameterError(f"grid needs at least 2 subintervals, got n={n}")
         self.n = int(n)
         self.h = 1.0 / self.n
-        nodes = np.linspace(0.0, 1.0, self.n + 1)
-        nodes.flags.writeable = False
-        self.nodes = nodes
+        self.nodes = np.linspace(0.0, 1.0, self.n + 1)
+        self.weights = np.full(self.n + 1, self.h)
+        self.weights[[0, -1]] *= 0.5
+        self.nodes.flags.writeable = self.weights.flags.writeable = False
         self._plans = {}
 
     def __eq__(self, other) -> bool:

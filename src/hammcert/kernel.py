@@ -50,20 +50,13 @@ class Kernel:
             self._cache[key] = make(grid)
         return self._cache[key]
 
-    @staticmethod
-    def _trap_weights(grid: Grid) -> np.ndarray:
-        w = np.full(grid.n + 1, grid.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
     def _make_value_weights(self, grid: Grid) -> np.ndarray:
         kmat = self._sample(self.k, grid.nodes[:, None], grid.nodes[None, :], "k")
-        return kmat * self._trap_weights(grid)
+        return kmat * grid.weights
 
     def _make_deriv_weights(self, grid: Grid) -> np.ndarray:
         dkmat = self._sample(self.dk, grid.nodes[:, None], grid.nodes[None, :], "dk")
-        return dkmat * self._trap_weights(grid)
+        return dkmat * grid.weights
 
     def _sample(self, fn, t, s, label: str) -> np.ndarray:
         try:
@@ -146,7 +139,7 @@ class FocalKernel(Kernel):
         arithmetic of those formulas.
         """
         t = grid.nodes
-        wF = self._trap_weights(grid) * F
+        wF = grid.weights * F
         below = np.cumsum(wF, axis=-1)
         wF *= t
         values = np.cumsum(wF, axis=-1, out=wF)

@@ -524,6 +524,14 @@ class TestValidate:
         assert main(["validate", "--problem", bad]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    def test_overflowing_literal_names_itself_as_written(self, example1_path, tmp_path, capsys):
+        # 1e999 used to parse to inf and fail later as "f = 'inf*u': non-finite ..."
+        bad = _variant(tmp_path, example1_path, "f = exp(t*(u + v))\n", "f = 1e999*u\n")
+        assert main(["validate", "--problem", bad]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: [nonlinearity] f = '1e999*u': "
+            "number '1e999' is not finite (at position 0)\n")
+
     def test_non_finite_functional_names_the_cone_sample(self, example1_path, tmp_path, capsys):
         # exp(1000*u'(3/4)) overflows once u'(3/4) > 0.71, first on the
         # load-time check's ramp rho*t with C1 norm 1

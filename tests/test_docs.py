@@ -1,11 +1,13 @@
 """The README's library and command-line examples run as written, and
-docs/problem-format.md names the header that `sweep` writes."""
+docs/problem-format.md names the header that `sweep` writes and states
+how the expression language binds its operators."""
 
 import pathlib
 import re
 import shlex
 
 from hammcert.cli import main
+from hammcert.expr import eval_constant, parse
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -44,3 +46,12 @@ def test_documented_sweep_header_is_written(tmp_path):
                  "--r", "0.05", "--R", "1", "--out", str(out)]) == 0
     header = next(line for line in out.read_text().splitlines() if not line.startswith("#"))
     assert header == documented
+
+
+def test_documented_precedence_examples_evaluate_as_stated():
+    doc = (ROOT / "docs" / "problem-format.md").read_text(encoding="utf-8")
+    sentence = doc[doc.index("Precedence from loose to tight"):].split("\n\n", 1)[0]
+    examples = re.findall(r"`([^`=]+) = ([^`]+)`", sentence)
+    assert examples == [("-2^2", "-4"), ("2^3^2", "512")]
+    for src, value in examples:
+        assert eval_constant(parse(src, "constant")) == float(value)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hammcert.errors import DomainError, EvaluationError, ExprError
 from hammcert.expr import (Binary, Call, Const, Integral, Num, PointValue,
-                           Unary, Var, _eval, derivative, eval_bound, eval_constant,
+                           Unary, Var, _eval, _tokenize, derivative, eval_bound, eval_constant,
                            eval_coefficient, eval_functional,
                            eval_nonlinearity, parse, parse_entry, to_source, variables)
 from hammcert.grid import Grid, GridFunction
@@ -76,12 +76,36 @@ class TestParsing:
         with pytest.raises(ExprError):
             parse("1 ? 2", "constant")
 
-    @pytest.mark.parametrize("src", ["²", "٣"])
+    @pytest.mark.parametrize("src", ["²", "٣", "½", "Ⅻ"])
     def test_numbers_are_ascii_decimals(self, src):
-        # str.isdigit() takes both: '²' crashed float(), '٣' read as 3.0
+        # str.isdigit() takes the first two: '²' crashed float(), '٣' read as
+        # 3.0; str.isalnum() takes all four inside a name, never at its start
         with pytest.raises(ExprError) as err:
             parse(src, "constant")
         assert err.value.pos == 0
+        assert str(err.value) == f"unexpected character {src!r} (at position 0)"
+
+    def test_exponent_needs_digits(self):
+        # '2e' is the number 2 followed by the name e; '2e1' is 20
+        assert parse("2e1", "constant") == Num(20.0)
+        with pytest.raises(ExprError) as err:
+            parse("2e", "constant")
+        assert str(err.value) == "unexpected 'e' (at position 1)"
+
+    @pytest.mark.parametrize("src, literal, pos", [
+        ("1e999*u", "1e999", 0), ("u + 9e308", "9e308", 4), ("-1.5E+400", "1.5E+400", 1)])
+    def test_overflowing_literal_is_an_error(self, src, literal, pos):
+        # it parsed to Num(inf), which prints as 'inf' and does not re-parse
+        with pytest.raises(ExprError) as err:
+            parse(src, "nonlinearity")
+        assert str(err.value) == f"number {literal!r} is not finite (at position {pos})"
+        assert err.value.pos == pos
+
+    def test_overflowing_literal_names_the_entry_as_written(self):
+        with pytest.raises(ExprError) as err:
+            parse_entry("nonlinearity", "f", "1e999*u", "nonlinearity")
+        assert str(err.value) == ("[nonlinearity] f = '1e999*u': "
+                                  "number '1e999' is not finite (at position 0)")
 
     def test_unknown_function(self):
         with pytest.raises(ExprError):
@@ -90,6 +114,74 @@ class TestParsing:
     def test_unknown_role(self):
         with pytest.raises(ValueError):
             parse("1", "no-such-role")
+
+
+# --- tokenizer oracle ---------------------------------------------------------
+
+_ASCII_DIGITS = frozenset("0123456789")
+
+
+def _loop_tokenize(text):
+    """The character-loop tokenizer that the token pattern replaced, as
+    (kind, text, pos) tuples: the reference for _tokenize."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _ASCII_DIGITS or (c == "." and i + 1 < n and text[i + 1] in _ASCII_DIGITS):
+            start = i
+            while i < n and text[i] in _ASCII_DIGITS:
+                i += 1
+            if i < n and text[i] == ".":
+                i += 1
+                while i < n and text[i] in _ASCII_DIGITS:
+                    i += 1
+            if i < n and text[i] in "eE":
+                j = i + 1
+                if j < n and text[j] in "+-":
+                    j += 1
+                if j < n and text[j] in _ASCII_DIGITS:
+                    i = j
+                    while i < n and text[i] in _ASCII_DIGITS:
+                        i += 1
+            tokens.append(("num", text[start:i], start))
+            continue
+        if c.isalpha() or c == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(("name", text[start:i], start))
+            continue
+        if c in "+-*/^(),":
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        raise ExprError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [tuple(token) for token in tokenize(text)]
+    except ExprError as exc:
+        return str(exc)
+
+
+# ASCII and other digits ('²' is a digit, '½' and 'Ⅻ' numeric, '٣' and '０'
+# decimal), letters with and without accents, the characters of a number,
+# the operators, and whitespace that str.isspace() takes.
+TOKEN_ALPHABET = ("0123456789²٣½Ⅻ０" "abeEsxzéßΩǅʰ_." "+-*/^(),?$'"
+                  " \t\n\r\x0b\x0c\x1c\x85\xa0\u1680\u2003\u2028\u3000")
+
+
+@given(st.text(alphabet=TOKEN_ALPHABET, max_size=30))
+@settings(max_examples=500)
+def test_tokenizer_matches_the_character_loop(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_loop_tokenize, text)
 
 
 class TestRoles:

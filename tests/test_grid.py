@@ -37,6 +37,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.nodes[0] = 1.0
 
+    def test_trapezoid_weights_are_read_only(self):
+        g = Grid(4)
+        np.testing.assert_array_equal(g.weights, [0.125, 0.25, 0.25, 0.25, 0.125])
+        with pytest.raises(ValueError):
+            g.weights[0] = 1.0
+
 
 class TestNorm:
     def test_zero(self):

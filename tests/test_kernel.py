@@ -137,7 +137,7 @@ class TestIntegrals:
         g = Grid(256)
         F = 1e3 * np.random.default_rng(7).random(shape)
         t = g.nodes
-        wF = focal._trap_weights(g) * F
+        wF = g.weights * F
         below = np.cumsum(wF, axis=-1)
         steps = np.cumsum(0.5 * g.h * (F[..., 1:] + F[..., :-1]), axis=-1)
         C = np.concatenate([np.zeros(shape[:-1] + (1,)), steps], axis=-1)
